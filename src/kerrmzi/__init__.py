@@ -43,7 +43,6 @@ from .config import (
     load_config,
     load_medium,
     parse_config,
-    phase_sensing_photons,
     validate,
 )
 from .oracle import (

@@ -23,7 +23,6 @@ from .config import (
     SplitterParams,
     SqueezerParams,
     PhaseShift,
-    phase_sensing_photons,
 )
 
 
@@ -406,7 +405,7 @@ def sensitivity(config: InterferometerConfig, repeats: int = 1) -> SensitivityRe
             "(g2 = 0, alpha = 0, eta_b*eta_d = 0, or cos(theta2 - theta_alpha) = 0)"
         )
     delta_phi = math.sqrt(noise) / slope
-    n_ps = phase_sensing_photons(config)
+    n_ps = config.n_ps
     sql = sql_nonlinear(n_ps) if n_ps > 0 else math.inf
     fisher = qfi_nonlinear(
         config.coherent.n_alpha, 2.0 * config.nbs1.g**2, config.splitter

@@ -119,6 +119,8 @@ def _build_spec(kind: str, base) -> "sweep.SweepSpec":
 
 
 def cmd_report(args) -> int:
+    if args.repeats < 1:
+        return _fail(f"--repeats must be >= 1 (got {args.repeats})", EXIT_INPUT_ERROR)
     try:
         config = load_config(args.config)
     except (ConfigFileError, InvalidConfigError, OSError) as exc:

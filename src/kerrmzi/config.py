@@ -90,11 +90,6 @@ class SqueezerParams:
         """Companion amplitude g = sqrt(G^2 - 1); satisfies G^2 - g^2 = 1."""
         return math.sqrt(self.gain**2 - 1.0)
 
-    @property
-    def r(self) -> float:
-        """Squeezing parameter r = arccosh(G), used by the Fock simulator."""
-        return math.acosh(self.gain)
-
     def invariant_errors(self, label: str = "squeezer"):
         errs = []
         if not _finite(self.gain):
@@ -196,7 +191,8 @@ class InterferometerConfig:
 
     @property
     def n_ps(self) -> float:
-        """Phase-sensing photon budget 2 g1^2 + |alpha|^2."""
+        """Phase-sensing photon budget N_ps = 2 g1^2 + |alpha|^2 (both squeezed
+        modes plus the pump) that every sensitivity limit is quoted against."""
         return 2.0 * self.nbs1.g**2 + self.coherent.n_alpha
 
     def invariant_errors(self):
@@ -290,18 +286,13 @@ class SensitivityReport:
         return ",".join(vals)
 
 
-def validation_errors(config: InterferometerConfig):
-    """All violated invariants of ``config``, empty when valid."""
-    return config.invariant_errors()
-
-
 def validate(config: InterferometerConfig) -> InterferometerConfig:
     """Return ``config`` unchanged if every invariant holds.
 
     Raises InvalidConfigError carrying the full list of violations
     otherwise.  Idempotent by construction.
     """
-    errs = validation_errors(config)
+    errs = config.invariant_errors()
     if errs:
         raise InvalidConfigError(errs)
     return config
@@ -312,15 +303,6 @@ def validate_medium(medium: KerrMediumSpec) -> KerrMediumSpec:
     if errs:
         raise InvalidConfigError(errs)
     return medium
-
-
-def phase_sensing_photons(config: InterferometerConfig) -> float:
-    """Photon budget N_ps = 2 g1^2 + |alpha|^2 used to normalize the SQL.
-
-    Counts both modes emitted by the first squeezer plus the coherent
-    pump, the convention all sensitivity limits here are quoted against.
-    """
-    return 2.0 * config.nbs1.g**2 + config.coherent.n_alpha
 
 
 def build_config(

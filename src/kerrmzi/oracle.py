@@ -23,12 +23,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import InterferometerConfig
 
 MODE_A, MODE_B, MODE_C = 0, 1, 2
 _NORM_DRIFT_GUARD = 1e-9
+# Entries per gate and loss cache: simulate uses two squeezers, one splitter
+# and up to five loss channels, so numeric_slope never rebuilds a gate.
+_CACHE_SIZE = 5
 
 
 class TruncationError(RuntimeError):
@@ -97,32 +99,44 @@ def _quadrature_y(cutoff: int) -> np.ndarray:
     return -1j * (a - a.conj().T)
 
 
-@lru_cache(maxsize=None)
+def _expm_conserving(h: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """exp(-i h) for a Hermitian h that commutes with diag(labels): one
+    eigendecomposition per block of equal labels."""
+    out = np.zeros(h.shape, dtype=complex)
+    for label in np.unique(labels):
+        idx = np.ix_(labels == label, labels == label)
+        w, v = np.linalg.eigh(h[idx])
+        out[idx] = (v * np.exp(-1j * w)) @ v.conj().T
+    return out
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _squeezer_unitary(gain: float, theta: float, cutoff: int) -> np.ndarray:
     """exp(xi adag bdag - xi* a b) with xi = arccosh(G) e^{i theta}, on the
-    (cutoff^2, cutoff^2) two-mode space."""
+    (cutoff^2, cutoff^2) two-mode space; conserves n_a - n_b."""
     a = _annihilator(cutoff)
     ad = a.conj().T
     xi = math.acosh(gain) * cmath.exp(1j * theta)
     gen = xi * np.kron(ad, ad) - np.conjugate(xi) * np.kron(a, a)
-    return expm(gen)
+    n = np.arange(cutoff)
+    return _expm_conserving(1j * gen, np.subtract.outer(n, n).ravel())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _beam_splitter_unitary(transmissivity: float, cutoff: int) -> np.ndarray:
     """Unitary sending (b, c) to (sqrt(T) b + sqrt(R) c, sqrt(R) b - sqrt(T) c):
     a mode rotation by arccos(sqrt(T)) followed by a pi phase on the second
     mode.  The zero-phase double pass of the interferometer composes to the
-    identity with this sign choice."""
+    identity with this sign choice.  Conserves n_b + n_c."""
     a = _annihilator(cutoff)
     ad = a.conj().T
     angle = math.acos(min(1.0, max(0.0, math.sqrt(transmissivity))))
-    rot = expm(angle * (np.kron(ad, a) - np.kron(a, ad)))
-    flip = np.diag(np.array([(-1.0) ** n for n in range(cutoff)], dtype=complex))
-    return np.kron(np.eye(cutoff, dtype=complex), flip) @ rot
+    gen = angle * (np.kron(ad, a) - np.kron(a, ad))
+    n = np.arange(cutoff)
+    rot = _expm_conserving(1j * gen, np.add.outer(n, n).ravel())
+    return np.tile((-1.0) ** n, cutoff)[:, None] * rot
 
 
-@lru_cache(maxsize=None)
 def loss_kraus_operators(eta: float, cutoff: int):
     """Photon-loss Kraus family: K_k maps |n> to |n-k> with amplitude
     sqrt(C(n,k) eta^{n-k} (1-eta)^k)."""
@@ -135,12 +149,17 @@ def loss_kraus_operators(eta: float, cutoff: int):
     return tuple(ops)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _loss_superoperator(eta: float, cutoff: int) -> np.ndarray:
+    """(cutoff^2, cutoff^2) matrix sum_k K_k (x) conj(K_k) acting on the
+    flattened (ket, bra) index pair of one mode."""
+    return sum(np.kron(k, k.conj()) for k in loss_kraus_operators(eta, cutoff))
+
+
 def kraus_completeness_defect(eta: float, cutoff: int) -> float:
     """Max-norm distance of sum K^dag K from the identity on the retained
     subspace (any deviation quantifies truncation of the Kraus family)."""
-    total = np.zeros((cutoff, cutoff), dtype=complex)
-    for k in loss_kraus_operators(eta, cutoff):
-        total += k.conj().T @ k
+    total = sum(k.conj().T @ k for k in loss_kraus_operators(eta, cutoff))
     return float(np.max(np.abs(total - np.eye(cutoff))))
 
 
@@ -339,12 +358,9 @@ def apply_loss(rho: DensityOperator, eta: float, mode: int) -> DensityOperator:
         raise ValueError(f"eta outside [0,1] (got {eta})")
     if eta == 1.0:
         return rho
-    out = np.zeros_like(rho.tensor)
-    for k in loss_kraus_operators(eta, rho.cutoff):
-        term = _apply_on_axes(rho.tensor, k, (mode,))
-        term = _apply_on_axes(term, k.conj(), (mode + 3,))
-        out += term
-    return DensityOperator(tensor=out, cutoff=rho.cutoff)
+    superop = _loss_superoperator(eta, rho.cutoff)
+    tensor = _apply_on_axes(rho.tensor, superop, (mode, mode + 3))
+    return DensityOperator(tensor=tensor, cutoff=rho.cutoff)
 
 
 # --- full pipeline -----------------------------------------------------------

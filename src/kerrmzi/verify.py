@@ -23,6 +23,7 @@ from .config import (
 )
 
 _MUTATION_FACTOR = 1.0 + 1e-3
+_LOSSY_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -243,13 +244,23 @@ def _random_small_config(rng) -> InterferometerConfig:
     )
 
 
+def _lossy_errors(cfg: InterferometerConfig, cutoff: int, budget: float):
+    """Relative errors of the simulated slope and variance against the loss
+    formulas (density-operator path)."""
+    slope = oracle.numeric_slope(cfg, cutoff=cutoff, budget=budget).value
+    state = oracle.simulate(cfg, cutoff=cutoff, budget=budget)
+    var = oracle.quadrature_stats(state, oracle.MODE_A)[1]
+    s_an, v_an = analytic.lossy_slope_at_zero(cfg), analytic.lossy_noise_at_zero(cfg)
+    return abs(abs(slope) - s_an) / s_an, abs(var - v_an) / v_an
+
+
 def run_oracle_suite(
     seed: int = 0,
     cutoff: int = 15,
-    lossy_cutoff: int = 8,
+    lossy_cutoff: int = 10,
     mutate: str | None = None,
     budget: float = 1e-6,
-    lossy_budget: float = 5e-4,
+    lossy_budget: float = 1e-5,
 ):
     """Fock-simulator checks of the closed forms at desk-scale parameters.
 
@@ -374,17 +385,7 @@ def run_oracle_suite(
             eta_a=float(etas[0]), eta_b=float(etas[1]),
             eta_c=float(etas[2]), eta_d=float(etas[3]),
         )
-        est = oracle.numeric_slope(cfg, cutoff=lossy_cutoff, budget=lossy_budget)
-        _, var = oracle.quadrature_stats(
-            oracle.simulate(cfg, cutoff=lossy_cutoff, budget=lossy_budget),
-            oracle.MODE_A,
-        )
-        s_rel = abs(abs(est.value) - analytic.lossy_slope_at_zero(cfg)) / (
-            analytic.lossy_slope_at_zero(cfg)
-        )
-        v_rel = abs(var - analytic.lossy_noise_at_zero(cfg)) / (
-            analytic.lossy_noise_at_zero(cfg)
-        )
+        s_rel, v_rel = _lossy_errors(cfg, lossy_cutoff, lossy_budget)
         if max(s_rel, v_rel) > max(worst_s, worst_v):
             worst_digest = config_digest(cfg)
         worst_s = max(worst_s, s_rel)
@@ -392,11 +393,11 @@ def run_oracle_suite(
     records.append(
         _record("lossy_slope_vs_closed_form", worst_digest,
                 _maybe_mutate("lossy_slope_vs_closed_form", 1.0 + worst_s, mutate),
-                1.0, 1e-3, cutoff=lossy_cutoff)
+                1.0, _LOSSY_TOL, cutoff=lossy_cutoff)
     )
     records.append(
         _record("lossy_noise_vs_closed_form", worst_digest, 1.0 + worst_v,
-                1.0, 1e-3, cutoff=lossy_cutoff)
+                1.0, _LOSSY_TOL, cutoff=lossy_cutoff)
     )
 
     # sensing-arm occupancy after the first splitter: T g1^2 + R N_alpha

@@ -80,6 +80,12 @@ class TestReport:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["report", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_non_positive_repeats_exits_2(self, config_file, capsys, repeats):
+        argv = ["report", "--config", str(config_file), "--repeats", repeats]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --repeats must be >= 1")
+
     def test_out_file_and_manifest(self, config_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["report", "--config", str(config_file), "--out", str(out)]) == 0

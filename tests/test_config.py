@@ -19,9 +19,7 @@ from kerrmzi.config import (
     config_digest,
     parse_config,
     parse_medium,
-    phase_sensing_photons,
     validate,
-    validation_errors,
 )
 
 
@@ -91,7 +89,7 @@ class TestValidate:
 
     def test_non_finite_rejected(self):
         cfg = InterferometerConfig(phase=PhaseShift(linear=math.inf))
-        assert validation_errors(cfg) == ["phase.linear not finite"]
+        assert cfg.invariant_errors() == ["phase.linear not finite"]
 
     def test_validate_is_idempotent(self):
         cfg = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25)
@@ -101,14 +99,14 @@ class TestValidate:
 class TestPhaseSensingPhotons:
     def test_fig2_values(self):
         cfg = build_config(alpha=10.0, g1=2.0, g2=4.0, transmissivity=0.25)
-        assert phase_sensing_photons(cfg) == pytest.approx(108.0, rel=1e-14)
+        assert cfg.n_ps == pytest.approx(108.0, rel=1e-14)
 
     def test_vacuum(self):
-        assert phase_sensing_photons(build_config()) == 0.0
+        assert build_config().n_ps == 0.0
 
     def test_small_example(self):
         cfg = build_config(alpha=1.0, g1=0.3)
-        assert phase_sensing_photons(cfg) == pytest.approx(1.18, rel=1e-14)
+        assert cfg.n_ps == pytest.approx(1.18, rel=1e-14)
 
 
 class TestReportSerialization:

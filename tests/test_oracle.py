@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kerrmzi import analytic
+from kerrmzi import analytic, oracle
 from kerrmzi.config import build_config
 from kerrmzi.oracle import (
     MODE_A,
@@ -206,12 +206,63 @@ class TestLossChannel:
         with pytest.raises(TypeError):
             apply_loss(vacuum(), 0.5, MODE_B)
 
+    def test_superoperator_matches_kraus_sum(self):
+        lossy = build_config(
+            alpha=0.8, g1=0.25, g2=0.5, transmissivity=0.25, eta_c=0.7, eta_d=0.6
+        )
+        rho = simulate(lossy, cutoff=8, budget=5e-4)
+        for eta in (0.0, 0.35, 0.8):
+            for mode in range(3):
+                ref = np.zeros_like(rho.tensor)
+                for k in loss_kraus_operators(eta, rho.cutoff):
+                    term = np.moveaxis(np.tensordot(k, rho.tensor, (1, mode)), 0, mode)
+                    term = np.tensordot(k.conj(), term, (1, mode + 3))
+                    ref += np.moveaxis(term, 0, mode + 3)
+                out = apply_loss(rho, eta, mode)
+                assert np.max(np.abs(out.tensor - ref)) <= 1e-14
+
     def test_kraus_matrix_elements(self):
         eta = 0.49
         k1 = loss_kraus_operators(eta, 6)[1]
         assert k1[2, 3] == pytest.approx(
             math.sqrt(3 * eta**2 * (1 - eta)), abs=1e-14
         )
+
+
+def _dense_expm(h):
+    """exp(-i h) of a Hermitian matrix from one eigendecomposition of the
+    whole matrix, ignoring its block structure."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def _ladder(cutoff):
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), k=1).astype(complex)
+    return a, a.conj().T
+
+
+class TestBlockedGates:
+    @pytest.mark.parametrize("cutoff", [8, 15])
+    def test_squeezer_matches_dense_reference(self, cutoff):
+        gain, theta = math.hypot(1, 0.7), 0.9
+        a, ad = _ladder(cutoff)
+        xi = math.acosh(gain) * np.exp(1j * theta)
+        ref = _dense_expm(1j * (xi * np.kron(ad, ad) - np.conj(xi) * np.kron(a, a)))
+        u = oracle._squeezer_unitary(gain, theta, cutoff)
+        assert np.max(np.abs(u - ref)) <= 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(cutoff**2))) <= 1e-12
+
+    @pytest.mark.parametrize("cutoff", [8, 15])
+    def test_splitter_matches_dense_reference(self, cutoff):
+        t = 0.3
+        a, ad = _ladder(cutoff)
+        angle = math.acos(math.sqrt(t))
+        rot = _dense_expm(1j * angle * (np.kron(ad, a) - np.kron(a, ad)))
+        flip = np.diag((-1.0) ** np.arange(cutoff))
+        ref = np.kron(np.eye(cutoff), flip) @ rot
+        u = oracle._beam_splitter_unitary(t, cutoff)
+        assert np.max(np.abs(u - ref)) <= 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(cutoff**2))) <= 1e-12
 
 
 class TestQuadratureStats:
@@ -291,6 +342,43 @@ class TestSimulate:
         assert est_half.value == pytest.approx(
             est_full.value * math.sqrt(0.5), rel=1e-6
         )
+
+
+_CACHES = (
+    oracle._squeezer_unitary,
+    oracle._beam_splitter_unitary,
+    oracle._loss_superoperator,
+)
+
+
+class TestGateCaches:
+    def test_caches_stay_bounded(self):
+        for cache in _CACHES:
+            cache.cache_clear()
+        runs = max(cache.cache_info().maxsize for cache in _CACHES) + 2
+        for i in range(runs):
+            x = i / runs
+            cfg = build_config(
+                alpha=0.3, g1=0.1 + 0.1 * x, g2=0.2 + 0.1 * x,
+                transmissivity=0.2 + 0.5 * x, eta_a=0.9 - 0.1 * x, eta_b=0.8 - 0.1 * x,
+                eta_c=0.7 - 0.1 * x, eta_d=0.6 - 0.1 * x, eta_det=0.95 - 0.1 * x,
+            )
+            simulate(cfg, cutoff=6, budget=1e-2)
+        for cache in _CACHES:
+            info = cache.cache_info()
+            assert info.misses > info.maxsize
+            assert info.currsize <= info.maxsize
+
+    def test_numeric_slope_builds_each_gate_once(self):
+        for cache in _CACHES:
+            cache.cache_clear()
+        cfg = build_config(
+            alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25,
+            eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.5,
+        )
+        numeric_slope(cfg, cutoff=6, budget=1e-2)
+        misses = [cache.cache_info().misses for cache in _CACHES]
+        assert misses == [2, 1, 5]
 
 
 class TestNumericSlope:

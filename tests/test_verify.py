@@ -1,6 +1,9 @@
+import inspect
+
 import pytest
 
 from kerrmzi import verify
+from kerrmzi.config import build_config
 
 
 @pytest.fixture(scope="module")
@@ -10,7 +13,7 @@ def analytic_records():
 
 @pytest.fixture(scope="module")
 def oracle_records():
-    return verify.run_oracle_suite(seed=1, cutoff=12, lossy_cutoff=8)
+    return verify.run_oracle_suite(seed=1, cutoff=12)
 
 
 class TestAnalyticSuite:
@@ -58,6 +61,20 @@ class TestOracleSuite:
         for rec in oracle_records:
             assert rec.converged, rec.check
 
+    @pytest.mark.parametrize("eta_a", [0.35, 1.0 - 1e-9])
+    def test_lossy_corners_within_default_tolerance(self, eta_a):
+        # the (eta_b, eta_c, eta_d) = (0.35, ~1, ~1) corners of the eta box
+        # were the worst at cutoff 8, budget 5e-4 (1.008e-3 against 1e-3)
+        params = inspect.signature(verify.run_oracle_suite).parameters
+        cfg = build_config(
+            alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25,
+            eta_a=eta_a, eta_b=0.35, eta_c=1.0 - 1e-9, eta_d=1.0 - 1e-9,
+        )
+        errors = verify._lossy_errors(
+            cfg, params["lossy_cutoff"].default, params["lossy_budget"].default
+        )
+        assert max(errors) <= verify._LOSSY_TOL
+
     def test_expected_checks_present(self, oracle_records):
         names = {r.check for r in oracle_records}
         assert {
@@ -83,7 +100,7 @@ class TestMutationControl:
 
     def test_mutated_oracle_check_fails(self):
         records = verify.run_oracle_suite(
-            seed=1, cutoff=12, lossy_cutoff=8, mutate="tmsv_occupancy"
+            seed=1, cutoff=12, mutate="tmsv_occupancy"
         )
         failed = {r.check for r in records if not r.passed}
         assert "tmsv_occupancy" in failed
