@@ -46,7 +46,6 @@ from .config import (
     validate,
 )
 from .oracle import (
-    ConvergenceError,
     DensityOperator,
     FockState,
     TruncationError,

@@ -182,6 +182,11 @@ def cmd_verify(args) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
+    if args.mutate is not None and args.mutate not in {r.check for r in records}:
+        return _fail(
+            f"--mutate names no check of the {args.suite} suite: '{args.mutate}'",
+            EXIT_INPUT_ERROR,
+        )
     lines = [json.dumps(r.to_dict()) for r in records]
     if args.out:
         with open(args.out, "w") as fh:

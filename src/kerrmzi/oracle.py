@@ -37,10 +37,6 @@ class TruncationError(RuntimeError):
     """Truncation budget exceeded; the message names the pipeline stage."""
 
 
-class ConvergenceError(RuntimeError):
-    """A numerical estimate failed its internal consistency check."""
-
-
 @dataclass
 class FockState:
     """Pure three-mode state; ``amplitudes`` has shape (cutoff,)*3."""
@@ -99,14 +95,21 @@ def _quadrature_y(cutoff: int) -> np.ndarray:
     return -1j * (a - a.conj().T)
 
 
-def _expm_conserving(h: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """exp(-i h) for a Hermitian h that commutes with diag(labels): one
-    eigendecomposition per block of equal labels."""
-    out = np.zeros(h.shape, dtype=complex)
+def _expm_conserving(terms, labels: np.ndarray, cutoff: int) -> np.ndarray:
+    """exp(-i h) on the (cutoff^2, cutoff^2) two-mode space, for the
+    Hermitian h = sum of coef * kron(A, B) over the (coef, A, B) terms that
+    commutes with diag(labels): one eigendecomposition per block of equal
+    labels.  Each block comes straight from the factors: kron(A, B)
+    restricted to the rows and columns sel is the elementwise product of
+    A[i][:, i] and B[j][:, j], with (i, j) = divmod(sel, cutoff), so no
+    full-size generator is formed."""
+    out = np.zeros((cutoff**2, cutoff**2), dtype=complex)
     for label in np.unique(labels):
-        idx = np.ix_(labels == label, labels == label)
-        w, v = np.linalg.eigh(h[idx])
-        out[idx] = (v * np.exp(-1j * w)) @ v.conj().T
+        sel = np.flatnonzero(labels == label)
+        i, j = np.divmod(sel, cutoff)
+        block = sum(coef * (a[i[:, None], i] * b[j[:, None], j]) for coef, a, b in terms)
+        w, v = np.linalg.eigh(block)
+        out[sel[:, None], sel] = (v * np.exp(-1j * w)) @ v.conj().T
     return out
 
 
@@ -117,9 +120,9 @@ def _squeezer_unitary(gain: float, theta: float, cutoff: int) -> np.ndarray:
     a = _annihilator(cutoff)
     ad = a.conj().T
     xi = math.acosh(gain) * cmath.exp(1j * theta)
-    gen = xi * np.kron(ad, ad) - np.conjugate(xi) * np.kron(a, a)
+    terms = ((1j * xi, ad, ad), (-1j * np.conjugate(xi), a, a))
     n = np.arange(cutoff)
-    return _expm_conserving(1j * gen, np.subtract.outer(n, n).ravel())
+    return _expm_conserving(terms, np.subtract.outer(n, n).ravel(), cutoff)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -131,9 +134,9 @@ def _beam_splitter_unitary(transmissivity: float, cutoff: int) -> np.ndarray:
     a = _annihilator(cutoff)
     ad = a.conj().T
     angle = math.acos(min(1.0, max(0.0, math.sqrt(transmissivity))))
-    gen = angle * (np.kron(ad, a) - np.kron(a, ad))
+    terms = ((1j * angle, ad, a), (-1j * angle, a, ad))
     n = np.arange(cutoff)
-    rot = _expm_conserving(1j * gen, np.add.outer(n, n).ravel())
+    rot = _expm_conserving(terms, np.add.outer(n, n).ravel(), cutoff)
     return np.tile((-1.0) ** n, cutoff)[:, None] * rot
 
 
@@ -191,8 +194,13 @@ def _apply_unitary(state, mat: np.ndarray, modes):
 
 def mode_populations(state, mode: int) -> np.ndarray:
     """Photon-number distribution of one mode (diagonal of its reduced
-    state)."""
-    return np.real(np.diag(reduced_density(state, mode)))
+    state), summed from the joint distribution without forming the reduced
+    state."""
+    if isinstance(state, FockState):
+        joint = np.abs(state.amplitudes) ** 2
+    else:
+        joint = np.einsum("abcabc->abc", state.tensor).real
+    return joint.sum(axis=tuple(m for m in range(3) if m != mode))
 
 
 def reduced_density(state, mode: int) -> np.ndarray:
@@ -242,21 +250,6 @@ def _total_weight(state) -> float:
 
 def _top_level_weight(state, mode: int) -> float:
     return float(mode_populations(state, mode)[-1])
-
-
-def _check_stage(state, stage: str, budget: float, prev_weight: float) -> float:
-    weight = _total_weight(state)
-    if abs(weight - prev_weight) > _NORM_DRIFT_GUARD:
-        raise TruncationError(
-            f"{stage}: norm/trace drifted by {abs(weight - prev_weight):.3e}"
-        )
-    worst = max(_top_level_weight(state, m) for m in range(3))
-    if worst > budget:
-        raise TruncationError(
-            f"{stage}: top-Fock-level occupancy {worst:.3e} exceeds "
-            f"truncation budget {budget:.3e}; increase the cutoff"
-        )
-    return weight
 
 
 # --- state preparation and gates --------------------------------------------
@@ -366,6 +359,112 @@ def apply_loss(rho: DensityOperator, eta: float, mode: int) -> DensityOperator:
 # --- full pipeline -----------------------------------------------------------
 
 
+def _kerr_tangent(state, mode: int):
+    """Derivative of apply_kerr's output with respect to phi_n, given that
+    output: i n^2 psi for a pure state, i [n^2, rho] for a density."""
+    c = state.cutoff
+    n2 = np.arange(c, dtype=float) ** 2
+    if isinstance(state, FockState):
+        shape = [1, 1, 1]
+        shape[mode] = c
+        return FockState(amplitudes=1j * n2.reshape(shape) * state.amplitudes, cutoff=c)
+    ket = [1] * 6
+    ket[mode] = c
+    bra = [1] * 6
+    bra[mode + 3] = c
+    tensor = 1j * (n2.reshape(ket) - n2.reshape(bra)) * state.tensor
+    return DensityOperator(tensor=tensor, cutoff=c)
+
+
+def _promote(pair) -> None:
+    """Promote a [state, tangent] pair to densities in place; the tangent
+    of |psi><psi| is |dpsi><psi| + |psi><dpsi|."""
+    state, tangent = pair
+    if not isinstance(state, FockState):
+        return
+    pair[0] = to_density(state)
+    if tangent is not None:
+        psi, dpsi = state.amplitudes, tangent.amplitudes
+        drho = np.multiply.outer(dpsi, psi.conj())
+        drho += np.multiply.outer(psi, dpsi.conj())
+        pair[1] = DensityOperator(tensor=drho, cutoff=state.cutoff)
+
+
+def _linear_stage(pair, apply, *args) -> None:
+    """Apply one stage, linear in the state, to a [state, tangent] pair in
+    place, so each old tensor is released before the next one is built."""
+    pair[0] = apply(pair[0], *args)
+    if pair[1] is not None:
+        pair[1] = apply(pair[1], *args)
+
+
+def _lossy_stage(pair, *channels) -> None:
+    """Loss channels, (eta, mode) each, on a [state, tangent] pair; the pair
+    is promoted to densities first unless every eta is 1."""
+    if min(eta for eta, _ in channels) < 1.0:
+        _promote(pair)
+        for eta, mode in channels:
+            _linear_stage(pair, apply_loss, eta, mode)
+
+
+def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
+    """A unitary stage followed by the truncation check of its state: the
+    norm or trace must not drift, and no mode may hold more than the budget
+    on its top Fock level."""
+    before = _total_weight(pair[0])
+    _linear_stage(pair, apply, *args)
+    state = pair[0]
+    drift = abs(_total_weight(state) - before)
+    if drift > _NORM_DRIFT_GUARD:
+        raise TruncationError(f"{stage}: norm/trace drifted by {drift:.3e}")
+    worst = max(_top_level_weight(state, m) for m in range(3))
+    if worst > budget:
+        raise TruncationError(
+            f"{stage}: top-Fock-level occupancy {worst:.3e} exceeds "
+            f"truncation budget {budget:.3e}; increase the cutoff"
+        )
+
+
+def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float):
+    """Prepare, first squeezer on (a, b), first splitter on (b, c): the
+    phase-independent prefix of the interferometer, checked per stage."""
+    pair = [prepare_input(config, cutoff, budget), None]
+    _checked_stage(
+        pair, "nbs1", budget, apply_two_mode_squeezer,
+        config.nbs1.gain, config.nbs1.phase, MODE_A, MODE_B,
+    )
+    _checked_stage(
+        pair, "bs1", budget, apply_beam_splitter,
+        config.splitter.transmissivity, MODE_B, MODE_C,
+    )
+    return pair[0]
+
+
+def _propagate(config, phi_n, cutoff: int, budget: float, tangent: bool):
+    """[state, tangent] at the end of the interferometer.  The tangent is
+    the derivative of the state with respect to phi_n, or None unless
+    asked for; it starts at the Kerr stage and rides through the later
+    stages, which are all linear in the state."""
+    loss = config.loss
+    nonlin = config.phase.nonlinear if phi_n is None else phi_n
+    state = apply_kerr(
+        _entering_kerr(config, cutoff, budget), config.phase.linear, nonlin, MODE_B
+    )
+    pair = [state, _kerr_tangent(state, MODE_B) if tangent else None]
+    _lossy_stage(pair, (loss.eta_d, MODE_B), (loss.eta_c, MODE_C))
+    _checked_stage(
+        pair, "bs2", budget, apply_beam_splitter,
+        config.splitter.transmissivity, MODE_B, MODE_C,
+    )
+    _lossy_stage(pair, (loss.eta_a, MODE_A), (loss.eta_b, MODE_B))
+    _checked_stage(
+        pair, "nbs2", budget, apply_two_mode_squeezer,
+        config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
+    )
+    _lossy_stage(pair, (loss.eta_det, MODE_A))
+    return pair
+
+
 def simulate(
     config: InterferometerConfig,
     phi_n: float | None = None,
@@ -381,94 +480,38 @@ def simulate(
     configurations stay on the pure-state fast path; the state is promoted
     to a density operator just before the first lossy element.
 
-    phi_n overrides the configured nonlinear phase (the knob finite
-    differences turn).  Raises TruncationError naming the stage whose
-    top-level occupancy exceeds the budget.
+    phi_n overrides the configured nonlinear phase.  Raises
+    TruncationError naming the stage (prepare, nbs1, bs1, bs2 or nbs2)
+    whose top-level occupancy exceeds the budget.
     """
-    loss = config.loss
-    phases = config.phase
-    nonlin = phases.nonlinear if phi_n is None else phi_n
-    t = config.splitter.transmissivity
-
-    state = prepare_input(config, cutoff, budget)
-    weight = _total_weight(state)
-
-    state = apply_two_mode_squeezer(
-        state, config.nbs1.gain, config.nbs1.phase, MODE_A, MODE_B
-    )
-    weight = _check_stage(state, "nbs1", budget, weight)
-
-    state = apply_beam_splitter(state, t, MODE_B, MODE_C)
-    state = apply_kerr(state, phases.linear, nonlin, MODE_B)
-
-    if loss.eta_d < 1.0 or loss.eta_c < 1.0:
-        if isinstance(state, FockState):
-            state = to_density(state)
-        state = apply_loss(state, loss.eta_d, MODE_B)
-        state = apply_loss(state, loss.eta_c, MODE_C)
-
-    state = apply_beam_splitter(state, t, MODE_B, MODE_C)
-
-    if loss.eta_a < 1.0 or loss.eta_b < 1.0:
-        if isinstance(state, FockState):
-            state = to_density(state)
-        state = apply_loss(state, loss.eta_a, MODE_A)
-        state = apply_loss(state, loss.eta_b, MODE_B)
-
-    weight = _total_weight(state)
-    state = apply_two_mode_squeezer(
-        state, config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B
-    )
-    weight = _check_stage(state, "nbs2", budget, weight)
-
-    if loss.eta_det < 1.0:
-        if isinstance(state, FockState):
-            state = to_density(state)
-        state = apply_loss(state, loss.eta_det, MODE_A)
-
-    return state
+    return _propagate(config, phi_n, cutoff, budget, tangent=False)[0]
 
 
 class SlopeEstimate(NamedTuple):
     value: float
-    error: float
 
 
 def numeric_slope(
     config: InterferometerConfig,
-    delta: float = 1e-4,
     cutoff: int = 15,
     budget: float = 1e-8,
-    rel_tol: float = 1e-3,
-    abs_tol: float = 1e-8,
 ) -> SlopeEstimate:
-    """Central-difference slope of <Y_a> with respect to the nonlinear
-    phase around its configured value.
+    """Slope of <Y_a> with respect to the nonlinear phase at its configured
+    value, exact within the truncated space.
 
-    Evaluated at steps delta and delta/2; the discrepancy /3 is the
-    reported discretization error (the leading error is O(delta^2)).
-    Raises ConvergenceError when the two estimates disagree beyond
-    rel_tol/abs_tol.
+    The derivative of the state is propagated beside it from the Kerr
+    stage, so there is no step size; the slope is 2 Re<psi|Y_a|dpsi>, or
+    Tr(Y_a drho) for a density.  Runs the same stages and truncation
+    checks as simulate.
     """
-
-    def mean_y(phi: float) -> float:
-        state = simulate(config, phi_n=phi, cutoff=cutoff, budget=budget)
-        return quadrature_stats(state, MODE_A)[0]
-
-    base = config.phase.nonlinear
-
-    def central(step: float) -> float:
-        return (mean_y(base + step) - mean_y(base - step)) / (2.0 * step)
-
-    coarse = central(delta)
-    fine = central(delta / 2.0)
-    err = abs(fine - coarse) / 3.0
-    if err > max(rel_tol * abs(fine), abs_tol):
-        raise ConvergenceError(
-            f"finite-difference slope not converged: delta={delta} gives "
-            f"{coarse}, delta/2 gives {fine} (error estimate {err:.3e})"
+    state, tangent = _propagate(config, None, cutoff, budget, tangent=True)
+    y = _quadrature_y(cutoff)
+    if isinstance(state, FockState):
+        cross = np.einsum(
+            "ijk,ljk->il", tangent.amplitudes, state.amplitudes.conj()
         )
-    return SlopeEstimate(value=fine, error=err)
+        return SlopeEstimate(value=2.0 * float(np.trace(y @ cross).real))
+    return SlopeEstimate(value=float(np.trace(y @ reduced_density(tangent, MODE_A)).real))
 
 
 def oracle_qfi(
@@ -485,14 +528,7 @@ def oracle_qfi(
             "oracle_qfi supports lossless configurations only "
             "(mixed-state Fisher information is out of scope)"
         )
-    state = prepare_input(config, cutoff, budget)
-    state = apply_two_mode_squeezer(
-        state, config.nbs1.gain, config.nbs1.phase, MODE_A, MODE_B
-    )
-    _check_stage(state, "nbs1", budget, 1.0)
-    state = apply_beam_splitter(
-        state, config.splitter.transmissivity, MODE_B, MODE_C
-    )
+    state = _entering_kerr(config, cutoff, budget)
     pops = mode_populations(state, MODE_B)
     n = np.arange(state.cutoff, dtype=float)
     m2 = float(np.dot(pops, n**2))

@@ -340,10 +340,10 @@ def run_oracle_suite(
                            analytic.noise_at_zero(canon), mutate)
     est = oracle.numeric_slope(canon, cutoff=cutoff, budget=budget)
     est2 = oracle.numeric_slope(canon, cutoff=2 * cutoff, budget=budget)
-    converged = abs(est2.value - est.value) <= 1e-4 * abs(est2.value)
+    converged = abs(est2.value - est.value) <= 1e-7 * abs(est2.value)
     records.append(
         _record("slope_vs_closed_form", config_digest(canon), slope_an,
-                abs(est.value), 1e-3, cutoff=cutoff, converged=converged)
+                abs(est.value), 1e-6, cutoff=cutoff, converged=converged)
     )
     _, var0 = oracle.quadrature_stats(
         oracle.simulate(canon, cutoff=cutoff, budget=budget), oracle.MODE_A

@@ -95,19 +95,20 @@ def test_criterion_4_oracle_slope_and_variance():
         var_closed = noise_at_zero(CANON)
 
         est15 = oracle.numeric_slope(CANON, cutoff=15)
-        assert abs(abs(est15.value) - slope_closed) / slope_closed < 1e-3
+        assert abs(abs(est15.value) - slope_closed) / slope_closed < 1e-6
 
         _, var15 = oracle.quadrature_stats(
             oracle.simulate(CANON, cutoff=15), oracle.MODE_A
         )
         assert abs(var15 - var_closed) < 1e-4
 
-        # doubling the cutoff moves both scalars by less than 1e-5
+        # doubling the cutoff moves the slope by less than 1e-7 and the
+        # variance by less than 1e-5
         est30 = oracle.numeric_slope(CANON, cutoff=30)
         _, var30 = oracle.quadrature_stats(
             oracle.simulate(CANON, cutoff=30), oracle.MODE_A
         )
-        assert abs(est30.value - est15.value) / abs(est30.value) < 1e-5
+        assert abs(est30.value - est15.value) / abs(est30.value) < 1e-7
         assert abs(var30 - var15) / var30 < 1e-5
 
 

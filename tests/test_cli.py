@@ -167,6 +167,17 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "commutator_abc" in err
 
+    def test_unknown_mutation_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "records.jsonl"
+        code = main(
+            ["verify", "--suite", "analytic", "--mutate", "no_such_check",
+             "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no_such_check" in err
+        assert not out.exists()
+
     def test_unknown_suite_exits_2(self, capsys):
         # argparse would normally catch this; bypass to the handler level
         from kerrmzi import verify as v

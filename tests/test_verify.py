@@ -13,7 +13,7 @@ def analytic_records():
 
 @pytest.fixture(scope="module")
 def oracle_records():
-    return verify.run_oracle_suite(seed=1, cutoff=12)
+    return verify.run_oracle_suite(seed=1, cutoff=15)
 
 
 class TestAnalyticSuite:
@@ -104,6 +104,14 @@ class TestMutationControl:
         )
         failed = {r.check for r in records if not r.passed}
         assert "tmsv_occupancy" in failed
+
+    def test_mutated_slope_check_fails(self):
+        # the 1e-3 mutation is far outside the 1e-6 slope tolerance
+        records = verify.run_oracle_suite(
+            seed=1, cutoff=15, mutate="slope_vs_closed_form"
+        )
+        failed = {r.check for r in records if not r.passed}
+        assert failed == {"slope_vs_closed_form"}
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
