@@ -351,12 +351,13 @@ def qcrb(f: float, repeats: int = 1) -> float:
 
 def is_balanced(config: InterferometerConfig) -> bool:
     """True for the balanced readout configuration G1 = G2,
-    theta_alpha = 0, theta1 = 0, theta2 = pi."""
+    theta_alpha = 0, theta1 = 0, theta2 = pi, the phases within an
+    absolute 1e-12 (a config file may spell pi with fewer digits)."""
     return (
         config.nbs1.gain == config.nbs2.gain
-        and config.coherent.phase == 0.0
-        and config.nbs1.phase == 0.0
-        and config.nbs2.phase == math.pi
+        and abs(config.coherent.phase) <= 1e-12
+        and abs(config.nbs1.phase) <= 1e-12
+        and abs(config.nbs2.phase - math.pi) <= 1e-12
     )
 
 
@@ -417,26 +418,6 @@ def sensitivity(config: InterferometerConfig, repeats: int = 1) -> SensitivityRe
     return SensitivityReport(
         slope, noise, delta_phi, sql, bound, terms[0], terms[1], terms[2]
     )
-
-
-def detection_loss_sensitivity(config: InterferometerConfig) -> float:
-    """delta_phi with detection loss eta_det only (internal and external
-    transmissions taken ideal).
-
-    The detected mode is sqrt(eta) a + sqrt(1-eta) v, so the slope picks a
-    factor sqrt(eta) and the variance becomes eta * var + (1 - eta); for
-    the balanced configuration this is exactly a 1/sqrt(eta) penalty.
-    """
-    eta = config.loss.eta_det
-    if eta <= 0.0:
-        raise ValueError(f"eta_det must be in (0,1] (got {eta})")
-    slope = math.sqrt(eta) * slope_at_zero(config)
-    noise = eta * noise_at_zero(config) + (1.0 - eta)
-    if slope <= 0.0:
-        raise UndefinedSensitivityError(
-            "undefined sensitivity: homodyne slope is zero"
-        )
-    return math.sqrt(noise) / slope
 
 
 def nonlinear_index(medium: KerrMediumSpec, chi3: float) -> float:

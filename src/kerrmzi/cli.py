@@ -5,7 +5,8 @@ Commands: ``report`` (single-configuration sensitivity), ``sweep``
 simulator cross-check suites), ``chi3`` (susceptibility conversion).
 
 Exit codes are a contract: 0 success, 1 verification failure, 2 input
-error, 3 undefined result.  Every output file gets exactly one
+error, 3 undefined result.  Every output file is written atomically
+(temp file plus ``os.replace``) and gets exactly one
 ``<name>.manifest.json`` companion recording command, config digest,
 tool version, and timestamp; the data files themselves carry no
 timestamps so reruns are byte-identical.
@@ -17,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -51,9 +51,8 @@ def _manifest(command: str, digest: str, outputs) -> dict:
 
 
 def _write_manifest(out_path: str, manifest: dict) -> None:
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    payload = json.dumps(manifest, indent=2) + "\n"
+    sweep.write_atomic(out_path + ".manifest.json", [payload])
 
 
 def _fail(message: str, code: int) -> int:
@@ -139,8 +138,7 @@ def cmd_report(args) -> int:
         record["beats_sql"] = report.delta_phi < report.sql
         payload = json.dumps(record, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        sweep.write_atomic(args.out, [payload])
         _write_manifest(args.out, _manifest("report", digest, [args.out]))
     sys.stdout.write(payload)
     return EXIT_OK
@@ -163,12 +161,7 @@ def cmd_sweep(args) -> int:
         return _fail(str(exc), EXIT_INPUT_ERROR)
 
     out = args.out or "sweep.csv"
-    try:
-        result.write_csv(out)
-    except Exception:
-        if os.path.exists(out):
-            os.remove(out)
-        raise
+    result.write_csv(out)
     digest = config_digest(spec.base)
     _write_manifest(out, _manifest(f"sweep:{kind}", digest, [out]))
     print(f"wrote {out} ({len(result.rows)} rows)")
@@ -182,15 +175,9 @@ def cmd_verify(args) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
-    if args.mutate is not None and args.mutate not in {r.check for r in records}:
-        return _fail(
-            f"--mutate names no check of the {args.suite} suite: '{args.mutate}'",
-            EXIT_INPUT_ERROR,
-        )
     lines = [json.dumps(r.to_dict()) for r in records]
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        sweep.write_atomic(args.out, ["\n".join(lines) + "\n"])
         _write_manifest(args.out, _manifest(f"verify:{args.suite}", "none", [args.out]))
     failures = [r for r in records if not r.passed]
     for r in records:
@@ -224,8 +211,7 @@ def cmd_chi3(args) -> int:
     }
     payload = json.dumps(record, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        sweep.write_atomic(args.out, [payload])
         _write_manifest(args.out, _manifest("chi3", "none", [args.out]))
     sys.stdout.write(payload)
     return EXIT_OK

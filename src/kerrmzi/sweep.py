@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,15 +161,29 @@ class SweepResult:
             yield ",".join(cells)
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            for line in self.csv_lines():
-                fh.write(line + "\n")
+        write_atomic(path, (line + "\n" for line in self.csv_lines()))
 
     def column(self, name: str) -> np.ndarray:
         if name in self.axis_names:
             i = self.axis_names.index(name)
             return np.array([r.axis_values[i] for r in self.rows])
         return np.array([getattr(r, name) for r in self.rows])
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` through a temp file in
+    the same directory and ``os.replace``, so that ``path`` holds either
+    its old bytes or all of the new ones; a failed write leaves no temp
+    file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _evaluate_point(config: InterferometerConfig, repeats: int) -> SweepRow:

@@ -50,24 +50,34 @@ class CheckRecord:
         return dataclasses.asdict(self)
 
 
-def _record(check, digest, lhs, rhs, tol, cutoff=None, converged=True, scale=None):
-    denom = max(abs(lhs), abs(rhs)) if scale is None else scale
-    rel = abs(lhs - rhs) / denom if denom > 0 else abs(lhs - rhs)
-    return CheckRecord(
-        check=check,
-        config_digest=digest,
-        analytic=lhs,
-        oracle=rhs,
-        rel_err=rel,
-        tol=tol,
-        passed=bool(rel <= tol and converged),
-        cutoff=cutoff,
-        converged=converged,
-    )
+def _suite_records(mutate: str | None):
+    """A suite's record list and the appender that fills it.
 
+    Every check compares relatively, ``|lhs - rhs| / max(|lhs|, |rhs|)``;
+    a defect that should vanish is recorded as ``1 + defect`` against 1.
+    The appender scales the analytic value ``lhs`` of the check named
+    ``mutate`` by ``_MUTATION_FACTOR``.
+    """
+    records = []
 
-def _maybe_mutate(name: str, value: float, mutate: str | None) -> float:
-    return value * _MUTATION_FACTOR if mutate == name else value
+    def record(check, digest, lhs, rhs, tol, cutoff=None, converged=True):
+        if check == mutate:
+            lhs *= _MUTATION_FACTOR
+        denom = max(abs(lhs), abs(rhs))
+        rel = abs(lhs - rhs) / denom if denom > 0 else 0.0
+        records.append(CheckRecord(
+            check=check,
+            config_digest=digest,
+            analytic=lhs,
+            oracle=rhs,
+            rel_err=rel,
+            tol=tol,
+            passed=bool(rel <= tol and converged),
+            cutoff=cutoff,
+            converged=converged,
+        ))
+
+    return records, record
 
 
 def _random_config(rng) -> InterferometerConfig:
@@ -85,7 +95,7 @@ def _random_config(rng) -> InterferometerConfig:
 def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = None):
     """Identity checks of the closed-form layer over randomized parameters."""
     rng = np.random.default_rng(seed)
-    records = []
+    records, record = _suite_records(mutate)
 
     # unitarity and commutator preservation of the transfer coefficients
     worst_u1 = worst_u2 = worst_comm = 0.0
@@ -104,15 +114,9 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
             worst_comm,
             abs(abs(tc.a) ** 2 - abs(tc.b) ** 2 - abs(tc.c) ** 2 - 1.0),
         )
-    records.append(
-        _record("unitarity_m1_m0", "randomized",
-                _maybe_mutate("unitarity_m1_m0", 1.0 + worst_u1, mutate), 1.0, 1e-12)
-    )
-    records.append(_record("unitarity_m2_m0", "randomized", 1.0 + worst_u2, 1.0, 1e-12))
-    records.append(
-        _record("commutator_abc", "randomized",
-                _maybe_mutate("commutator_abc", 1.0 + worst_comm, mutate), 1.0, 1e-12)
-    )
+    record("unitarity_m1_m0", "randomized", 1.0 + worst_u1, 1.0, 1e-12)
+    record("unitarity_m2_m0", "randomized", 1.0 + worst_u2, 1.0, 1e-12)
+    record("commutator_abc", "randomized", 1.0 + worst_comm, 1.0, 1e-12)
 
     # lossless reduction of the lossy formulas, and the N_g bookkeeping
     # consistency between the two slope forms
@@ -126,14 +130,8 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
         if s_lossless > 0:
             worst_slope = max(worst_slope, abs(s_lossy - s_lossless) / s_lossless)
         worst_noise = max(worst_noise, abs(n_lossy - n_lossless) / abs(n_lossless))
-    records.append(
-        _record("lossless_reduction_slope", "randomized",
-                _maybe_mutate("lossless_reduction_slope", 1.0 + worst_slope, mutate),
-                1.0, 1e-14)
-    )
-    records.append(
-        _record("lossless_reduction_noise", "randomized", 1.0 + worst_noise, 1.0, 1e-14)
-    )
+    record("lossless_reduction_slope", "randomized", 1.0 + worst_slope, 1.0, 1e-14)
+    record("lossless_reduction_noise", "randomized", 1.0 + worst_noise, 1.0, 1e-14)
 
     # QFI polynomial reassembly and the moment-based re-derivation of the
     # linear-phase information
@@ -152,13 +150,8 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
         f_mom = analytic.qfi_linear_from_arm_moments(n_alpha, n_g, sp)
         if f_lin > 0:
             worst_lin = max(worst_lin, abs(f_lin - f_mom) / f_lin)
-    records.append(
-        _record("qfi_reassembly", "randomized",
-                _maybe_mutate("qfi_reassembly", 1.0 + worst_reasm, mutate), 1.0, 1e-10)
-    )
-    records.append(
-        _record("qfi_linear_moments", "randomized", 1.0 + worst_lin, 1.0, 1e-10)
-    )
+    record("qfi_reassembly", "randomized", 1.0 + worst_reasm, 1.0, 1e-10)
+    record("qfi_linear_moments", "randomized", 1.0 + worst_lin, 1.0, 1e-10)
 
     # quantum bound: delta_phi >= qcrb wherever both are defined
     worst_violation = 0.0
@@ -172,9 +165,7 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
             worst_violation = max(
                 worst_violation, (report.qcrb - report.delta_phi) / report.qcrb
             )
-    records.append(
-        _record("qcrb_bound", "randomized", 1.0 + worst_violation, 1.0, 1e-12)
-    )
+    record("qcrb_bound", "randomized", 1.0 + worst_violation, 1.0, 1e-12)
 
     # closed-form optimal split ratio vs numeric argmax of the slope
     worst_t = 0.0
@@ -184,11 +175,7 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
         t_formula = analytic.optimal_transmissivity(n_alpha, g1)
         t_numeric = analytic.argmax_slope_transmissivity(n_alpha, g1)
         worst_t = max(worst_t, abs(t_formula - t_numeric))
-    records.append(
-        _record("optimal_split_argmax", "randomized",
-                _maybe_mutate("optimal_split_argmax", 1.0 + worst_t, mutate),
-                1.0, 1e-4)
-    )
+    record("optimal_split_argmax", "randomized", 1.0 + worst_t, 1.0, 1e-4)
 
     # balanced decomposition: g * (sum of terms) equals the slope
     worst_bal = 0.0
@@ -202,9 +189,7 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
         slope = analytic.slope_at_zero(cfg)
         combined = cfg.nbs1.g * sum(terms)
         worst_bal = max(worst_bal, abs(combined - slope) / slope)
-    records.append(
-        _record("balanced_decomposition", "randomized", 1.0 + worst_bal, 1.0, 1e-12)
-    )
+    record("balanced_decomposition", "randomized", 1.0 + worst_bal, 1.0, 1e-12)
 
     # detection loss is exactly a 1/sqrt(eta) penalty for balanced configs
     worst_det = 0.0
@@ -214,18 +199,13 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
         cfg = dataclasses.replace(
             base, loss=dataclasses.replace(base.loss, eta_det=float(eta))
         )
-        dphi = analytic.detection_loss_sensitivity(cfg)
+        dphi = analytic.sensitivity(cfg).delta_phi
         worst_det = max(worst_det, abs(dphi * math.sqrt(eta) / dphi_balance - 1.0))
-    records.append(
-        _record("detection_loss_identity", config_digest(base),
-                1.0 + worst_det, 1.0, 1e-12)
-    )
+    record("detection_loss_identity", config_digest(base), 1.0 + worst_det, 1.0, 1e-12)
 
     # the linear-phase slope peaks at T = 1/2
     t_star = analytic.argmax_linear_slope_transmissivity(xtol=1e-9)
-    records.append(
-        _record("linear_argmax_half", "none", t_star, 0.5, 1e-6, scale=1.0)
-    )
+    record("linear_argmax_half", "none", t_star, 0.5, 1e-6)
 
     return records
 
@@ -269,7 +249,7 @@ def run_oracle_suite(
     move by less than a tenth of the comparison tolerance.
     """
     rng = np.random.default_rng(seed)
-    records = []
+    records, record = _suite_records(mutate)
 
     # squeezer sends vacuum to a pair with per-mode occupancy g^2
     cfg = build_config(g1=0.4)
@@ -277,20 +257,14 @@ def run_oracle_suite(
     state = oracle.apply_two_mode_squeezer(
         state, cfg.nbs1.gain, cfg.nbs1.phase, oracle.MODE_A, oracle.MODE_B
     )
-    records.append(
-        _record("tmsv_occupancy", config_digest(cfg),
-                _maybe_mutate("tmsv_occupancy", cfg.nbs1.g ** 2, mutate),
-                oracle.mean_photon(state, oracle.MODE_A), 1e-8,
-                cutoff=cutoff, scale=1.0)
-    )
+    record("tmsv_occupancy", config_digest(cfg), cfg.nbs1.g ** 2,
+           oracle.mean_photon(state, oracle.MODE_A), 1e-8, cutoff=cutoff)
 
     # coherent preparation lands at |alpha|^2 photons
     cfg = build_config(alpha=1.0)
     state = oracle.prepare_input(cfg, cutoff, budget)
-    records.append(
-        _record("coherent_mean_photon", config_digest(cfg), 1.0,
-                oracle.mean_photon(state, oracle.MODE_C), 1e-8, cutoff=cutoff)
-    )
+    record("coherent_mean_photon", config_digest(cfg), 1.0,
+           oracle.mean_photon(state, oracle.MODE_C), 1e-8, cutoff=cutoff)
 
     # splitter convention: coherent seeds recover the scalar two-port
     # coefficients at a pure linear phase
@@ -307,55 +281,38 @@ def run_oracle_suite(
     seeded = oracle.apply_beam_splitter(seeded, t, oracle.MODE_B, oracle.MODE_C)
     m1_est = oracle.mean_amplitude(seeded, oracle.MODE_B) / beta
     m0_est = oracle.mean_amplitude(seeded, oracle.MODE_C) / beta
-    records.append(
-        _record("bs_convention_m1", config_digest(cfg),
-                _maybe_mutate("bs_convention_m1", abs(tc.m1 - m1_est), mutate),
-                0.0, 1e-8, cutoff=cutoff, scale=1.0)
-    )
-    records.append(
-        _record("bs_convention_m0", config_digest(cfg), abs(tc.m0 - m0_est),
-                0.0, 1e-8, cutoff=cutoff, scale=1.0)
-    )
+    record("bs_convention_m1", config_digest(cfg), 1.0 + abs(tc.m1 - m1_est),
+           1.0, 1e-8, cutoff=cutoff)
+    record("bs_convention_m0", config_digest(cfg), 1.0 + abs(tc.m0 - m0_est),
+           1.0, 1e-8, cutoff=cutoff)
 
     # loss channel: complete, and coherent states stay coherent
     eta = 0.6
-    records.append(
-        _record("loss_cptp", "none", oracle.kraus_completeness_defect(eta, cutoff),
-                0.0, 1e-12, cutoff=cutoff, scale=1.0)
-    )
+    record("loss_cptp", "none", 1.0 + oracle.kraus_completeness_defect(eta, cutoff),
+           1.0, 1e-12, cutoff=cutoff)
     rho = oracle.to_density(oracle.coherent_product_state([0.0, 0.0, 0.8], cutoff, budget))
     rho = oracle.apply_loss(rho, eta, oracle.MODE_C)
     amp = oracle.mean_amplitude(rho, oracle.MODE_C)
-    records.append(
-        _record("loss_coherent_amplitude", "none",
-                abs(amp - math.sqrt(eta) * 0.8), 0.0, 1e-8,
-                cutoff=cutoff, scale=1.0)
-    )
+    record("loss_coherent_amplitude", "none", 1.0 + abs(amp - math.sqrt(eta) * 0.8),
+           1.0, 1e-8, cutoff=cutoff)
 
     # slope and variance against the closed forms, canonical small config
     canon = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25)
-    slope_an = _maybe_mutate("slope_vs_closed_form",
-                             analytic.slope_at_zero(canon), mutate)
-    var_an = _maybe_mutate("variance_vs_closed_form",
-                           analytic.noise_at_zero(canon), mutate)
     est = oracle.numeric_slope(canon, cutoff=cutoff, budget=budget)
     est2 = oracle.numeric_slope(canon, cutoff=2 * cutoff, budget=budget)
     converged = abs(est2.value - est.value) <= 1e-7 * abs(est2.value)
-    records.append(
-        _record("slope_vs_closed_form", config_digest(canon), slope_an,
-                abs(est.value), 1e-6, cutoff=cutoff, converged=converged)
-    )
+    record("slope_vs_closed_form", config_digest(canon),
+           analytic.slope_at_zero(canon), abs(est.value), 1e-6,
+           cutoff=cutoff, converged=converged)
     _, var0 = oracle.quadrature_stats(
         oracle.simulate(canon, cutoff=cutoff, budget=budget), oracle.MODE_A
     )
     _, var0_big = oracle.quadrature_stats(
         oracle.simulate(canon, cutoff=2 * cutoff, budget=budget), oracle.MODE_A
     )
-    records.append(
-        _record("variance_vs_closed_form", config_digest(canon), var_an, var0,
-                1e-4, cutoff=cutoff,
-                converged=abs(var0_big - var0) <= 1e-5 * abs(var0_big))
-    )
+    record("variance_vs_closed_form", config_digest(canon),
+           analytic.noise_at_zero(canon), var0, 1e-4, cutoff=cutoff,
+           converged=abs(var0_big - var0) <= 1e-5 * abs(var0_big))
 
     # nonlinear-phase Fisher information against the printed polynomial
     worst = 0.0
@@ -369,11 +326,7 @@ def run_oracle_suite(
         rel = abs(f_oracle - f_poly) / f_poly
         if rel > worst:
             worst, worst_digest = rel, config_digest(cfg)
-    records.append(
-        _record("qfi_vs_polynomial", worst_digest,
-                _maybe_mutate("qfi_vs_polynomial", 1.0 + worst, mutate),
-                1.0, 1e-3, cutoff=cutoff)
-    )
+    record("qfi_vs_polynomial", worst_digest, 1.0 + worst, 1.0, 1e-4, cutoff=cutoff)
 
     # lossy pipeline against the loss formulas (density-operator path)
     worst_s = worst_v = 0.0
@@ -390,15 +343,10 @@ def run_oracle_suite(
             worst_digest = config_digest(cfg)
         worst_s = max(worst_s, s_rel)
         worst_v = max(worst_v, v_rel)
-    records.append(
-        _record("lossy_slope_vs_closed_form", worst_digest,
-                _maybe_mutate("lossy_slope_vs_closed_form", 1.0 + worst_s, mutate),
-                1.0, _LOSSY_TOL, cutoff=lossy_cutoff)
-    )
-    records.append(
-        _record("lossy_noise_vs_closed_form", worst_digest, 1.0 + worst_v,
-                1.0, _LOSSY_TOL, cutoff=lossy_cutoff)
-    )
+    record("lossy_slope_vs_closed_form", worst_digest, 1.0 + worst_s,
+           1.0, _LOSSY_TOL, cutoff=lossy_cutoff)
+    record("lossy_noise_vs_closed_form", worst_digest, 1.0 + worst_v,
+           1.0, _LOSSY_TOL, cutoff=lossy_cutoff)
 
     # sensing-arm occupancy after the first splitter: T g1^2 + R N_alpha
     cfg = build_config(alpha=0.9, g1=0.35, transmissivity=0.3)
@@ -413,22 +361,25 @@ def run_oracle_suite(
         cfg.splitter.transmissivity * cfg.nbs1.g ** 2
         + cfg.splitter.reflectivity * cfg.coherent.n_alpha
     )
-    records.append(
-        _record("arm_occupancy", config_digest(cfg), expected,
-                oracle.mean_photon(state, oracle.MODE_B), 1e-6, cutoff=cutoff)
-    )
+    record("arm_occupancy", config_digest(cfg), expected,
+           oracle.mean_photon(state, oracle.MODE_B), 1e-6, cutoff=cutoff)
 
     return records
 
 
 def run_suite(name: str, seed: int = 0, cutoff: int = 15, mutate: str | None = None):
-    """Run one of the named suites: 'analytic', 'oracle', or 'all'."""
-    if name == "analytic":
-        return run_analytic_suite(seed=seed, mutate=mutate)
-    if name == "oracle":
-        return run_oracle_suite(seed=seed, cutoff=cutoff, mutate=mutate)
-    if name == "all":
-        return run_analytic_suite(seed=seed, mutate=mutate) + run_oracle_suite(
-            seed=seed, cutoff=cutoff, mutate=mutate
-        )
-    raise ValueError(f"unknown suite '{name}' (expected analytic, oracle, or all)")
+    """Run one of the named suites: 'analytic', 'oracle', or 'all'.
+
+    Raises ValueError for an unknown suite, and for a ``mutate`` name that
+    no check of the suite carries.
+    """
+    if name not in ("analytic", "oracle", "all"):
+        raise ValueError(f"unknown suite '{name}' (expected analytic, oracle, or all)")
+    records = []
+    if name in ("analytic", "all"):
+        records += run_analytic_suite(seed=seed, mutate=mutate)
+    if name in ("oracle", "all"):
+        records += run_oracle_suite(seed=seed, cutoff=cutoff, mutate=mutate)
+    if mutate is not None and mutate not in {r.check for r in records}:
+        raise ValueError(f"no check of the {name} suite is named '{mutate}'")
+    return records

@@ -12,7 +12,6 @@ from kerrmzi import analytic, oracle, sweep
 from kerrmzi.analytic import (
     argmax_linear_slope_transmissivity,
     argmax_slope_transmissivity,
-    detection_loss_sensitivity,
     lossy_noise_at_zero,
     lossy_slope_at_zero,
     noise_at_zero,
@@ -182,7 +181,7 @@ def test_criterion_8_detection_loss_identity():
             cfg = dataclasses.replace(
                 base, loss=dataclasses.replace(base.loss, eta_det=float(eta))
             )
-            ratio = detection_loss_sensitivity(cfg) * math.sqrt(eta) / dphi_balance
+            ratio = sensitivity(cfg).delta_phi * math.sqrt(eta) / dphi_balance
             assert abs(ratio - 1.0) < 1e-12
 
 

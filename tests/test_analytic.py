@@ -14,7 +14,6 @@ from kerrmzi.analytic import (
     balanced_terms,
     chi3_phase,
     chi3_uncertainty,
-    detection_loss_sensitivity,
     linear_only_slope,
     lossy_noise_at_zero,
     lossy_slope_at_zero,
@@ -35,6 +34,7 @@ from kerrmzi.config import (
     PhaseShift,
     SplitterParams,
     build_config,
+    parse_config,
 )
 
 # shared hypothesis strategies for physical parameter draws
@@ -183,6 +183,14 @@ class TestSensitivity:
 
     def test_terms_absent_off_balance(self):
         assert balanced_terms(build_config(alpha=1.0, g1=0.5, g2=0.7)) is None
+
+    def test_terms_present_with_pi_to_fourteen_digits(self):
+        cfg = parse_config(
+            "[nbs1]\ngain = 2.0\n[nbs2]\ngain = 2.0\nphase = 3.14159265358979\n"
+            "[splitter]\ntransmissivity = 0.25\n[coherent]\nmagnitude = 10.0\n"
+        )
+        rep = sensitivity(cfg)
+        assert None not in (rep.term_lin, rep.term_nonlin, rep.term_nonlin_corr)
 
 
 class TestSql:
@@ -349,12 +357,6 @@ class TestLossyFormulas:
 
 
 class TestDetectionLoss:
-    def test_unit_efficiency_reduces_to_lossless(self):
-        cfg = build_config(alpha=10.0, g1=2.0, g2=2.0, transmissivity=0.25)
-        assert detection_loss_sensitivity(cfg) == pytest.approx(
-            sensitivity(cfg).delta_phi, rel=1e-14
-        )
-
     def test_inverse_root_eta_penalty(self):
         import dataclasses
 
@@ -363,9 +365,7 @@ class TestDetectionLoss:
         cfg = dataclasses.replace(
             base, loss=dataclasses.replace(base.loss, eta_det=0.64)
         )
-        assert detection_loss_sensitivity(cfg) == pytest.approx(
-            dphi0 * 1.25, rel=1e-12
-        )
+        assert sensitivity(cfg).delta_phi == pytest.approx(dphi0 * 1.25, rel=1e-12)
 
     def test_identity_across_eta_grid(self):
         import dataclasses
@@ -376,7 +376,7 @@ class TestDetectionLoss:
             cfg = dataclasses.replace(
                 base, loss=dataclasses.replace(base.loss, eta_det=float(eta))
             )
-            ratio = detection_loss_sensitivity(cfg) * math.sqrt(eta) / dphi0
+            ratio = sensitivity(cfg).delta_phi * math.sqrt(eta) / dphi0
             assert abs(ratio - 1.0) < 1e-12
 
     def test_zero_efficiency_rejected(self):
@@ -387,8 +387,8 @@ class TestDetectionLoss:
             base, loss=dataclasses.replace(base.loss, eta_det=0.0)
         )
         # construction allows it only via replace; the op must still refuse
-        with pytest.raises(ValueError):
-            detection_loss_sensitivity(cfg)
+        with pytest.raises(UndefinedSensitivityError):
+            sensitivity(cfg)
 
 
 MEDIUM = KerrMediumSpec(n0=1.45, intensity=1e12, wavenumber=7.85e6, length=0.01)

@@ -7,6 +7,7 @@ from kerrmzi import analytic
 from kerrmzi.config import build_config
 from kerrmzi.sweep import (
     Axis,
+    SweepResult,
     SweepSpec,
     SweepSpecError,
     find_sql_threshold,
@@ -145,6 +146,25 @@ class TestRunSweep:
         # full round-trip precision
         assert float(defined_row[1]) == pytest.approx(2.617e-4, rel=1e-3)
         assert len(defined_row[1]) >= 17
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        spec = SweepSpec(
+            base=FIG4_BASE,
+            axes=(Axis.linspace("loss.eta_d", 0.1, 1.0, 7),),
+        )
+        result = run_sweep(spec)
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old bytes\n")
+
+        def lines_then_fail(self):
+            yield self.csv_header()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(SweepResult, "csv_lines", lines_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            result.write_csv(path)
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestFindSqlThreshold:

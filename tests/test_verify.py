@@ -6,6 +6,37 @@ from kerrmzi import verify
 from kerrmzi.config import build_config
 
 
+# every check of each suite, in record order
+ANALYTIC_CHECKS = (
+    "unitarity_m1_m0",
+    "unitarity_m2_m0",
+    "commutator_abc",
+    "lossless_reduction_slope",
+    "lossless_reduction_noise",
+    "qfi_reassembly",
+    "qfi_linear_moments",
+    "qcrb_bound",
+    "optimal_split_argmax",
+    "balanced_decomposition",
+    "detection_loss_identity",
+    "linear_argmax_half",
+)
+ORACLE_CHECKS = (
+    "tmsv_occupancy",
+    "coherent_mean_photon",
+    "bs_convention_m1",
+    "bs_convention_m0",
+    "loss_cptp",
+    "loss_coherent_amplitude",
+    "slope_vs_closed_form",
+    "variance_vs_closed_form",
+    "qfi_vs_polynomial",
+    "lossy_slope_vs_closed_form",
+    "lossy_noise_vs_closed_form",
+    "arm_occupancy",
+)
+
+
 @pytest.fixture(scope="module")
 def analytic_records():
     return verify.run_analytic_suite(seed=1, draws=400)
@@ -22,19 +53,7 @@ class TestAnalyticSuite:
         assert failures == []
 
     def test_expected_checks_present(self, analytic_records):
-        names = {r.check for r in analytic_records}
-        assert {
-            "unitarity_m1_m0",
-            "commutator_abc",
-            "lossless_reduction_slope",
-            "lossless_reduction_noise",
-            "qfi_reassembly",
-            "qcrb_bound",
-            "optimal_split_argmax",
-            "balanced_decomposition",
-            "detection_loss_identity",
-            "linear_argmax_half",
-        } <= names
+        assert tuple(r.check for r in analytic_records) == ANALYTIC_CHECKS
 
     def test_record_fields(self, analytic_records):
         rec = analytic_records[0].to_dict()
@@ -76,34 +95,40 @@ class TestOracleSuite:
         assert max(errors) <= verify._LOSSY_TOL
 
     def test_expected_checks_present(self, oracle_records):
-        names = {r.check for r in oracle_records}
-        assert {
-            "tmsv_occupancy",
-            "bs_convention_m1",
-            "bs_convention_m0",
-            "loss_cptp",
-            "slope_vs_closed_form",
-            "variance_vs_closed_form",
-            "qfi_vs_polynomial",
-            "lossy_slope_vs_closed_form",
-            "lossy_noise_vs_closed_form",
-        } <= names
+        assert tuple(r.check for r in oracle_records) == ORACLE_CHECKS
 
 
 class TestMutationControl:
-    def test_mutated_analytic_check_fails(self):
-        records = verify.run_analytic_suite(
-            seed=1, draws=100, mutate="qfi_reassembly"
-        )
-        failed = {r.check for r in records if not r.passed}
-        assert failed == {"qfi_reassembly"}
+    @pytest.mark.parametrize(
+        "fixture, check",
+        [("analytic_records", name) for name in ANALYTIC_CHECKS]
+        + [("oracle_records", name) for name in ORACLE_CHECKS],
+    )
+    def test_every_check_fails_when_mutated(self, fixture, check, request):
+        # the record's own values, fed back through the suite appender
+        (rec,) = [r for r in request.getfixturevalue(fixture) if r.check == check]
+        records, record = verify._suite_records(mutate=check)
+        record(rec.check, rec.config_digest, rec.analytic, rec.oracle, rec.tol,
+               cutoff=rec.cutoff, converged=rec.converged)
+        assert rec.passed and not records[0].passed
 
-    def test_mutated_oracle_check_fails(self):
-        records = verify.run_oracle_suite(
-            seed=1, cutoff=12, mutate="tmsv_occupancy"
-        )
+    @pytest.mark.parametrize("fixture", ["analytic_records", "oracle_records"])
+    def test_check_names_unique(self, fixture, request):
+        # a shared name would mutate two checks
+        names = [r.check for r in request.getfixturevalue(fixture)]
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("check", ["qfi_reassembly", "linear_argmax_half"])
+    def test_mutated_analytic_check_fails(self, check):
+        records = verify.run_analytic_suite(seed=1, draws=100, mutate=check)
         failed = {r.check for r in records if not r.passed}
-        assert "tmsv_occupancy" in failed
+        assert failed == {check}
+
+    @pytest.mark.parametrize("check", ["tmsv_occupancy", "bs_convention_m1"])
+    def test_mutated_oracle_check_fails(self, check):
+        records = verify.run_oracle_suite(seed=1, cutoff=12, mutate=check)
+        failed = {r.check for r in records if not r.passed}
+        assert check in failed
 
     def test_mutated_slope_check_fails(self):
         # the 1e-3 mutation is far outside the 1e-6 slope tolerance
@@ -116,3 +141,7 @@ class TestMutationControl:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
             verify.run_suite("bogus")
+
+    def test_unknown_check_rejected(self):
+        with pytest.raises(ValueError, match="no_such_check"):
+            verify.run_suite("analytic", mutate="no_such_check")
