@@ -4,6 +4,10 @@ Everything here is evaluated at the phi = 0 operating point of the
 interferometer; behaviour away from that point is the job of the Fock
 simulator in :mod:`kerrmzi.oracle`.  All functions are pure.
 
+``evaluate`` and the closed forms it calls use numpy ufuncs and products
+(``x * x``, never ``**``): on a config whose fields are arrays they give,
+cell for cell, the bits ``sensitivity`` gives on the scalar config.
+
 Notation: G_i, g_i are the squeezer gain pairs (G^2 - g^2 = 1), T and
 R = 1 - T the splitter coefficients, N_alpha = |alpha|^2 the pump photon
 number and N_g = 2 g1^2 the photon number spontaneously emitted by the
@@ -15,6 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import (
     InterferometerConfig,
@@ -124,12 +130,13 @@ def noise_at_zero(config: InterferometerConfig) -> float:
     """
     G1, g1 = config.nbs1.gain, config.nbs1.g
     G2, g2 = config.nbs2.gain, config.nbs2.g
+    G1s, g1s, G2s, g2s = G1 * G1, g1 * g1, G2 * G2, g2 * g2
     cos21 = math.cos(config.nbs2.phase - config.nbs1.phase)
     return (
-        G2**2 * G1**2
-        + g1**2 * g2**2
-        + G2**2 * g1**2
-        + G1**2 * g2**2
+        G2s * G1s
+        + g1s * g2s
+        + G2s * g1s
+        + G1s * g2s
         + 4.0 * G2 * G1 * g1 * g2 * cos21
     )
 
@@ -156,17 +163,10 @@ def lossy_slope_at_zero(config: InterferometerConfig) -> float:
     t = config.splitter.transmissivity
     r = config.splitter.reflectivity
     n_alpha = config.coherent.n_alpha
-    n_g = 2.0 * config.nbs1.g**2
-    cosm = abs(math.cos(config.nbs2.phase - config.coherent.phase))
+    cosm = abs(np.cos(config.nbs2.phase - config.coherent.phase))
     eta_b, eta_d = config.loss.eta_b, config.loss.eta_d
-    return (
-        2.0
-        * config.nbs2.g
-        * math.sqrt(eta_b * eta_d * t * r)
-        * math.sqrt(n_alpha)
-        * (1.0 + 2.0 * r * n_alpha + 2.0 * t * n_g)
-        * cosm
-    )
+    gain = 1.0 + 2.0 * r * n_alpha + 2.0 * t * config.n_g
+    return 2.0 * config.nbs2.g * np.sqrt(eta_b * eta_d * t * r) * np.sqrt(n_alpha) * gain * cosm
 
 
 def lossy_noise_at_zero(config: InterferometerConfig) -> float:
@@ -180,22 +180,30 @@ def lossy_noise_at_zero(config: InterferometerConfig) -> float:
     r = config.splitter.reflectivity
     G1, g1 = config.nbs1.gain, config.nbs1.g
     G2, g2 = config.nbs2.gain, config.nbs2.g
-    cos21 = math.cos(config.nbs2.phase - config.nbs1.phase)
+    G1s, g1s, G2s, g2s = G1 * G1, g1 * g1, G2 * G2, g2 * g2
+    cos21 = np.cos(config.nbs2.phase - config.nbs1.phase)
     ea, eb = config.loss.eta_a, config.loss.eta_b
     ec, ed = config.loss.eta_c, config.loss.eta_d
-    w = math.sqrt(ed) * t + math.sqrt(ec) * r
+    root_c, root_d = np.sqrt(ec), np.sqrt(ed)
+    w = root_d * t + root_c * r
+    ws = w * w
+    skew = root_d - root_c
     return (
-        ea * G2**2 * G1**2
-        + eb * g2**2 * g1**2 * w**2
-        + ea * G2**2 * g1**2
-        + eb * g2**2 * G1**2 * w**2
-        + eb * g2**2 * t * r * (math.sqrt(ed) - math.sqrt(ec)) ** 2
-        + (1.0 - ea) * G2**2
-        + (1.0 - eb) * g2**2
-        + eb * (1.0 - ec) * g2**2 * r
-        + eb * (1.0 - ed) * g2**2 * t
-        + 4.0 * math.sqrt(ea * eb) * G2 * G1 * g1 * g2 * w * cos21
+        ea * G2s * G1s
+        + eb * g2s * g1s * ws
+        + ea * G2s * g1s
+        + eb * g2s * G1s * ws
+        + eb * g2s * t * r * (skew * skew)
+        + (1.0 - ea) * G2s
+        + (1.0 - eb) * g2s
+        + eb * (1.0 - ec) * g2s * r
+        + eb * (1.0 - ed) * g2s * t
+        + 4.0 * np.sqrt(ea * eb) * G2 * G1 * g1 * g2 * w * cos21
     )
+
+
+def _sql(n_ps):
+    return 1.0 / (n_ps * np.sqrt(n_ps))
 
 
 def sql_nonlinear(n_ps: float) -> float:
@@ -203,7 +211,7 @@ def sql_nonlinear(n_ps: float) -> float:
     N_ps^{-3/2}."""
     if n_ps <= 0:
         raise ValueError(f"n_ps must be positive (got {n_ps})")
-    return n_ps**-1.5
+    return float(_sql(n_ps))
 
 
 def optimal_split_ratio(n_alpha: float, g1: float) -> float:
@@ -284,29 +292,33 @@ def argmax_linear_slope_transmissivity(xtol: float = 1e-10) -> float:
 def qfi_nonlinear(n_alpha: float, n_g: float, splitter: SplitterParams) -> QfiBreakdown:
     """Quantum Fisher information 4 [<n^4> - <n^2>^2] of the sensing arm
     for the photon-number-squared phase, as a cubic in N_alpha."""
-    if n_alpha < 0 or n_g < 0:
+    if (np.minimum(n_alpha, n_g) < 0).any():
         raise ValueError("n_alpha and n_g must be >= 0")
     r = splitter.reflectivity
     t = splitter.transmissivity
-    s1 = 16.0 * r**4 + 16.0 * r**3 * t * (n_g + 1.0)
+    r2, t2, n2 = r * r, t * t, n_g * n_g
+    r3, t3, n3 = r2 * r, t2 * t, n2 * n_g
+    r4, t4, n4 = r2 * r2, t2 * t2, n2 * n2
+    s1 = 16.0 * r4 + 16.0 * r3 * t * (n_g + 1.0)
     s2 = (
-        24.0 * r**4
-        + r**3 * t * (88.0 * n_g + 48.0)
-        + r**2 * t**2 * (52.0 * n_g**2 + 88.0 * n_g + 24.0)
+        24.0 * r4
+        + r3 * t * (88.0 * n_g + 48.0)
+        + r2 * t2 * (52.0 * n2 + 88.0 * n_g + 24.0)
     )
     s3 = (
-        4.0 * r**4
-        + r**3 * t * (52.0 * n_g + 12.0)
-        + r**2 * t**2 * (96.0 * n_g**2 + 104.0 * n_g + 12.0)
-        + r * t**3 * (40.0 * n_g**3 + 96.0 * n_g**2 + 52.0 * n_g + 4.0)
+        4.0 * r4
+        + r3 * t * (52.0 * n_g + 12.0)
+        + r2 * t2 * (96.0 * n2 + 104.0 * n_g + 12.0)
+        + r * t3 * (40.0 * n3 + 96.0 * n2 + 52.0 * n_g + 4.0)
     )
     s4 = (
-        t**4 * (5.0 * n_g**4 + 16.0 * n_g**3 + 13.0 * n_g**2 + 2.0 * n_g)
-        + t**3 * r * (16.0 * n_g**3 + 26.0 * n_g**2 + 6.0 * n_g)
-        + t**2 * r**2 * (13.0 * n_g**2 + 6.0 * n_g)
-        + 2.0 * t * r**3 * n_g
+        t4 * (5.0 * n4 + 16.0 * n3 + 13.0 * n2 + 2.0 * n_g)
+        + t3 * r * (16.0 * n3 + 26.0 * n2 + 6.0 * n_g)
+        + t2 * r2 * (13.0 * n2 + 6.0 * n_g)
+        + 2.0 * t * r3 * n_g
     )
-    f = n_alpha**3 * s1 + n_alpha**2 * s2 + n_alpha * s3 + s4
+    a2 = n_alpha * n_alpha
+    f = a2 * n_alpha * s1 + a2 * s2 + n_alpha * s3 + s4
     return QfiBreakdown(s1=s1, s2=s2, s3=s3, s4=s4, f=f)
 
 
@@ -340,13 +352,17 @@ def qfi_linear_from_arm_moments(
     return 4.0 * (x * (2.0 * th + 1.0) + th * (th + 1.0))
 
 
+def _qcrb(f, repeats):
+    return 1.0 / np.sqrt(repeats * f)
+
+
 def qcrb(f: float, repeats: int = 1) -> float:
     """Cramer-Rao sensitivity floor 1 / sqrt(m f) for m independent runs."""
     if f <= 0:
         raise ValueError(f"Fisher information must be positive (got {f})")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1 (got {repeats})")
-    return 1.0 / math.sqrt(repeats * f)
+    return float(_qcrb(f, repeats))
 
 
 def is_balanced(config: InterferometerConfig) -> bool:
@@ -376,47 +392,55 @@ def balanced_terms(config: InterferometerConfig):
     t = config.splitter.transmissivity
     r = config.splitter.reflectivity
     n_alpha = config.coherent.n_alpha
-    n_g = 2.0 * config.nbs1.g**2
     root = math.sqrt(t * r) * math.sqrt(n_alpha)
     return (
         2.0 * root,
         4.0 * r * root * n_alpha,
-        4.0 * t * root * n_g,
+        4.0 * t * root * config.n_g,
     )
 
 
-def sensitivity(config: InterferometerConfig, repeats: int = 1) -> SensitivityReport:
-    """Full sensitivity report at phi = 0.
+def evaluate(config: InterferometerConfig, repeats: int = 1) -> SensitivityReport:
+    """Slope, variance, delta_phi, SQL and QCRB at phi = 0, elementwise
+    over a config whose fields may be broadcastable numpy arrays; the
+    report holds arrays then, and no balanced terms.
 
     Internal/external losses enter through the lossy slope and variance
     (which reduce to the lossless forms at eta = 1); detection loss mixes
     in vacuum, scaling the slope by sqrt(eta_det) and the variance to
-    eta_det * var + (1 - eta_det).  Raises UndefinedSensitivityError when
-    the slope vanishes.
+    eta_det * var + (1 - eta_det), exactly the lossless values at
+    eta_det = 1.  The sensitivity is defined where the slope is positive;
+    elsewhere delta_phi is inf and qcrb nan.  A vanishing N_ps or Fisher
+    information gives an infinite sql or qcrb.
     """
-    slope = lossy_slope_at_zero(config)
-    noise = lossy_noise_at_zero(config)
     eta = config.loss.eta_det
-    if eta != 1.0:
-        slope *= math.sqrt(eta)
-        noise = eta * noise + (1.0 - eta)
-    if slope <= 0.0:
+    slope = lossy_slope_at_zero(config) * np.sqrt(eta)
+    noise = eta * lossy_noise_at_zero(config) + (1.0 - eta)
+    fisher = qfi_nonlinear(config.coherent.n_alpha, config.n_g, config.splitter).f
+    defined = slope > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta_phi = np.where(defined, np.sqrt(noise) / slope, np.inf)
+        bound = np.where(defined, _qcrb(fisher, repeats), np.nan)
+        sql = _sql(config.n_ps)
+    return SensitivityReport(slope, noise, delta_phi, sql, bound)
+
+
+def sensitivity(config: InterferometerConfig, repeats: int = 1) -> SensitivityReport:
+    """Full sensitivity report at phi = 0 of a scalar config: ``evaluate``
+    plus the balanced-configuration terms.  Raises
+    UndefinedSensitivityError when the slope vanishes.
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1 (got {repeats})")
+    report = evaluate(config, repeats)
+    if not report.slope > 0.0:
         raise UndefinedSensitivityError(
             "undefined sensitivity: homodyne slope is zero "
             "(g2 = 0, alpha = 0, eta_b*eta_d = 0, or cos(theta2 - theta_alpha) = 0)"
         )
-    delta_phi = math.sqrt(noise) / slope
-    n_ps = config.n_ps
-    sql = sql_nonlinear(n_ps) if n_ps > 0 else math.inf
-    fisher = qfi_nonlinear(
-        config.coherent.n_alpha, 2.0 * config.nbs1.g**2, config.splitter
-    ).f
-    bound = qcrb(fisher, repeats) if fisher > 0 else math.inf
     terms = balanced_terms(config) if config.loss.is_lossless() else None
-    if terms is None:
-        return SensitivityReport(slope, noise, delta_phi, sql, bound)
     return SensitivityReport(
-        slope, noise, delta_phi, sql, bound, terms[0], terms[1], terms[2]
+        *(float(v) for v in report.to_dict().values()), *(terms or (None,) * 3)
     )
 
 

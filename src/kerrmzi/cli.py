@@ -101,17 +101,13 @@ PRESETS = {
 def _build_spec(kind: str, base) -> "sweep.SweepSpec":
     if kind == "gain":
         spec = _gain_sweep_base()
-        return spec if base is None else dataclasses.replace(spec, base=base)
-    if kind in ("internal-loss", "external-loss"):
+    elif kind in ("internal-loss", "external-loss"):
         spec = _loss_sweep_base(kind)
-        return spec if base is None else dataclasses.replace(spec, base=base)
-    if kind == "split":
-        return _split_sweep_base(
-            base
-            if base is not None
-            else build_config(alpha=10.0, g1=2.0, g2=4.0, transmissivity=0.25)
-        )
-    raise sweep.SweepSpecError(f"unknown sweep kind '{kind}'")
+    elif kind == "split":
+        spec = _split_sweep_base(build_config(alpha=10.0, g1=2.0, g2=4.0, transmissivity=0.25))
+    else:
+        raise sweep.SweepSpecError(f"unknown sweep kind '{kind}'")
+    return spec if base is None else dataclasses.replace(spec, base=base)
 
 
 # --- commands ----------------------------------------------------------------
@@ -164,7 +160,7 @@ def cmd_sweep(args) -> int:
     result.write_csv(out)
     digest = config_digest(spec.base)
     _write_manifest(out, _manifest(f"sweep:{kind}", digest, [out]))
-    print(f"wrote {out} ({len(result.rows)} rows)")
+    print(f"wrote {out} ({len(result)} rows)")
     return EXIT_OK
 
 

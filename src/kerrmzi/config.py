@@ -10,6 +10,9 @@ Conventions used throughout the package:
 * loss coefficients eta are intensity transmissions in [0, 1].
 
 All types are immutable value objects and safe to share between threads.
+The derived properties (``g``, ``n_alpha``, ``n_g``, ``n_ps``) are numpy
+ufuncs and products, so a config whose fields hold arrays evaluates them
+elementwise; a sweep builds such a grid config.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 # SI values, used as defaults for the Kerr-medium description.
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
@@ -56,7 +61,7 @@ class CoherentInput:
     @property
     def n_alpha(self) -> float:
         """Mean photon number |alpha|^2."""
-        return self.magnitude**2
+        return self.magnitude * self.magnitude
 
     @property
     def amplitude(self) -> complex:
@@ -88,7 +93,7 @@ class SqueezerParams:
     @property
     def g(self) -> float:
         """Companion amplitude g = sqrt(G^2 - 1); satisfies G^2 - g^2 = 1."""
-        return math.sqrt(self.gain**2 - 1.0)
+        return np.sqrt(self.gain * self.gain - 1.0)
 
     def invariant_errors(self, label: str = "squeezer"):
         errs = []
@@ -148,13 +153,7 @@ class LossParams:
     eta_det: float = 1.0
 
     def is_lossless(self) -> bool:
-        return (
-            self.eta_a == 1.0
-            and self.eta_b == 1.0
-            and self.eta_c == 1.0
-            and self.eta_d == 1.0
-            and self.eta_det == 1.0
-        )
+        return (self.eta_a, self.eta_b, self.eta_c, self.eta_d, self.eta_det) == (1.0,) * 5
 
     def invariant_errors(self):
         errs = []
@@ -190,10 +189,17 @@ class InterferometerConfig:
     loss: LossParams = field(default_factory=LossParams)
 
     @property
+    def n_g(self) -> float:
+        """Photon number N_g = 2 g1^2 emitted by the first squeezer into
+        both of its modes."""
+        g1 = self.nbs1.g
+        return 2.0 * (g1 * g1)
+
+    @property
     def n_ps(self) -> float:
-        """Phase-sensing photon budget N_ps = 2 g1^2 + |alpha|^2 (both squeezed
+        """Phase-sensing photon budget N_ps = N_g + |alpha|^2 (both squeezed
         modes plus the pump) that every sensitivity limit is quoted against."""
-        return 2.0 * self.nbs1.g**2 + self.coherent.n_alpha
+        return self.n_g + self.coherent.n_alpha
 
     def invariant_errors(self):
         errs = []
@@ -261,29 +267,16 @@ class SensitivityReport:
 
     def to_dict(self) -> dict:
         """Flat key-value record; absent terms are omitted."""
-        rec = {
-            "slope": self.slope,
-            "noise": self.noise,
-            "delta_phi": self.delta_phi,
-            "sql": self.sql,
-            "qcrb": self.qcrb,
-        }
-        if self.term_lin is not None:
-            rec["term_lin"] = self.term_lin
-            rec["term_nonlin"] = self.term_nonlin
-            rec["term_nonlin_corr"] = self.term_nonlin_corr
-        return rec
+        values = {name: getattr(self, name) for name in self.CSV_FIELDS}
+        return {name: v for name, v in values.items() if v is not None}
 
     @classmethod
     def csv_header(cls) -> str:
         return ",".join(cls.CSV_FIELDS)
 
     def csv_row(self) -> str:
-        vals = []
-        for name in self.CSV_FIELDS:
-            v = getattr(self, name)
-            vals.append("" if v is None else format(v, ".17g"))
-        return ",".join(vals)
+        values = (getattr(self, name) for name in self.CSV_FIELDS)
+        return ",".join("" if v is None else format(v, ".17g") for v in values)
 
 
 def validate(config: InterferometerConfig) -> InterferometerConfig:
@@ -348,7 +341,7 @@ def config_digest(config) -> str:
             for f in fields(obj):
                 out.update(flatten(getattr(obj, f.name), f"{prefix}{f.name}."))
         else:
-            out[prefix.rstrip(".")] = repr(obj)
+            out[prefix.rstrip(".")] = repr(float(obj) if isinstance(obj, (int, float)) else obj)
         return out
 
     blob = json.dumps(flatten(config), sort_keys=True)
@@ -372,14 +365,10 @@ def config_digest(config) -> str:
 # rejected with the offending line cited.
 
 _CONFIG_SCHEMA = {
-    "nbs1": ("gain", "phase"),
-    "nbs2": ("gain", "phase"),
-    "splitter": ("transmissivity",),
-    "coherent": ("magnitude", "phase"),
-    "phase": ("linear", "nonlinear"),
-    "loss": ("eta_a", "eta_b", "eta_c", "eta_d", "eta_det"),
-    "medium": ("n0", "intensity", "wavenumber", "length", "epsilon0", "c"),
+    section.name: tuple(f.name for f in fields(section.default_factory))
+    for section in fields(InterferometerConfig)
 }
+_CONFIG_SCHEMA["medium"] = tuple(f.name for f in fields(KerrMediumSpec))
 
 
 def _find_line(text: str, key: str) -> str:

@@ -1,8 +1,9 @@
 """Parameter-grid evaluation and loss-threshold finding.
 
 Sweeps evaluate the closed-form sensitivity pipeline only; the Fock
-simulator never runs inside a grid.  Rows are produced in row-major order
-over the axes, deterministically, and serialize to CSV with 17
+simulator never runs inside a grid.  A sweep is one call of
+``analytic.evaluate`` on a grid config, whose swept fields hold the flat
+row-major grid.  Results are columns, serialized to CSV with 17
 significant digits so byte-identical reruns are guaranteed.
 """
 
@@ -23,21 +24,10 @@ from .config import InterferometerConfig, validate
 # figure reproductions need.
 _DERIVED_AXES = ("g2_over_g1", "r_over_t", "eta_ab")
 
-_FIELD_AXES = (
-    "nbs1.gain",
-    "nbs1.phase",
-    "nbs2.gain",
-    "nbs2.phase",
-    "splitter.transmissivity",
-    "coherent.magnitude",
-    "coherent.phase",
-    "phase.linear",
-    "phase.nonlinear",
-    "loss.eta_a",
-    "loss.eta_b",
-    "loss.eta_c",
-    "loss.eta_d",
-    "loss.eta_det",
+_FIELD_AXES = tuple(
+    f"{group.name}.{f.name}"
+    for group in dataclasses.fields(InterferometerConfig)
+    for f in dataclasses.fields(group.default_factory)
 )
 
 SWEEPABLE_PARAMETERS = _FIELD_AXES + _DERIVED_AXES
@@ -52,22 +42,23 @@ def set_parameter(
 ) -> InterferometerConfig:
     """Return a copy of ``config`` with one sweepable parameter replaced.
 
-    Derived axes: ``g2_over_g1`` sets the readout squeezer amplitude to
-    value * g1, ``r_over_t`` sets the splitter to T = 1 / (1 + value),
-    ``eta_ab`` sets eta_a and eta_b jointly (the external-loss diagonal).
+    ``value`` may be a numpy array, which then broadcasts against the
+    other fields.  Derived axes: ``g2_over_g1`` sets the readout squeezer
+    amplitude to value * g1, ``r_over_t`` sets the splitter to
+    T = 1 / (1 + value) (inf at value = -1), ``eta_ab`` sets eta_a and
+    eta_b jointly (the external-loss diagonal).
     """
     if name == "g2_over_g1":
         g2 = value * config.nbs1.g
         return dataclasses.replace(
             config,
-            nbs2=dataclasses.replace(config.nbs2, gain=math.hypot(1.0, g2)),
+            nbs2=dataclasses.replace(config.nbs2, gain=np.hypot(1.0, g2)),
         )
     if name == "r_over_t":
+        with np.errstate(divide="ignore"):
+            t = np.divide(1.0, 1.0 + value)
         return dataclasses.replace(
-            config,
-            splitter=dataclasses.replace(
-                config.splitter, transmissivity=1.0 / (1.0 + value)
-            ),
+            config, splitter=dataclasses.replace(config.splitter, transmissivity=t)
         )
     if name == "eta_ab":
         return dataclasses.replace(
@@ -112,6 +103,8 @@ class SweepSpec:
     repeats: int = 1
 
     def validated(self) -> "SweepSpec":
+        """The spec, if its shape, ``repeats``, base (else InvalidConfigError)
+        and each axis value set alone on the base are valid."""
         if not 1 <= len(self.axes) <= 2:
             raise SweepSpecError(f"need 1 or 2 axes (got {len(self.axes)})")
         for axis in self.axes:
@@ -123,7 +116,16 @@ class SweepSpec:
                 raise SweepSpecError(
                     f"axis '{axis.name}': point count must be >= 2"
                 )
+        if self.repeats < 1:
+            raise SweepSpecError(f"repeats must be >= 1 (got {self.repeats})")
         validate(self.base)
+        for axis in self.axes:
+            for value in axis.values:
+                errs = set_parameter(self.base, axis.name, value).invariant_errors()
+                if errs:
+                    raise SweepSpecError(
+                        f"axis '{axis.name}' value {float(value)!r}: " + "; ".join(errs)
+                    )
         return self
 
 
@@ -137,27 +139,40 @@ class SweepRow:
     defined: bool
 
 
-@dataclass(frozen=True)
+_RESULT_COLUMNS = ("delta_phi", "sql", "qcrb", "beats_sql", "defined")
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Grid evaluation output; rows are row-major over the spec axes."""
+    """Grid evaluation output as columns: one flat array per axis and per
+    result, row-major over the spec axes (first axis outermost)."""
 
     axis_names: tuple
-    rows: tuple
+    axis_values: tuple
+    delta_phi: np.ndarray
+    sql: np.ndarray
+    qcrb: np.ndarray
+    beats_sql: np.ndarray
+    defined: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.delta_phi)
+
+    @property
+    def rows(self) -> tuple:
+        """Read-only row view: one SweepRow per grid point."""
+        axes = zip(*(v.tolist() for v in self.axis_values))
+        return tuple(map(SweepRow, axes, *(self.column(n).tolist() for n in _RESULT_COLUMNS)))
 
     def csv_header(self) -> str:
-        return ",".join(self.axis_names + ("delta_phi", "sql", "qcrb", "beats_sql", "defined"))
+        return ",".join(self.axis_names + _RESULT_COLUMNS)
 
     def csv_lines(self):
         yield self.csv_header()
-        for row in self.rows:
-            cells = [format(v, ".17g") for v in row.axis_values]
-            cells += [
-                format(row.delta_phi, ".17g"),
-                format(row.sql, ".17g"),
-                format(row.qcrb, ".17g"),
-                str(int(row.beats_sql)),
-                str(int(row.defined)),
-            ]
+        numbers = [*self.axis_values, self.delta_phi, self.sql, self.qcrb]
+        columns = [_format_column(c) for c in numbers]
+        columns += [np.where(c, "1", "0").tolist() for c in (self.beats_sql, self.defined)]
+        for cells in zip(*columns):
             yield ",".join(cells)
 
     def write_csv(self, path) -> None:
@@ -165,9 +180,17 @@ class SweepResult:
 
     def column(self, name: str) -> np.ndarray:
         if name in self.axis_names:
-            i = self.axis_names.index(name)
-            return np.array([r.axis_values[i] for r in self.rows])
-        return np.array([getattr(r, name) for r in self.rows])
+            return self.axis_values[self.axis_names.index(name)]
+        return getattr(self, name)
+
+
+def _format_column(column: np.ndarray) -> list:
+    """Cells of a float column with 17 significant digits.  Each distinct
+    bit pattern is formatted once: axis, sql and qcrb columns repeat."""
+    bits = np.ascontiguousarray(column, dtype=float).view(np.int64)
+    bits, where = np.unique(bits, return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[where].tolist()
 
 
 def write_atomic(path, chunks) -> None:
@@ -186,44 +209,32 @@ def write_atomic(path, chunks) -> None:
         raise
 
 
-def _evaluate_point(config: InterferometerConfig, repeats: int) -> SweepRow:
-    try:
-        report = analytic.sensitivity(config, repeats)
-    except analytic.UndefinedSensitivityError:
-        n_ps = config.n_ps
-        sql = analytic.sql_nonlinear(n_ps) if n_ps > 0 else math.inf
-        return SweepRow((), math.inf, sql, math.nan, False, False)
-    return SweepRow(
-        (),
-        report.delta_phi,
-        report.sql,
-        report.qcrb,
-        report.delta_phi < report.sql,
-        True,
-    )
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sensitivity pipeline over the whole grid.
+    """Evaluate the sensitivity pipeline over the whole grid in one
+    ``analytic.evaluate`` call.
 
-    Grid points with zero slope are kept with defined = 0 and an infinite
-    delta_phi, never dropped.
+    Grid points with zero slope are kept with defined = 0, an infinite
+    delta_phi and a nan qcrb, never dropped.
     """
     spec = spec.validated()
-    grids = [axis.values for axis in spec.axes]
-    rows = []
-    if len(grids) == 1:
-        points = [(v,) for v in grids[0]]
-    else:
-        points = [(u, v) for u in grids[0] for v in grids[1]]
-    for values in points:
-        config = spec.base
-        for axis, value in zip(spec.axes, values):
-            config = set_parameter(config, axis.name, value)
-        row = _evaluate_point(config, spec.repeats)
-        rows.append(dataclasses.replace(row, axis_values=values))
+    grids = np.meshgrid(*(np.array(a.values, dtype=float) for a in spec.axes), indexing="ij")
+    axis_values = tuple(g.ravel() for g in grids)
+    config = spec.base
+    for axis, values in zip(spec.axes, axis_values):
+        config = set_parameter(config, axis.name, values)
+    out = analytic.evaluate(config, spec.repeats)
+    slope, delta_phi, sql, qcrb = (
+        np.broadcast_to(v, axis_values[0].shape).copy()
+        for v in (out.slope, out.delta_phi, out.sql, out.qcrb)
+    )
     return SweepResult(
-        axis_names=tuple(a.name for a in spec.axes), rows=tuple(rows)
+        axis_names=tuple(a.name for a in spec.axes),
+        axis_values=axis_values,
+        delta_phi=delta_phi,
+        sql=sql,
+        qcrb=qcrb,
+        beats_sql=delta_phi < sql,
+        defined=slope > 0.0,
     )
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kerrmzi
 from kerrmzi.cli import main
 
 GOOD_CONFIG = """
@@ -226,3 +231,26 @@ class TestChi3:
         path = tmp_path / "medium.ini"
         path.write_text(MEDIUM_CONFIG)
         assert main(["chi3", "--config", str(path), "--delta-phi-n", "-1.0"]) == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m kerrmzi`` runs the CLI from a source checkout."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(kerrmzi.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "kerrmzi", *argv], env=env, capture_output=True, text=True
+        )
+
+    def test_sweep_preset(self, tmp_path):
+        out = tmp_path / "fig2.csv"
+        proc = self.run("sweep", "--preset", "fig2", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 1 + 3 * 36
+
+    def test_bad_repeats_exits_2(self, config_file):
+        proc = self.run("report", "--config", str(config_file), "--repeats", "0")
+        assert proc.returncode == 2
+        assert "--repeats must be >= 1" in proc.stderr

@@ -215,6 +215,19 @@ class TestDigest:
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(c)
 
+    def test_digest_ignores_number_type(self):
+        # equal configs share a digest, whether a field holds an int, a float
+        # or a numpy float64 (what set_parameter stores for a derived axis)
+        import numpy as np
+
+        from kerrmzi.sweep import set_parameter
+
+        a = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.5)
+        b = build_config(alpha=1, g1=0.3, g2=0.6, transmissivity=np.float64(0.5))
+        c = set_parameter(a, "r_over_t", 1.0)
+        assert a == b == c
+        assert config_digest(a) == config_digest(b) == config_digest(c)
+
     def test_medium_digest(self):
         med = KerrMediumSpec(n0=1.45, intensity=1e12, wavenumber=7.85e6, length=0.01)
         assert len(config_digest(med)) == 12

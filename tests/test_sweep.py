@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from kerrmzi import analytic
 from kerrmzi.config import build_config
 from kerrmzi.sweep import (
+    SWEEPABLE_PARAMETERS,
     Axis,
     SweepResult,
     SweepSpec,
@@ -59,6 +61,38 @@ class TestSpecValidation:
         ax = Axis.linspace("bogus.field", 0.0, 1.0, 3)
         with pytest.raises(SweepSpecError, match="does not resolve"):
             SweepSpec(base=FIG4_BASE, axes=(ax,)).validated()
+
+    @pytest.mark.parametrize(
+        "name, value, problem",
+        [
+            ("loss.eta_a", 1.5, "loss.eta_a outside [0,1] (got 1.5)"),
+            ("loss.eta_det", 1.7, "loss.eta_det outside (0,1] (got 1.7)"),
+            ("coherent.magnitude", math.nan, "coherent.magnitude not finite"),
+            ("r_over_t", -1.0, "splitter.transmissivity not finite"),
+            ("eta_ab", 2.0, "loss.eta_a outside [0,1] (got 2.0)"),
+        ],
+    )
+    def test_invalid_axis_value_rejected(self, name, value, problem):
+        spec = SweepSpec(
+            base=FIG4_BASE,
+            axes=(
+                Axis.from_values("loss.eta_c", [0.5, 1.0]),
+                Axis.from_values(name, [0.5, value]),
+            ),
+        )
+        message = f"axis '{name}' value {value!r}: {problem}"
+        with pytest.raises(SweepSpecError, match=re.escape(message)):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize(
+        "base",
+        [build_config(alpha=0.0, g1=2.0, g2=4.0), FIG4_BASE],
+        ids=["every-point-undefined", "defined-points"],
+    )
+    def test_repeats_below_one_rejected(self, base):
+        axes = (Axis.from_values("loss.eta_d", [0.0, 0.5, 1.0]),)
+        with pytest.raises(SweepSpecError, match=r"repeats must be >= 1 \(got 0\)"):
+            run_sweep(SweepSpec(base=base, axes=axes, repeats=0))
 
 
 class TestRunSweep:
@@ -147,6 +181,15 @@ class TestRunSweep:
         assert float(defined_row[1]) == pytest.approx(2.617e-4, rel=1e-3)
         assert len(defined_row[1]) >= 17
 
+    def test_csv_cells_formatted_per_value(self):
+        # repeated, signed-zero and non-finite values each keep their own text
+        x = np.array([0.0, -0.0, 0.1, 0.1, np.inf, np.nan, 1 / 3, -0.0])
+        result = SweepResult(("loss.eta_d",), (x,), x, x, x, x > 0, x > 0)
+        want = [
+            ",".join([format(v, ".17g")] * 4 + [str(int(v > 0))] * 2) for v in x.tolist()
+        ]
+        assert list(result.csv_lines())[1:] == want
+
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         spec = SweepSpec(
             base=FIG4_BASE,
@@ -165,6 +208,85 @@ class TestRunSweep:
             result.write_csv(path)
         assert path.read_bytes() == b"old bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+# value ranges of the agreement grids; every lower end that can zero the
+# slope (g2 = 0, alpha = 0, eta_b * eta_d = 0) is on its grid
+AGREEMENT_RANGES = {
+    "nbs1.gain": (1.0, 3.0),
+    "nbs1.phase": (-math.pi, math.pi),
+    "nbs2.gain": (1.0, 5.0),
+    "nbs2.phase": (-math.pi, math.pi),
+    "splitter.transmissivity": (0.0, 1.0),
+    "coherent.magnitude": (0.0, 12.0),
+    "coherent.phase": (-math.pi, math.pi),
+    "phase.linear": (-math.pi, math.pi),
+    "phase.nonlinear": (-0.5, 0.5),
+    "loss.eta_a": (0.0, 1.0),
+    "loss.eta_b": (0.0, 1.0),
+    "loss.eta_c": (0.0, 1.0),
+    "loss.eta_d": (0.0, 1.0),
+    "loss.eta_det": (0.05, 1.0),
+    "g2_over_g1": (0.0, 4.0),
+    "r_over_t": (0.0, 9.0),
+    "eta_ab": (0.0, 1.0),
+}
+
+
+def _agreement_base(rng):
+    return build_config(
+        alpha=rng.uniform(0.5, 12.0),
+        theta_alpha=rng.uniform(-0.3, 0.3),
+        g1=rng.uniform(0.0, 3.0),
+        theta1=rng.uniform(-0.3, 0.3),
+        g2=rng.uniform(0.1, 5.0),
+        theta2=math.pi + rng.uniform(-0.3, 0.3),
+        transmissivity=rng.uniform(0.05, 0.95),
+        eta_a=rng.uniform(0.3, 1.0),
+        eta_b=rng.uniform(0.3, 1.0),
+        eta_c=rng.uniform(0.3, 1.0),
+        eta_d=rng.uniform(0.3, 1.0),
+        eta_det=rng.uniform(0.3, 1.0),
+    )
+
+
+def _agreement_axis(rng, name, count):
+    lo, hi = AGREEMENT_RANGES[name]
+    return Axis.from_values(name, [lo, *np.sort(rng.uniform(lo, hi, count - 1))])
+
+
+@pytest.mark.parametrize("seed", range(len(SWEEPABLE_PARAMETERS)))
+def test_sweep_cells_equal_scalar_sensitivity(seed):
+    """Each cell of a seeded 2-D sweep is what ``sensitivity`` gives for
+    the same config, bit for bit, or the sensitivity is undefined there.
+    Seed i sweeps parameter i against a random other one."""
+    rng = np.random.default_rng(seed)
+    base = _agreement_base(rng)
+    if seed % 3 == 0:
+        base = set_parameter(base, "loss.eta_det", 1.0)
+    first = SWEEPABLE_PARAMETERS[seed]
+    others = [n for n in SWEEPABLE_PARAMETERS if n != first]
+    names = (first, others[rng.integers(len(others))])
+    axes = (_agreement_axis(rng, names[0], 6), _agreement_axis(rng, names[1], 5))
+    result = run_sweep(SweepSpec(base=base, axes=axes))
+    undefined = 0
+    for row in result.rows:
+        cfg = base
+        for axis, value in zip(axes, row.axis_values):
+            cfg = set_parameter(cfg, axis.name, value)
+        if not row.defined:
+            undefined += 1
+            with pytest.raises(analytic.UndefinedSensitivityError):
+                analytic.sensitivity(cfg)
+            continue
+        report = analytic.sensitivity(cfg)
+        got = [row.delta_phi, row.sql, row.qcrb]
+        want = [report.delta_phi, report.sql, report.qcrb]
+        assert [v.hex() for v in got] == [v.hex() for v in want], (names, row)
+    zeroing = {"nbs2.gain", "coherent.magnitude", "loss.eta_b", "loss.eta_d",
+               "g2_over_g1", "r_over_t", "eta_ab", "splitter.transmissivity"}
+    if zeroing & set(names):
+        assert undefined > 0
 
 
 class TestFindSqlThreshold:
