@@ -12,6 +12,11 @@ again anti-Hermitian, so these truncated gates are exactly unitary and the
 truncation error shows up as population parked near the cutoff, not as
 norm loss; the occupancy of the top Fock level is therefore the leakage
 monitor, with a norm/trace drift guard for numerical accidents.
+
+Each two-mode gate and the loss channel conserve a label (n_a - n_b,
+n_b + n_c, n_ket - n_bra), so they are stored cyclically packed: a
+(C, C, C) stack of C x C matrices, one per row of index pairs with equal
+label mod C, applied by one gather, one batched matmul and one scatter.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ _NORM_DRIFT_GUARD = 1e-9
 # Entries per gate and loss cache: simulate uses two squeezers, one splitter
 # and up to five loss channels, so numeric_slope never rebuilds a gate.
 _CACHE_SIZE = 5
+# Largest density tensor, in GiB, that to_density allocates (cutoff 20
+# fits); a lossy numeric_slope keeps up to four tensors of that size alive.
+_DENSITY_GIB_CAP = 1
 
 
 class TruncationError(RuntimeError):
@@ -73,7 +81,13 @@ class DensityOperator:
 
 
 def to_density(state: FockState) -> DensityOperator:
+    """|psi><psi| as a (cutoff,)*6 tensor; raises ValueError before
+    allocating when that tensor would exceed _DENSITY_GIB_CAP."""
     psi = state.amplitudes
+    gib = psi.size**2 * psi.itemsize / 2**30
+    if gib > _DENSITY_GIB_CAP:
+        raise ValueError(f"a density operator at cutoff {state.cutoff} needs {gib:.3g} GiB, "
+                         f"above the {_DENSITY_GIB_CAP} GiB cap; lower the cutoff")
     tensor = np.multiply.outer(psi, psi.conj())
     return DensityOperator(tensor=tensor, cutoff=state.cutoff)
 
@@ -95,49 +109,63 @@ def _quadrature_y(cutoff: int) -> np.ndarray:
     return -1j * (a - a.conj().T)
 
 
-def _expm_conserving(terms, labels: np.ndarray, cutoff: int) -> np.ndarray:
-    """exp(-i h) on the (cutoff^2, cutoff^2) two-mode space, for the
-    Hermitian h = sum of coef * kron(A, B) over the (coef, A, B) terms that
-    commutes with diag(labels): one eigendecomposition per block of equal
-    labels.  Each block comes straight from the factors: kron(A, B)
-    restricted to the rows and columns sel is the elementwise product of
-    A[i][:, i] and B[j][:, j], with (i, j) = divmod(sel, cutoff), so no
-    full-size generator is formed."""
-    out = np.zeros((cutoff**2, cutoff**2), dtype=complex)
-    for label in np.unique(labels):
-        sel = np.flatnonzero(labels == label)
-        i, j = np.divmod(sel, cutoff)
-        block = sum(coef * (a[i[:, None], i] * b[j[:, None], j]) for coef, a, b in terms)
-        w, v = np.linalg.eigh(block)
-        out[sel[:, None], sel] = (v * np.exp(-1j * w)) @ v.conj().T
-    return out
+def _packed_pairs(cutoff: int, sign: int):
+    """Index map (i, j) of the cyclic packing: row r holds, in order of j,
+    the cutoff pairs of the two-mode space with (i - sign j) mod cutoff = r.
+    That is exactly the two label blocks r and r - sign cutoff of a gate
+    conserving i - j (sign 1) or i + j (sign -1), so the gate is one
+    cutoff x cutoff matrix per row."""
+    r, j = np.indices((cutoff, cutoff))
+    return (r + sign * j) % cutoff, j
+
+
+def _packed_kron_sum(terms, pairs) -> np.ndarray:
+    """sum of coef * kron(A, B) over the (coef, A, B) terms, restricted to
+    each packed row straight from the factors: no full-size matrix."""
+    i, j = pairs
+    return sum(coef * (a[i[:, :, None], i[:, None, :]] * b[j[:, :, None], j[:, None, :]])
+               for coef, a, b in terms)
+
+
+class _PackedGate(NamedTuple):
+    """(cutoff, cutoff, cutoff) stack of row matrices and its index map."""
+
+    stack: np.ndarray
+    pairs: tuple
+
+
+def _expm_conserving(terms, pairs) -> _PackedGate:
+    """exp(-i h) for the Hermitian h = _packed_kron_sum(terms, pairs), which
+    keeps each packed row within itself: one batched eigendecomposition."""
+    w, v = np.linalg.eigh(_packed_kron_sum(terms, pairs))
+    return _PackedGate((v * np.exp(-1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1), pairs)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _squeezer_unitary(gain: float, theta: float, cutoff: int) -> np.ndarray:
-    """exp(xi adag bdag - xi* a b) with xi = arccosh(G) e^{i theta}, on the
-    (cutoff^2, cutoff^2) two-mode space; conserves n_a - n_b."""
+def _squeezer_unitary(gain: float, theta: float, cutoff: int) -> _PackedGate:
+    """exp(xi adag bdag - xi* a b) with xi = arccosh(G) e^{i theta} on the
+    two-mode space, packed by n_a - n_b, which it conserves."""
     a = _annihilator(cutoff)
     ad = a.conj().T
     xi = math.acosh(gain) * cmath.exp(1j * theta)
     terms = ((1j * xi, ad, ad), (-1j * np.conjugate(xi), a, a))
-    n = np.arange(cutoff)
-    return _expm_conserving(terms, np.subtract.outer(n, n).ravel(), cutoff)
+    return _expm_conserving(terms, _packed_pairs(cutoff, 1))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _beam_splitter_unitary(transmissivity: float, cutoff: int) -> np.ndarray:
+def _beam_splitter_unitary(transmissivity: float, cutoff: int) -> _PackedGate:
     """Unitary sending (b, c) to (sqrt(T) b + sqrt(R) c, sqrt(R) b - sqrt(T) c):
     a mode rotation by arccos(sqrt(T)) followed by a pi phase on the second
     mode.  The zero-phase double pass of the interferometer composes to the
-    identity with this sign choice.  Conserves n_b + n_c."""
+    identity with this sign choice.  Packed by n_b + n_c, which it
+    conserves; the pi phase is the sign (-1)^j of each row's pair j."""
     a = _annihilator(cutoff)
     ad = a.conj().T
     angle = math.acos(min(1.0, max(0.0, math.sqrt(transmissivity))))
     terms = ((1j * angle, ad, a), (-1j * angle, a, ad))
-    n = np.arange(cutoff)
-    rot = _expm_conserving(terms, np.add.outer(n, n).ravel(), cutoff)
-    return np.tile((-1.0) ** n, cutoff)[:, None] * rot
+    rot = _expm_conserving(terms, _packed_pairs(cutoff, -1))
+    sign = (-1.0) ** np.arange(cutoff)
+    return rot._replace(stack=sign[:, None] * rot.stack)
 
 
 def loss_kraus_operators(eta: float, cutoff: int):
@@ -153,10 +181,12 @@ def loss_kraus_operators(eta: float, cutoff: int):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _loss_superoperator(eta: float, cutoff: int) -> np.ndarray:
-    """(cutoff^2, cutoff^2) matrix sum_k K_k (x) conj(K_k) acting on the
-    flattened (ket, bra) index pair of one mode."""
-    return sum(np.kron(k, k.conj()) for k in loss_kraus_operators(eta, cutoff))
+def _loss_superoperator(eta: float, cutoff: int) -> _PackedGate:
+    """sum_k K_k (x) conj(K_k) acting on the (ket, bra) index pair of one
+    mode, packed by n_ket - n_bra, which it conserves."""
+    pairs = _packed_pairs(cutoff, 1)
+    terms = ((1, k, k.conj()) for k in loss_kraus_operators(eta, cutoff))
+    return _PackedGate(_packed_kron_sum(terms, pairs), pairs)
 
 
 def kraus_completeness_defect(eta: float, cutoff: int) -> float:
@@ -169,26 +199,32 @@ def kraus_completeness_defect(eta: float, cutoff: int) -> float:
 # --- tensor application helpers ---------------------------------------------
 
 
-def _apply_on_axes(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
-    """Contract a (C^k, C^k) matrix with the given k tensor axes."""
-    k = len(axes)
-    c = tensor.shape[axes[0]]
-    rest = [ax for ax in range(tensor.ndim) if ax not in axes]
-    perm = list(axes) + rest
-    work = np.transpose(tensor, perm).reshape(c**k, -1)
-    work = mat @ work
-    work = work.reshape((c,) * k + tuple(tensor.shape[ax] for ax in rest))
-    return np.transpose(work, np.argsort(perm))
+def _apply_on_axes(tensor: np.ndarray, gate: _PackedGate, axes) -> np.ndarray:
+    """Apply a packed gate to the two tensor axes ``axes``: gather their
+    index pairs in packed order, multiply each row block by its matrix in
+    one batched matmul, and scatter the result into a new tensor."""
+    i, j = gate.pairs
+    c = len(i)
+    work = np.moveaxis(tensor, axes, (0, 1))[i, j]
+    shape = tensor.shape
+    # Frees an input no caller holds (the ket half of _apply_unitary) before
+    # the matmul; rebinding work frees the gathered copy before out exists.
+    del tensor
+    rest = work.shape[2:]
+    work = np.matmul(gate.stack, work.reshape(c, c, -1))
+    out = np.empty(shape, dtype=work.dtype)
+    np.moveaxis(out, axes, (0, 1))[i, j] = work.reshape((c, c) + rest)
+    return out
 
 
-def _apply_unitary(state, mat: np.ndarray, modes):
+def _apply_unitary(state, gate: _PackedGate, modes):
     if isinstance(state, FockState):
-        amps = _apply_on_axes(state.amplitudes, mat, modes)
+        amps = _apply_on_axes(state.amplitudes, gate, modes)
         return FockState(amplitudes=amps, cutoff=state.cutoff)
-    ket_axes = tuple(modes)
-    bra_axes = tuple(m + 3 for m in modes)
-    tensor = _apply_on_axes(state.tensor, mat, ket_axes)
-    tensor = _apply_on_axes(tensor, mat.conj(), bra_axes)
+    bra = gate._replace(stack=gate.stack.conj())
+    tensor = _apply_on_axes(
+        _apply_on_axes(state.tensor, gate, modes), bra, [m + 3 for m in modes]
+    )
     return DensityOperator(tensor=tensor, cutoff=state.cutoff)
 
 

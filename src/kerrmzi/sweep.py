@@ -13,6 +13,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,9 +159,9 @@ class SweepResult:
     def __len__(self) -> int:
         return len(self.delta_phi)
 
-    @property
+    @cached_property
     def rows(self) -> tuple:
-        """Read-only row view: one SweepRow per grid point."""
+        """Read-only row view: one SweepRow per grid point, built once."""
         axes = zip(*(v.tolist() for v in self.axis_values))
         return tuple(map(SweepRow, axes, *(self.column(n).tolist() for n in _RESULT_COLUMNS)))
 

@@ -183,6 +183,17 @@ class TestVerify:
         assert err.startswith("error:") and "no_such_check" in err
         assert not out.exists()
 
+    def test_oversized_density_exits_2(self, tmp_path, capsys):
+        # the loss check's density operator at cutoff 30 would take 10.9 GiB
+        out = tmp_path / "records.jsonl"
+        code = main(
+            ["verify", "--suite", "oracle", "--cutoff", "30", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cutoff 30" in err
+        assert not out.exists()
+
     def test_unknown_suite_exits_2(self, capsys):
         # argparse would normally catch this; bypass to the handler level
         from kerrmzi import verify as v

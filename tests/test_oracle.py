@@ -209,6 +209,11 @@ class TestLossChannel:
         out = apply_loss(rho, 0.0, MODE_B)
         assert mean_photon(out, MODE_B) == pytest.approx(0.0, abs=1e-12)
 
+    def test_oversized_density_refused_before_allocation(self):
+        # 16 * 30^6 B = 10.9 GiB; the pure state itself is 432 KB
+        with pytest.raises(ValueError, match="cutoff 30"):
+            to_density(coherent_product_state([0.0, 0.0, 0.5], cutoff=30))
+
     def test_rejects_pure_state(self):
         with pytest.raises(TypeError):
             apply_loss(vacuum(), 0.5, MODE_B)
@@ -248,6 +253,16 @@ def _ladder(cutoff):
     return a, a.conj().T
 
 
+def _dense(gate):
+    """The (cutoff^2, cutoff^2) matrix of a packed gate."""
+    i, j = gate.pairs
+    c = len(i)
+    flat = i * c + j
+    out = np.zeros((c * c, c * c), dtype=complex)
+    out[flat[:, :, None], flat[:, None, :]] = gate.stack
+    return out
+
+
 class TestBlockedGates:
     @pytest.mark.parametrize("cutoff", [8, 15, 30])
     def test_squeezer_matches_dense_reference(self, cutoff):
@@ -255,7 +270,7 @@ class TestBlockedGates:
         a, ad = _ladder(cutoff)
         xi = math.acosh(gain) * np.exp(1j * theta)
         ref = _dense_expm(1j * (xi * np.kron(ad, ad) - np.conj(xi) * np.kron(a, a)))
-        u = oracle._squeezer_unitary(gain, theta, cutoff)
+        u = _dense(oracle._squeezer_unitary(gain, theta, cutoff))
         assert np.max(np.abs(u - ref)) <= 1e-13
         assert np.max(np.abs(u.conj().T @ u - np.eye(cutoff**2))) <= 1e-13
 
@@ -267,9 +282,31 @@ class TestBlockedGates:
         rot = _dense_expm(1j * angle * (np.kron(ad, a) - np.kron(a, ad)))
         flip = np.diag((-1.0) ** np.arange(cutoff))
         ref = np.kron(np.eye(cutoff), flip) @ rot
-        u = oracle._beam_splitter_unitary(t, cutoff)
+        u = _dense(oracle._beam_splitter_unitary(t, cutoff))
         assert np.max(np.abs(u - ref)) <= 1e-13
         assert np.max(np.abs(u.conj().T @ u - np.eye(cutoff**2))) <= 1e-13
+
+    @pytest.mark.parametrize("cutoff", [8, 10])
+    def test_loss_superoperator_matches_kron_sum(self, cutoff):
+        eta = 0.37
+        ref = sum(np.kron(k, k.conj()) for k in loss_kraus_operators(eta, cutoff))
+        superop = _dense(oracle._loss_superoperator(eta, cutoff))
+        assert np.max(np.abs(superop - ref)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (oracle._squeezer_unitary, (math.hypot(1, 0.7), 0.9)),
+            (oracle._beam_splitter_unitary, (0.3,)),
+            (oracle._loss_superoperator, (0.37,)),
+        ],
+        ids=["squeezer", "splitter", "loss"],
+    )
+    def test_cached_gate_holds_cube_of_cutoff(self, build, args):
+        # the dense c^2 x c^2 matrix at cutoff 30 took 12.96 MB
+        gate = build(*args, 30)
+        assert gate.stack.shape == (30, 30, 30)
+        assert gate.stack.nbytes + sum(p.nbytes for p in gate.pairs) < 0.5e6
 
 
 class TestQuadratureStats:
@@ -332,6 +369,24 @@ class TestSimulate:
         assert rho.trace == pytest.approx(1.0, abs=1e-10)
         assert rho.hermiticity_defect() < 1e-10
         assert rho.min_eigenvalue() > -1e-8
+
+    def test_lossy_peak_memory(self):
+        # at most four (cutoff,)*6 tensors alive at once, plus 5 % for the
+        # small arrays beside them
+        import tracemalloc
+
+        lossy = build_config(
+            alpha=0.8, g1=0.25, g2=0.5, transmissivity=0.25,
+            eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.9,
+        )
+        simulate(lossy, cutoff=8, budget=5e-4)
+        tracemalloc.start()
+        try:
+            simulate(lossy, cutoff=8, budget=5e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * 8**6 * 1.05
 
     def test_truncation_budget_names_stage(self):
         cfg = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25)

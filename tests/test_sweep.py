@@ -112,6 +112,13 @@ class TestRunSweep:
             (1.0, 0.25), (1.0, 0.75), (1.0, 1.0),
         ]
 
+    def test_rows_built_once(self):
+        spec = SweepSpec(
+            base=FIG4_BASE, axes=(Axis.from_values("loss.eta_d", [0.5, 1.0]),)
+        )
+        r = run_sweep(spec)
+        assert r.rows is r.rows
+
     def test_undefined_points_flagged_not_dropped(self):
         spec = SweepSpec(
             base=FIG4_BASE,
