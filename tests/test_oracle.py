@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,8 +374,6 @@ class TestSimulate:
     def test_lossy_peak_memory(self):
         # at most four (cutoff,)*6 tensors alive at once, plus 5 % for the
         # small arrays beside them
-        import tracemalloc
-
         lossy = build_config(
             alpha=0.8, g1=0.25, g2=0.5, transmissivity=0.25,
             eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.9,
