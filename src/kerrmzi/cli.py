@@ -5,11 +5,12 @@ Commands: ``report`` (single-configuration sensitivity), ``sweep``
 simulator cross-check suites), ``chi3`` (susceptibility conversion).
 
 Exit codes are a contract: 0 success, 1 verification failure, 2 input
-error, 3 undefined result.  Every output file is written atomically
-(temp file plus ``os.replace``) and gets exactly one
-``<name>.manifest.json`` companion recording command, config digest,
-tool version, and timestamp; the data files themselves carry no
-timestamps so reruns are byte-identical.
+error (bad input, an unreadable or unwritable path, or a Fock cutoff too
+small for the state; mapped in ``main``), 3 undefined result.  Every
+output file is written atomically (temp file plus ``os.replace``) and
+gets exactly one ``<name>.manifest.json`` companion recording command,
+config digest, tool version, and timestamp; the data files themselves
+carry no timestamps so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import sys
 from datetime import datetime, timezone
 
-from . import __version__, analytic, sweep, verify
+from . import __version__, analytic, oracle, sweep, verify
 from .config import (
     ConfigFileError,
     InvalidConfigError,
@@ -40,19 +41,15 @@ GRID_POINTS_1D = 36
 GRID_POINTS_2D = 21
 
 
-def _manifest(command: str, digest: str, outputs) -> dict:
-    return {
+def _write_manifest(out_path: str, command: str, digest: str) -> None:
+    manifest = {
         "command": command,
         "config_digest": digest,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(out_path)],
     }
-
-
-def _write_manifest(out_path: str, manifest: dict) -> None:
-    payload = json.dumps(manifest, indent=2) + "\n"
-    sweep.write_atomic(out_path + ".manifest.json", [payload])
+    sweep.write_atomic(out_path + ".manifest.json", [json.dumps(manifest, indent=2) + "\n"])
 
 
 def _fail(message: str, code: int) -> int:
@@ -116,10 +113,7 @@ def _build_spec(kind: str, base) -> "sweep.SweepSpec":
 def cmd_report(args) -> int:
     if args.repeats < 1:
         return _fail(f"--repeats must be >= 1 (got {args.repeats})", EXIT_INPUT_ERROR)
-    try:
-        config = load_config(args.config)
-    except (ConfigFileError, InvalidConfigError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    config = load_config(args.config)
     digest = config_digest(config)
     try:
         report = analytic.sensitivity(config, repeats=args.repeats)
@@ -135,31 +129,22 @@ def cmd_report(args) -> int:
         payload = json.dumps(record, indent=2) + "\n"
     if args.out:
         sweep.write_atomic(args.out, [payload])
-        _write_manifest(args.out, _manifest("report", digest, [args.out]))
+        _write_manifest(args.out, "report", digest)
     sys.stdout.write(payload)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    base = None
-    if args.config:
-        try:
-            base = load_config(args.config)
-        except (ConfigFileError, InvalidConfigError, OSError) as exc:
-            return _fail(str(exc), EXIT_INPUT_ERROR)
+    base = load_config(args.config) if args.config else None
     kind = PRESETS.get(args.preset) if args.preset else args.kind
     if kind is None:
         return _fail("either --preset or --kind is required", EXIT_INPUT_ERROR)
-    try:
-        spec = _build_spec(kind, base)
-        result = sweep.run_sweep(spec)
-    except (sweep.SweepSpecError, InvalidConfigError) as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
-
+    spec = _build_spec(kind, base)
+    result = sweep.run_sweep(spec)
     out = args.out or "sweep.csv"
     result.write_csv(out)
     digest = config_digest(spec.base)
-    _write_manifest(out, _manifest(f"sweep:{kind}", digest, [out]))
+    _write_manifest(out, f"sweep:{kind}", digest)
     print(f"wrote {out} ({len(result)} rows)")
     return EXIT_OK
 
@@ -174,7 +159,7 @@ def cmd_verify(args) -> int:
     lines = [json.dumps(r.to_dict()) for r in records]
     if args.out:
         sweep.write_atomic(args.out, ["\n".join(lines) + "\n"])
-        _write_manifest(args.out, _manifest(f"verify:{args.suite}", "none", [args.out]))
+        _write_manifest(args.out, f"verify:{args.suite}", "none")
     failures = [r for r in records if not r.passed]
     for r in records:
         status = "pass" if r.passed else "FAIL"
@@ -191,10 +176,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chi3(args) -> int:
-    try:
-        medium = load_medium(args.config)
-    except (ConfigFileError, InvalidConfigError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    medium = load_medium(args.config)
     if args.delta_phi_n < 0 or not math.isfinite(args.delta_phi_n):
         return _fail("delta-phi-n must be finite and >= 0", EXIT_INPUT_ERROR)
     delta_chi3 = analytic.chi3_uncertainty(medium, args.delta_phi_n)
@@ -208,7 +190,7 @@ def cmd_chi3(args) -> int:
     payload = json.dumps(record, indent=2) + "\n"
     if args.out:
         sweep.write_atomic(args.out, [payload])
-        _write_manifest(args.out, _manifest("chi3", "none", [args.out]))
+        _write_manifest(args.out, "chi3", "none")
     sys.stdout.write(payload)
     return EXIT_OK
 
@@ -259,7 +241,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (
+        ConfigFileError, InvalidConfigError, sweep.SweepSpecError,
+        OSError, oracle.TruncationError,
+    ) as exc:
+        return _fail(str(exc), EXIT_INPUT_ERROR)
 
 
 if __name__ == "__main__":

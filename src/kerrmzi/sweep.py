@@ -4,13 +4,14 @@ Sweeps evaluate the closed-form sensitivity pipeline only; the Fock
 simulator never runs inside a grid.  A sweep is one call of
 ``analytic.evaluate`` on a grid config, whose swept fields hold the flat
 row-major grid.  Results are columns, serialized to CSV with 17
-significant digits so byte-identical reruns are guaranteed.
+significant digits so byte-identical reruns are guaranteed.  An SQL
+loss threshold is the root of a quadratic in sqrt(eta), fitted to one
+three-point ``analytic.evaluate`` call.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -239,6 +240,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     )
 
 
+# Loss axes on which noise - SQL^2 slope^2 is a quadratic in sqrt(eta).
+THRESHOLD_AXES = tuple(f"loss.eta_{k}" for k in ("a", "b", "c", "d", "det")) + ("eta_ab",)
+_NO_ADVANTAGE = "no crossing: sensitivity does not beat the SQL even without loss"
+_NO_CROSSING = "no crossing: sensitivity stays below the SQL over the whole scan"
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     """Outcome of a loss-threshold search.
@@ -257,57 +264,38 @@ class ThresholdResult:
         return self.eta_star is not None
 
 
-def find_sql_threshold(
-    config: InterferometerConfig,
-    loss_parameter: str,
-    rel_tol: float = 1e-6,
-    eta_floor: float = 1e-6,
-    max_iter: int = 200,
-) -> ThresholdResult:
-    """Bisect for the transmission where the sensitivity crosses the SQL.
+def find_sql_threshold(config: InterferometerConfig, loss_parameter: str) -> ThresholdResult:
+    """The transmission eta* at which delta_phi crosses the SQL, exactly.
 
-    Degrading the scanned transmission must take delta_phi from below the
-    SQL (at eta = 1) to above it; otherwise an explicit no-threshold
-    result is returned.  The bisection tightens until
-    |delta_phi(eta*) - SQL| / SQL < rel_tol.
+    With s = sqrt(eta), f(s) = noise - SQL^2 slope^2 is a quadratic in s
+    on each of ``THRESHOLD_AXES`` (slope^2 is proportional to
+    eta_b eta_d eta_det; the noise has only eta and sqrt(eta) terms), so
+    one ``analytic.evaluate`` call at s = 0, 1/2, 1 fixes it.  delta_phi <
+    SQL exactly where f < 0, and eta* is the square of f's largest root in
+    (0, 1).  Other parameters raise SweepSpecError.
     """
+    if loss_parameter not in THRESHOLD_AXES:
+        raise SweepSpecError(
+            f"no SQL threshold on '{loss_parameter}'; loss axes: {', '.join(THRESHOLD_AXES)}"
+        )
     sql = analytic.sql_nonlinear(config.n_ps)
+    s = np.array([0.0, 0.5, 1.0])
+    out = analytic.evaluate(set_parameter(config, loss_parameter, s * s))
+    f0, fh, f1 = (out.noise - sql * sql * out.slope * out.slope).tolist()
+    if f1 >= 0:
+        return ThresholdResult(loss_parameter, None, sql, _NO_ADVANTAGE)
+    # f(s) = f0 + b s + a s^2 through the three samples
+    a, b = 2.0 * (f1 + f0) - 4.0 * fh, 4.0 * fh - f1 - 3.0 * f0
+    roots = [r for r in _quadratic_roots(a, b, f0) if 0.0 < r < 1.0]
+    if not roots:
+        return ThresholdResult(loss_parameter, None, sql, _NO_CROSSING)
+    return ThresholdResult(loss_parameter, max(roots) ** 2, sql)
 
-    def excess(eta: float) -> float:
-        cfg = set_parameter(config, loss_parameter, eta)
-        try:
-            return analytic.sensitivity(cfg).delta_phi - sql
-        except analytic.UndefinedSensitivityError:
-            return math.inf
 
-    hi = 1.0
-    lo = eta_floor
-    f_hi = excess(hi)
-    if f_hi >= 0:
-        return ThresholdResult(
-            loss_parameter,
-            None,
-            sql,
-            "no crossing: sensitivity does not beat the SQL even without loss",
-        )
-    f_lo = excess(lo)
-    if f_lo <= 0:
-        return ThresholdResult(
-            loss_parameter,
-            None,
-            sql,
-            "no crossing: sensitivity stays below the SQL over the whole scan",
-        )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = excess(mid)
-        if abs(f_mid) / sql < rel_tol:
-            return ThresholdResult(loss_parameter, mid, sql)
-        if f_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    raise ArithmeticError(
-        f"threshold bisection on '{loss_parameter}' did not reach relative "
-        f"tolerance {rel_tol} in {max_iter} iterations"
-    )
+def _quadratic_roots(a: float, b: float, c: float) -> list:
+    """Real roots of a x^2 + b x + c, each computed without cancellation."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0:
+        return []
+    q = -0.5 * (b + disc**0.5 if b >= 0 else b - disc**0.5)
+    return [num / den for num, den in ((q, a), (c, q)) if den != 0]

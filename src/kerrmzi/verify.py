@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, oracle
+from . import analytic, oracle, sweep
 from .config import (
     InterferometerConfig,
     PhaseShift,
@@ -207,7 +207,30 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
     t_star = analytic.argmax_linear_slope_transmissivity(xtol=1e-9)
     record("linear_argmax_half", "none", t_star, 0.5, 1e-6)
 
+    # at every SQL loss threshold of paper-scale configs delta_phi = SQL
+    worst = (-1.0, "none", 1.0, 1.0)
+    for _ in range(max(1, draws // 200)):
+        cfg = _random_paper_config(rng)
+        for name in sweep.THRESHOLD_AXES:
+            th = sweep.find_sql_threshold(cfg, name)
+            if th.found:
+                probe = sweep.set_parameter(cfg, name, th.eta_star)
+                dphi = analytic.sensitivity(probe).delta_phi
+                rel = abs(dphi - th.sql) / max(dphi, th.sql)
+                if rel > worst[0]:
+                    worst = (rel, config_digest(probe), dphi, th.sql)
+    record("sql_threshold_crossing", *worst[1:], 1e-12)
+
     return records
+
+
+def _random_paper_config(rng) -> InterferometerConfig:
+    # around the Fig. 2 (g2 = g1) and Fig. 4 (g2 = 2 g1) bases
+    g1 = rng.uniform(1.5, 2.5)
+    return build_config(
+        alpha=rng.uniform(8.0, 12.0), g1=g1, g2=g1 * rng.uniform(1.0, 2.0),
+        transmissivity=rng.uniform(0.2, 0.3),
+    )
 
 
 _SMALL_TRANSMISSIVITIES = (0.25, 0.5, 0.75)

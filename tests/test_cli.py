@@ -202,6 +202,40 @@ class TestVerify:
             v.run_suite("nope")
 
 
+class TestRunErrors:
+    """Failures after the input parsed exit 2, never 1 ("checks failed")."""
+
+    COMMANDS = {
+        "report": lambda config: ["report", "--config", str(config)],
+        "sweep": lambda config: ["sweep", "--preset", "fig2"],
+        "verify": lambda config: ["verify", "--suite", "analytic", "--seed", "3"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_out_directory_exits_2(self, command, config_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.txt"
+        assert main(self.COMMANDS[command](config_file) + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == [config_file]
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, capsys):
+        # the temp file is written, then os.replace onto a directory fails
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["sweep", "--preset", "fig2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(out.iterdir()) == []
+
+    def test_truncated_state_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "records.jsonl"
+        code = main(["verify", "--suite", "oracle", "--cutoff", "4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "prepare" in err
+        assert not out.exists()
+
+
 class TestChi3:
     def test_zero_phase_zero_chi3(self, tmp_path, capsys):
         path = tmp_path / "medium.ini"

@@ -8,6 +8,7 @@ from kerrmzi import analytic
 from kerrmzi.config import build_config
 from kerrmzi.sweep import (
     SWEEPABLE_PARAMETERS,
+    THRESHOLD_AXES,
     Axis,
     SweepResult,
     SweepSpec,
@@ -16,6 +17,7 @@ from kerrmzi.sweep import (
     run_sweep,
     set_parameter,
 )
+from kerrmzi.verify import _random_paper_config
 
 FIG4_BASE = build_config(alpha=10.0, g1=2.0, g2=4.0, transmissivity=0.25)
 
@@ -304,17 +306,12 @@ class TestFindSqlThreshold:
         dphi = analytic.sensitivity(
             set_parameter(FIG4_BASE, "loss.eta_d", result.eta_star)
         ).delta_phi
-        assert abs(dphi - result.sql) / result.sql < 1e-6
+        assert abs(dphi - result.sql) / result.sql < 1e-12
 
     def test_external_diagonal_threshold(self):
         result = find_sql_threshold(FIG4_BASE, "eta_ab")
         assert result.found
         assert result.eta_star == pytest.approx(0.60, abs=0.05)
-
-    def test_bracket_independence(self):
-        a = find_sql_threshold(FIG4_BASE, "loss.eta_d", eta_floor=1e-6)
-        b = find_sql_threshold(FIG4_BASE, "loss.eta_d", eta_floor=0.05)
-        assert a.eta_star == pytest.approx(b.eta_star, abs=1e-5)
 
     def test_no_crossing_when_never_beating_sql(self):
         weak = build_config(alpha=10.0, g1=2.0, g2=0.5, transmissivity=0.25)
@@ -323,8 +320,32 @@ class TestFindSqlThreshold:
         assert "does not beat the SQL" in result.reason
 
     def test_no_crossing_when_always_beating_sql(self):
-        # detection-type external scan that never drags the sensitivity
-        # over the SQL within the floor
-        result = find_sql_threshold(FIG4_BASE, "loss.eta_a", eta_floor=0.9)
+        # a strong readout squeezer on a weak pump beats the SQL at every
+        # eta_a in (0, 1]: delta_phi / SQL stays below 0.973
+        cfg = build_config(alpha=0.86, g1=0.3, g2=5.0, transmissivity=0.13)
+        eta = np.linspace(0.0, 1.0, 10001)[1:]
+        out = analytic.evaluate(set_parameter(cfg, "loss.eta_a", eta))
+        assert np.all(out.delta_phi < out.sql)
+        result = find_sql_threshold(cfg, "loss.eta_a")
         assert not result.found
         assert "stays below" in result.reason
+
+    @pytest.mark.parametrize("name", THRESHOLD_AXES)
+    def test_beats_sql_exactly_above_threshold(self, name):
+        rng = np.random.default_rng(THRESHOLD_AXES.index(name))
+        eta = np.linspace(0.0, 1.0, 4001)
+        for _ in range(5):
+            cfg = _random_paper_config(rng)
+            eta_star = find_sql_threshold(cfg, name).eta_star
+            out = analytic.evaluate(set_parameter(cfg, name, eta))
+            beats = out.delta_phi < out.sql
+            assert np.all(beats[eta > eta_star])
+            assert not np.any(beats[(eta < eta_star) & (eta > eta_star - 1e-2)])
+            probe = np.array([1.0 - 1e-9, 1.0 + 1e-9]) * eta_star
+            out = analytic.evaluate(set_parameter(cfg, name, probe))
+            assert (out.delta_phi < out.sql).tolist() == [False, True]
+
+    @pytest.mark.parametrize("name", ["splitter.transmissivity", "g2_over_g1", "loss"])
+    def test_only_loss_axes_accepted(self, name):
+        with pytest.raises(SweepSpecError, match="loss axes: loss.eta_a, .*eta_ab"):
+            find_sql_threshold(FIG4_BASE, name)

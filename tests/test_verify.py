@@ -20,6 +20,7 @@ ANALYTIC_CHECKS = (
     "balanced_decomposition",
     "detection_loss_identity",
     "linear_argmax_half",
+    "sql_threshold_crossing",
 )
 ORACLE_CHECKS = (
     "tmsv_occupancy",
@@ -118,7 +119,9 @@ class TestMutationControl:
         names = [r.check for r in request.getfixturevalue(fixture)]
         assert len(set(names)) == len(names)
 
-    @pytest.mark.parametrize("check", ["qfi_reassembly", "linear_argmax_half"])
+    @pytest.mark.parametrize(
+        "check", ["qfi_reassembly", "linear_argmax_half", "sql_threshold_crossing"]
+    )
     def test_mutated_analytic_check_fails(self, check):
         records = verify.run_analytic_suite(seed=1, draws=100, mutate=check)
         failed = {r.check for r in records if not r.passed}
