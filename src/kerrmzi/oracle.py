@@ -2,8 +2,9 @@
 
 Slots are fixed: a = 0 (readout / correlation partner), b = 1 (carries the
 sensing arm between the two linear splitters), c = 2 (pump input).  Pure
-states are kept as a (C, C, C) amplitude tensor; once any loss channel is
-applied the state is promoted to a density operator stored as a
+states are kept as a (C, C, C) amplitude tensor; the internal losses split
+one into pure Kraus branches, a (C, C, C, branches) stack.  After the
+second splitter a lossy state is promoted to a density operator stored as a
 (C,)*6 tensor with ket axes 0..2 and bra axes 3..5.
 
 Unitaries are built by exponentiating the generator restricted to the
@@ -37,7 +38,8 @@ _NORM_DRIFT_GUARD = 1e-9
 # and up to five loss channels, so numeric_slope never rebuilds a gate.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates (cutoff 20
-# fits); a lossy numeric_slope keeps up to four tensors of that size alive.
+# fits); also the cap on the four branch tensors a lossy numeric_slope keeps
+# alive (state, tangent, and a gate's gather and matmul copies).
 _DENSITY_GIB_CAP = 1
 
 
@@ -47,7 +49,8 @@ class TruncationError(RuntimeError):
 
 @dataclass
 class FockState:
-    """Pure three-mode state; ``amplitudes`` has shape (cutoff,)*3."""
+    """Pure three-mode state; ``amplitudes`` has shape (cutoff,)*3, plus a
+    trailing axis for the Kraus branches psi_br of sum_br |psi_br><psi_br|."""
 
     amplitudes: np.ndarray
     cutoff: int
@@ -80,16 +83,22 @@ class DensityOperator:
         return float(np.linalg.eigvalsh(self.matrix())[0])
 
 
-def to_density(state: FockState) -> DensityOperator:
-    """|psi><psi| as a (cutoff,)*6 tensor; raises ValueError before
-    allocating when that tensor would exceed _DENSITY_GIB_CAP."""
-    psi = state.amplitudes
-    gib = psi.size**2 * psi.itemsize / 2**30
+def _refuse_above_cap(cutoff: int, nbytes: int, what: str = "a density operator") -> None:
+    gib = nbytes / 2**30
     if gib > _DENSITY_GIB_CAP:
-        raise ValueError(f"a density operator at cutoff {state.cutoff} needs {gib:.3g} GiB, "
+        raise ValueError(f"{what} at cutoff {cutoff} needs {gib:.3g} GiB, "
                          f"above the {_DENSITY_GIB_CAP} GiB cap; lower the cutoff")
-    tensor = np.multiply.outer(psi, psi.conj())
-    return DensityOperator(tensor=tensor, cutoff=state.cutoff)
+
+
+def to_density(state: FockState) -> DensityOperator:
+    """sum_br |psi_br><psi_br| over the Kraus branches (|psi><psi| when
+    pure) as a (cutoff,)*6 tensor, one matmul P P^dag; raises ValueError
+    before allocating when that tensor would exceed _DENSITY_GIB_CAP."""
+    c = state.cutoff
+    _refuse_above_cap(c, 16 * c**6)
+    stack = state.amplitudes.reshape(c**3, -1)
+    tensor = (stack @ stack.conj().T).reshape((c,) * 6)
+    return DensityOperator(tensor=tensor, cutoff=c)
 
 
 # --- single-mode building blocks -------------------------------------------
@@ -217,26 +226,34 @@ def _apply_on_axes(tensor: np.ndarray, gate: _PackedGate, axes) -> np.ndarray:
     return out
 
 
+def _adjoint(gate: _PackedGate) -> _PackedGate:
+    """The packed gate of gate^dag: the adjoint of each row block."""
+    return gate._replace(stack=gate.stack.conj().transpose(0, 2, 1))
+
+
+def _sandwich(tensor: np.ndarray, gate: _PackedGate, ket_axes, bra_axes) -> np.ndarray:
+    """U T U^dag for an operator tensor T with the given ket and bra axes."""
+    bra = gate._replace(stack=gate.stack.conj())
+    return _apply_on_axes(_apply_on_axes(tensor, gate, ket_axes), bra, bra_axes)
+
+
 def _apply_unitary(state, gate: _PackedGate, modes):
     if isinstance(state, FockState):
         amps = _apply_on_axes(state.amplitudes, gate, modes)
         return FockState(amplitudes=amps, cutoff=state.cutoff)
-    bra = gate._replace(stack=gate.stack.conj())
-    tensor = _apply_on_axes(
-        _apply_on_axes(state.tensor, gate, modes), bra, [m + 3 for m in modes]
-    )
+    tensor = _sandwich(state.tensor, gate, modes, [m + 3 for m in modes])
     return DensityOperator(tensor=tensor, cutoff=state.cutoff)
 
 
 def mode_populations(state, mode: int) -> np.ndarray:
     """Photon-number distribution of one mode (diagonal of its reduced
     state), summed from the joint distribution without forming the reduced
-    state."""
+    state; a trailing axis of Kraus branches is summed as well."""
     if isinstance(state, FockState):
         joint = np.abs(state.amplitudes) ** 2
     else:
         joint = np.einsum("abcabc->abc", state.tensor).real
-    return joint.sum(axis=tuple(m for m in range(3) if m != mode))
+    return joint.sum(axis=tuple(m for m in range(joint.ndim) if m != mode))
 
 
 def reduced_density(state, mode: int) -> np.ndarray:
@@ -392,38 +409,27 @@ def apply_loss(rho: DensityOperator, eta: float, mode: int) -> DensityOperator:
     return DensityOperator(tensor=tensor, cutoff=rho.cutoff)
 
 
-# --- full pipeline -----------------------------------------------------------
-
-
-def _kerr_tangent(state, mode: int):
-    """Derivative of apply_kerr's output with respect to phi_n, given that
-    output: i n^2 psi for a pure state, i [n^2, rho] for a density."""
+def _kraus_branches(state: FockState, eta: float, mode: int) -> FockState:
+    """Photon loss on one mode of a pure state or branch stack, kept pure:
+    each branch psi_br becomes the branches K_k psi_br (k appended to the
+    trailing branch axis); identity at eta = 1."""
+    if eta == 1.0:
+        return state
     c = state.cutoff
-    n2 = np.arange(c, dtype=float) ** 2
-    if isinstance(state, FockState):
-        shape = [1, 1, 1]
-        shape[mode] = c
-        return FockState(amplitudes=1j * n2.reshape(shape) * state.amplitudes, cutoff=c)
-    ket = [1] * 6
-    ket[mode] = c
-    bra = [1] * 6
-    bra[mode + 3] = c
-    tensor = 1j * (n2.reshape(ket) - n2.reshape(bra)) * state.tensor
-    return DensityOperator(tensor=tensor, cutoff=c)
+    kraus = np.array(loss_kraus_operators(eta, c))
+    amps = np.tensordot(state.amplitudes, kraus, axes=([mode], [2]))
+    return FockState(amplitudes=np.moveaxis(amps, -1, mode).reshape(c, c, c, -1), cutoff=c)
 
 
-def _promote(pair) -> None:
-    """Promote a [state, tangent] pair to densities in place; the tangent
-    of |psi><psi| is |dpsi><psi| + |psi><dpsi|."""
-    state, tangent = pair
-    if not isinstance(state, FockState):
-        return
-    pair[0] = to_density(state)
-    if tangent is not None:
-        psi, dpsi = state.amplitudes, tangent.amplitudes
-        drho = np.multiply.outer(dpsi, psi.conj())
-        drho += np.multiply.outer(psi, dpsi.conj())
-        pair[1] = DensityOperator(tensor=drho, cutoff=state.cutoff)
+def _pull_back_loss(ops: np.ndarray, eta: float, axes) -> np.ndarray:
+    """The adjoint loss channel sum_k K_k^dag O K_k on one mode's (ket,
+    bra) axes of an operator tensor; identity at eta = 1."""
+    if eta == 1.0:
+        return ops
+    return _apply_on_axes(ops, _adjoint(_loss_superoperator(eta, ops.shape[0])), axes)
+
+
+# --- full pipeline -----------------------------------------------------------
 
 
 def _linear_stage(pair, apply, *args) -> None:
@@ -434,31 +440,37 @@ def _linear_stage(pair, apply, *args) -> None:
         pair[1] = apply(pair[1], *args)
 
 
-def _lossy_stage(pair, *channels) -> None:
-    """Loss channels, (eta, mode) each, on a [state, tangent] pair; the pair
-    is promoted to densities first unless every eta is 1."""
-    if min(eta for eta, _ in channels) < 1.0:
-        _promote(pair)
-        for eta, mode in channels:
-            _linear_stage(pair, apply_loss, eta, mode)
+def _lossy_stage(state, *channels):
+    """Loss channels, (eta, mode) each.  A branch stack, or a pure state
+    meeting a loss, is promoted to a density operator first."""
+    if isinstance(state, FockState):
+        if state.amplitudes.ndim == 3 and min(eta for eta, _ in channels) == 1.0:
+            return state
+        state = to_density(state)
+    for eta, mode in channels:
+        state = apply_loss(state, eta, mode)
+    return state
 
 
-def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
-    """A unitary stage followed by the truncation check of its state: the
-    norm or trace must not drift, and no mode may hold more than the budget
-    on its top Fock level."""
-    before = _total_weight(pair[0])
-    _linear_stage(pair, apply, *args)
-    state = pair[0]
-    drift = abs(_total_weight(state) - before)
+def _check_truncation(stage: str, budget: float, drift: float, occupancies) -> None:
+    """The norm or trace must not drift across a stage, and no mode may hold
+    more than the budget on its top Fock level after it."""
     if drift > _NORM_DRIFT_GUARD:
         raise TruncationError(f"{stage}: norm/trace drifted by {drift:.3e}")
-    worst = max(_top_level_weight(state, m) for m in range(3))
+    worst = max(occupancies)
     if worst > budget:
         raise TruncationError(
             f"{stage}: top-Fock-level occupancy {worst:.3e} exceeds "
             f"truncation budget {budget:.3e}; increase the cutoff"
         )
+
+
+def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
+    """A unitary stage followed by the truncation check of its state."""
+    before = _total_weight(pair[0])
+    _linear_stage(pair, apply, *args)
+    _check_truncation(stage, budget, abs(_total_weight(pair[0]) - before),
+                      [_top_level_weight(pair[0], m) for m in range(3)])
 
 
 def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float):
@@ -476,28 +488,25 @@ def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float):
     return pair[0]
 
 
-def _propagate(config, phi_n, cutoff: int, budget: float, tangent: bool):
-    """[state, tangent] at the end of the interferometer.  The tangent is
-    the derivative of the state with respect to phi_n, or None unless
-    asked for; it starts at the Kerr stage and rides through the later
-    stages, which are all linear in the state."""
+def _through_bs2(config, phi_n, cutoff: int, budget: float, tangent: bool):
+    """[state, tangent] after the second splitter, both pure: the internal
+    losses (eta_d on b, eta_c on c) split them into Kraus branches.  The
+    tangent, d/dphi_n of the state or None unless asked for, starts at the
+    Kerr stage; every later stage is linear in the state."""
     loss = config.loss
     nonlin = config.phase.nonlinear if phi_n is None else phi_n
     state = apply_kerr(
         _entering_kerr(config, cutoff, budget), config.phase.linear, nonlin, MODE_B
     )
-    pair = [state, _kerr_tangent(state, MODE_B) if tangent else None]
-    _lossy_stage(pair, (loss.eta_d, MODE_B), (loss.eta_c, MODE_C))
+    # d/dphi_n of the Kerr output is i n_b^2 psi
+    n2_b = np.arange(cutoff, dtype=float)[:, None] ** 2
+    pair = [state, FockState(1j * n2_b * state.amplitudes, cutoff) if tangent else None]
+    _linear_stage(pair, _kraus_branches, loss.eta_d, MODE_B)
+    _linear_stage(pair, _kraus_branches, loss.eta_c, MODE_C)
     _checked_stage(
         pair, "bs2", budget, apply_beam_splitter,
         config.splitter.transmissivity, MODE_B, MODE_C,
     )
-    _lossy_stage(pair, (loss.eta_a, MODE_A), (loss.eta_b, MODE_B))
-    _checked_stage(
-        pair, "nbs2", budget, apply_two_mode_squeezer,
-        config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
-    )
-    _lossy_stage(pair, (loss.eta_det, MODE_A))
     return pair
 
 
@@ -513,14 +522,47 @@ def simulate(
     (b, c), Kerr phase on b, internal losses (eta_d on b, eta_c on c),
     second splitter on (b, c), external losses (eta_a on a, eta_b on b),
     readout squeezer on (a, b), detection loss (eta_det on a).  Lossless
-    configurations stay on the pure-state fast path; the state is promoted
-    to a density operator just before the first lossy element.
+    configurations stay on the pure-state fast path.  The internal losses
+    keep the state pure as Kraus branches; it is promoted to a density
+    operator after the second splitter (or, without internal losses, just
+    before the first later loss).  A density above _DENSITY_GIB_CAP raises
+    ValueError before anything is allocated.
 
     phi_n overrides the configured nonlinear phase.  Raises
     TruncationError naming the stage (prepare, nbs1, bs1, bs2 or nbs2)
     whose top-level occupancy exceeds the budget.
     """
-    return _propagate(config, phi_n, cutoff, budget, tangent=False)[0]
+    loss = config.loss
+    if not loss.is_lossless():
+        _refuse_above_cap(cutoff, 16 * cutoff**6)
+    pair = _through_bs2(config, phi_n, cutoff, budget, tangent=False)
+    pair[0] = _lossy_stage(pair[0], (loss.eta_a, MODE_A), (loss.eta_b, MODE_B))
+    _checked_stage(
+        pair, "nbs2", budget, apply_two_mode_squeezer,
+        config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
+    )
+    return _lossy_stage(pair[0], (loss.eta_det, MODE_A))
+
+
+def _pulled_back_readout(config: InterferometerConfig, cutoff: int) -> np.ndarray:
+    """(4, cutoff^2, cutoff^2) operators on modes (a, b), pulled back through
+    the stages after the second splitter (eta_a on a and eta_b on b, nbs2,
+    eta_det on a).  Their expectations in the state after bs2 are, in turn,
+    <Y_a> at readout, the top-level occupancy of a and of b after nbs2, and
+    the weight drift across nbs2 (pulled back from U^dag U - 1)."""
+    loss = config.loss
+    c = cutoff
+    one = np.eye(c)
+    top = np.outer(one[-1], one[-1])
+    y = _pull_back_loss(_quadrature_y(c), loss.eta_det, (0, 1))
+    # (ket a, ket b, bra a, bra b, operator)
+    ops = np.stack([np.einsum("ac,bd->abcd", on_a, on_b)
+                    for on_a, on_b in ((y, one), (top, one), (one, top), (one, one))], axis=-1)
+    nbs2 = _adjoint(_squeezer_unitary(config.nbs2.gain, config.nbs2.phase, c))
+    ops = _sandwich(ops, nbs2, (0, 1), (2, 3))
+    ops[..., 3] -= np.eye(c * c).reshape((c,) * 4)
+    ops = _pull_back_loss(_pull_back_loss(ops, loss.eta_a, (0, 2)), loss.eta_b, (1, 3))
+    return np.moveaxis(ops, -1, 0).reshape(4, c * c, c * c)
 
 
 class SlopeEstimate(NamedTuple):
@@ -536,18 +578,36 @@ def numeric_slope(
     value, exact within the truncated space.
 
     The derivative of the state is propagated beside it from the Kerr
-    stage, so there is no step size; the slope is 2 Re<psi|Y_a|dpsi>, or
-    Tr(Y_a drho) for a density.  Runs the same stages and truncation
-    checks as simulate.
+    stage, so there is no step size.  Lossless, the slope is
+    2 Re<psi|Y_a|dpsi> at the end.  Lossy, no density is formed: with the
+    Kraus branches P and tangents dP after the second splitter and X the
+    readout Y_a pulled back through the later stages, it is
+    2 Re sum_br <P_br|X (x) 1_c|dP_br>; ValueError, before allocating, when
+    those branch tensors would exceed _DENSITY_GIB_CAP.  Runs the same
+    truncation checks as simulate, with the same messages.
     """
-    state, tangent = _propagate(config, None, cutoff, budget, tangent=True)
-    y = _quadrature_y(cutoff)
-    if isinstance(state, FockState):
-        cross = np.einsum(
-            "ijk,ljk->il", tangent.amplitudes, state.amplitudes.conj()
+    loss = config.loss
+    if loss.is_lossless():
+        pair = _through_bs2(config, None, cutoff, budget, tangent=True)
+        _checked_stage(
+            pair, "nbs2", budget, apply_two_mode_squeezer,
+            config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
         )
-        return SlopeEstimate(value=2.0 * float(np.trace(y @ cross).real))
-    return SlopeEstimate(value=float(np.trace(y @ reduced_density(tangent, MODE_A)).real))
+        state, tangent = pair
+        cross = np.einsum("ijk,ljk->il", tangent.amplitudes, state.amplitudes.conj())
+        return SlopeEstimate(value=2.0 * float(np.trace(_quadrature_y(cutoff) @ cross).real))
+    branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
+    _refuse_above_cap(cutoff, 4 * 16 * cutoff**3 * branches, "a lossy slope's branch tensors")
+    state, tangent = _through_bs2(config, None, cutoff, budget, tangent=True)
+    ops = _pulled_back_readout(config, cutoff)
+    p = state.amplitudes.reshape(cutoff**2, -1)
+    p_dag = p.conj().T
+    # <P|X|Q> = sum_xy X[x, y] (Q P^dag)[y, x]
+    top_a, top_b, drift = np.einsum("jxy,yx->j", ops[1:], p @ p_dag).real
+    # mode c keeps the occupancy bs2 checked: nothing after bs2 touches it
+    _check_truncation("nbs2", budget, abs(drift), [top_a, top_b])
+    dp = tangent.amplitudes.reshape(cutoff**2, -1)
+    return SlopeEstimate(value=2.0 * float(np.einsum("xy,yx->", ops[0], dp @ p_dag).real))
 
 
 def oracle_qfi(

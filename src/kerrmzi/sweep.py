@@ -205,9 +205,12 @@ def write_atomic(path, chunks) -> None:
         with open(tmp, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the path asked for, not the temp file beside it
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -215,7 +215,9 @@ class TestRunErrors:
     def test_missing_out_directory_exits_2(self, command, config_file, tmp_path, capsys):
         out = tmp_path / "missing" / "out.txt"
         assert main(self.COMMANDS[command](config_file) + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        # the message names the path given, not the temp file beside it
+        assert err.startswith("error:") and err.rstrip().endswith(f"'{out}'")
         assert list(tmp_path.iterdir()) == [config_file]
 
     def test_failed_replace_leaves_no_temp_file(self, tmp_path, capsys):
@@ -223,7 +225,8 @@ class TestRunErrors:
         out = tmp_path / "taken"
         out.mkdir()
         assert main(["sweep", "--preset", "fig2", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.rstrip().endswith(f"'{out}'")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert list(out.iterdir()) == []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from kerrmzi.oracle import (
     MODE_A,
     MODE_B,
     MODE_C,
+    DensityOperator,
     TruncationError,
     apply_beam_splitter,
     apply_kerr,
@@ -39,6 +41,10 @@ _BS2_TRIP = build_config(alpha=0.8, g1=0.5, g2=0.0, transmissivity=0.1, phi_l=3.
 # At cutoff 15 and budget 1e-6 the uncancelled readout squeezer parks
 # 2.5e-5 on the top level at nbs2.
 _NBS2_TRIP = build_config(alpha=1.0, g1=0.05, g2=1.0, transmissivity=0.25)
+
+
+def _with_losses(cfg, **etas):
+    return dataclasses.replace(cfg, loss=dataclasses.replace(cfg.loss, **etas))
 
 
 def vacuum(cutoff=12):
@@ -393,11 +399,7 @@ class TestSimulate:
             simulate(cfg, cutoff=8, budget=1e-8)
 
     def test_detection_loss_scales_slope(self):
-        import dataclasses
-
-        lossy = dataclasses.replace(
-            CANON, loss=dataclasses.replace(CANON.loss, eta_det=0.5)
-        )
+        lossy = _with_losses(CANON, eta_det=0.5)
         est_full = numeric_slope(CANON, cutoff=12, budget=1e-6)
         est_half = numeric_slope(lossy, cutoff=12, budget=1e-6)
         assert est_half.value == pytest.approx(
@@ -431,6 +433,8 @@ class TestGateCaches:
             assert info.currsize <= info.maxsize
 
     def test_numeric_slope_builds_each_gate_once(self):
+        # the internal losses (eta_c, eta_d) use Kraus operators, so only
+        # eta_a, eta_b and eta_det build a loss superoperator
         for cache in _CACHES:
             cache.cache_clear()
         cfg = build_config(
@@ -439,7 +443,7 @@ class TestGateCaches:
         )
         numeric_slope(cfg, cutoff=6, budget=1e-2)
         misses = [cache.cache_info().misses for cache in _CACHES]
-        assert misses == [2, 1, 5]
+        assert misses == [2, 1, 3]
 
 
 _FIVE_LOSSES = build_config(
@@ -449,27 +453,62 @@ _FIVE_LOSSES = build_config(
 
 
 class TestSlopeWorkCount:
-    # one tensor contraction per gate on the pure prefix, two (state and
-    # tangent) per gate or loss after the Kerr stage, and each doubled again
-    # (ket and bra) on a density; the central difference took 16 and 44
+    # one tensor contraction per gate on the pure prefix and two (state and
+    # tangent) per gate after the Kerr stage; the central difference took 16.
+    # A lossy slope forms no density and contracts no (cutoff,)*6 tensor:
+    # bs2 acts on the branch stacks and five contractions pull the readout
+    # back (the density tangent path made 20, 16 of them on c^6 tensors).
     @pytest.mark.parametrize(
         "cfg, cutoff, budget, limit",
-        [(CANON, 12, 1e-6, 6), (_FIVE_LOSSES, 6, 1e-2, 20)],
+        [(CANON, 12, 1e-6, 6), (_FIVE_LOSSES, 6, 1e-2, 9)],
         ids=["lossless", "five-losses"],
     )
     def test_contractions_per_warm_slope(self, monkeypatch, cfg, cutoff, budget, limit):
         numeric_slope(cfg, cutoff=cutoff, budget=budget)
-        calls = 0
+        sizes = []
         contract = oracle._apply_on_axes
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return contract(*args)
+        def counting(tensor, *args):
+            sizes.append(tensor.size)
+            return contract(tensor, *args)
+
+        def no_density(state):
+            raise AssertionError("numeric_slope formed a density operator")
 
         monkeypatch.setattr(oracle, "_apply_on_axes", counting)
+        monkeypatch.setattr(oracle, "to_density", no_density)
         numeric_slope(cfg, cutoff=cutoff, budget=budget)
-        assert calls <= limit
+        assert len(sizes) <= limit
+        assert max(sizes) < cutoff**6
+
+
+_LOSSY_PHI = build_config(
+    alpha=0.8, g1=0.25, g2=0.5, transmissivity=0.25, phi_n=0.05,
+    eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.85,
+)
+
+
+def _density_tangent_slope(cfg, cutoff, budget):
+    """Tr(Y_a d rho), with the phi_n-tangent d rho = |dpsi><psi| + |psi><dpsi|
+    of the Kerr output (dpsi = i n_b^2 psi) pushed as a density through
+    every later stage, losses included."""
+    loss = cfg.loss
+    state = prepare_input(cfg, cutoff, budget)
+    state = apply_two_mode_squeezer(state, cfg.nbs1.gain, cfg.nbs1.phase, MODE_A, MODE_B)
+    state = apply_beam_splitter(state, cfg.splitter.transmissivity, MODE_B, MODE_C)
+    psi = apply_kerr(state, cfg.phase.linear, cfg.phase.nonlinear, MODE_B).amplitudes
+    dpsi = 1j * (np.arange(cutoff) ** 2)[None, :, None] * psi
+    drho = DensityOperator(
+        tensor=np.multiply.outer(dpsi, psi.conj()) + np.multiply.outer(psi, dpsi.conj()),
+        cutoff=cutoff,
+    )
+    drho = apply_loss(apply_loss(drho, loss.eta_d, MODE_B), loss.eta_c, MODE_C)
+    drho = apply_beam_splitter(drho, cfg.splitter.transmissivity, MODE_B, MODE_C)
+    drho = apply_loss(apply_loss(drho, loss.eta_a, MODE_A), loss.eta_b, MODE_B)
+    drho = apply_two_mode_squeezer(drho, cfg.nbs2.gain, cfg.nbs2.phase, MODE_A, MODE_B)
+    drho = apply_loss(drho, loss.eta_det, MODE_A)
+    a, ad = _ladder(cutoff)
+    return float(np.trace(-1j * (a - ad) @ reduced_density(drho, MODE_A)).real)
 
 
 class TestNumericSlope:
@@ -490,14 +529,7 @@ class TestNumericSlope:
         "cfg, cutoff, budget",
         [
             (CANON, 12, 1e-6),
-            (
-                build_config(
-                    alpha=0.8, g1=0.25, g2=0.5, transmissivity=0.25, phi_n=0.05,
-                    eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.85,
-                ),
-                8,
-                5e-4,
-            ),
+            (_LOSSY_PHI, 8, 5e-4),
         ],
         ids=["pure", "lossy"],
     )
@@ -520,6 +552,12 @@ class TestNumericSlope:
             (_BS1_TRIP, 10, 1e-6, "bs1"),
             (_BS2_TRIP, 10, 1e-6, "bs2"),
             (_NBS2_TRIP, 15, 1e-6, "nbs2"),
+            # lossy: bs2 reads the Kraus branch stack, nbs2 the pulled-back
+            # projectors in numeric_slope and the density in simulate; the
+            # last case parks more on b than on a, the one before on a
+            (_with_losses(_BS2_TRIP, eta_c=0.99, eta_d=0.99), 10, 1e-6, "bs2"),
+            (_with_losses(_NBS2_TRIP, eta_a=0.95, eta_b=0.9, eta_c=0.9, eta_d=0.9), 12, 1e-6, "nbs2"),
+            (_with_losses(_NBS2_TRIP, eta_a=0.5, eta_b=0.99, eta_c=0.9, eta_d=0.9), 12, 1e-6, "nbs2"),
         ],
     )
     def test_truncation_names_same_stage_as_simulate(self, cfg, cutoff, budget, stage):
@@ -529,12 +567,38 @@ class TestNumericSlope:
             numeric_slope(cfg, cutoff=cutoff, budget=budget)
         assert str(slope.value) == str(sim.value)
 
-    def test_density_kerr_tangent_matches_promoted_pure_tangent(self):
-        state = apply_kerr(simulate(CANON, cutoff=8, budget=1e-2), 0.3, 0.1, MODE_B)
-        pair = [state, oracle._kerr_tangent(state, MODE_B)]
-        oracle._promote(pair)
-        direct = oracle._kerr_tangent(pair[0], MODE_B)
-        assert np.max(np.abs(direct.tensor - pair[1].tensor)) <= 1e-14
+    @pytest.mark.parametrize("cutoff, budget", [(6, 5e-2), (8, 5e-4)])
+    def test_lossy_matches_density_tangent_reference(self, cutoff, budget):
+        est = numeric_slope(_LOSSY_PHI, cutoff=cutoff, budget=budget)
+        ref = _density_tangent_slope(_LOSSY_PHI, cutoff, budget)
+        assert est.value == pytest.approx(ref, rel=1e-12)
+
+    def test_lossy_peak_memory(self):
+        # the branch stacks hold cutoff^5 numbers each; the density tangent
+        # path peaked at four (cutoff,)*6 tensors
+        numeric_slope(_LOSSY_PHI, cutoff=8, budget=5e-4)
+        tracemalloc.start()
+        try:
+            numeric_slope(_LOSSY_PHI, cutoff=8, budget=5e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8**6
+
+    @pytest.mark.parametrize("run", [simulate, numeric_slope])
+    def test_lossy_cutoff_30_refused_before_allocation(self, run):
+        # the density takes 16 * 30^6 B = 10.9 GiB, and the four branch
+        # tensors of the slope 4 * 16 * 30^5 B = 1.45 GiB; refused before
+        # even one pure state (16 * 30^3 B) is built
+        cfg = _with_losses(CANON, eta_c=0.9, eta_d=0.9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cutoff 30"):
+                run(cfg, cutoff=30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 30**3
 
     def test_zero_readout_gain_gives_zero(self):
         cfg = build_config(alpha=1.0, g1=0.3, g2=0.0, transmissivity=0.25)
