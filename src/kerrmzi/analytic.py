@@ -4,9 +4,12 @@ Everything here is evaluated at the phi = 0 operating point of the
 interferometer; behaviour away from that point is the job of the Fock
 simulator in :mod:`kerrmzi.oracle`.  All functions are pure.
 
-``evaluate`` and the closed forms it calls use numpy ufuncs and products
-(``x * x``, never ``**``): on a config whose fields are arrays they give,
-cell for cell, the bits ``sensitivity`` gives on the scalar config.
+The interferometer's closed forms use numpy ufuncs and products
+(``x * x``, never ``**``), and their guards raise if any element fails:
+on a config (or arguments) whose fields are arrays they give, cell for
+cell, the bits of the scalar call.  A sweep and each randomized family of
+the analytic suite are one such call.  The Kerr-medium conversions at the
+end stay scalar.
 
 Notation: G_i, g_i are the squeezer gain pairs (G^2 - g^2 = 1), T and
 R = 1 - T the splitter coefficients, N_alpha = |alpha|^2 the pump photon
@@ -16,7 +19,6 @@ first squeezer.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,8 +40,8 @@ class UndefinedSensitivityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TransferCoefficients:
-    """Scalar input-output coefficients of the interferometer at a fixed
-    photon number n of the sensing arm.
+    """Input-output coefficients of the interferometer at a fixed photon
+    number n of the sensing arm (arrays over array arguments).
 
     m1, m0, m2 describe the inner two-port stage; a, b, c describe the
     readout-port combination of the full three-port network.  They satisfy
@@ -82,20 +84,23 @@ def transfer_coefficients(
     a = G2 G1 + g2 g1 e^{i(th2 - th1)} m1*, b = G2 g1 e^{i th1}
     + G1 g2 e^{i th2} m1*, c = g2 e^{i th2} m0*.
     """
-    if n < 0:
+    if np.any(n < 0):
         raise ValueError(f"photon number n must be >= 0 (got {n})")
     t = splitter.transmissivity
     r = splitter.reflectivity
-    ph = cmath.exp(1j * (phase.linear + phase.nonlinear * (2 * n + 1)))
-    m0 = math.sqrt(t * r) * (ph - 1.0)
+    ph = np.exp(1j * (phase.linear + phase.nonlinear * (2 * n + 1)))
+    m0 = np.sqrt(t * r) * (ph - 1.0)
     m1 = r + t * ph
     m2 = r * ph + t
-    e1 = cmath.exp(1j * nbs1.phase)
-    e2 = cmath.exp(1j * nbs2.phase)
+    e1 = np.exp(1j * nbs1.phase)
+    e2 = np.exp(1j * nbs2.phase)
     g1, g2 = nbs1.g, nbs2.g
-    a = nbs2.gain * nbs1.gain + g2 * g1 * e2 * e1.conjugate() * m1.conjugate()
-    b = nbs2.gain * g1 * e1 + nbs1.gain * g2 * e2 * m1.conjugate()
-    c = g2 * e2 * m0.conjugate()
+    # complex products through the ufunc: on numpy complex scalars ``*``
+    # rounds differently from the (fused multiply-add) array loop
+    mul = np.multiply
+    a = nbs2.gain * nbs1.gain + mul(mul(g2 * g1 * e2, np.conj(e1)), np.conj(m1))
+    b = nbs2.gain * g1 * e1 + mul(nbs1.gain * g2 * e2, np.conj(m1))
+    c = mul(g2 * e2, np.conj(m0))
     return TransferCoefficients(m0=m0, m1=m1, m2=m2, a=a, b=b, c=c)
 
 
@@ -109,13 +114,13 @@ def slope_at_zero(config: InterferometerConfig) -> float:
     r = config.splitter.reflectivity
     n_alpha = config.coherent.n_alpha
     g1, g2 = config.nbs1.g, config.nbs2.g
-    cosm = abs(math.cos(config.nbs2.phase - config.coherent.phase))
+    cosm = np.abs(np.cos(config.nbs2.phase - config.coherent.phase))
     return (
         2.0
         * g2
-        * math.sqrt(t * r)
-        * math.sqrt(n_alpha)
-        * (1.0 + 2.0 * r * n_alpha + 4.0 * t * g1**2)
+        * np.sqrt(t * r)
+        * np.sqrt(n_alpha)
+        * (1.0 + 2.0 * r * n_alpha + 4.0 * t * (g1 * g1))
         * cosm
     )
 
@@ -131,7 +136,7 @@ def noise_at_zero(config: InterferometerConfig) -> float:
     G1, g1 = config.nbs1.gain, config.nbs1.g
     G2, g2 = config.nbs2.gain, config.nbs2.g
     G1s, g1s, G2s, g2s = G1 * G1, g1 * g1, G2 * G2, g2 * g2
-    cos21 = math.cos(config.nbs2.phase - config.nbs1.phase)
+    cos21 = np.cos(config.nbs2.phase - config.nbs1.phase)
     return (
         G2s * G1s
         + g1s * g2s
@@ -147,8 +152,8 @@ def linear_only_slope(config: InterferometerConfig) -> float:
     over T sits at T = 1/2."""
     t = config.splitter.transmissivity
     r = config.splitter.reflectivity
-    cosm = abs(math.cos(config.nbs2.phase - config.coherent.phase))
-    return 2.0 * config.nbs2.g * math.sqrt(t * r) * config.coherent.magnitude * cosm
+    cosm = np.abs(np.cos(config.nbs2.phase - config.coherent.phase))
+    return 2.0 * config.nbs2.g * np.sqrt(t * r) * config.coherent.magnitude * cosm
 
 
 def lossy_slope_at_zero(config: InterferometerConfig) -> float:
@@ -223,21 +228,22 @@ def optimal_split_ratio(n_alpha: float, g1: float) -> float:
 
     Approaches 3 for strong pumping.  Independent of g2.
     """
-    if n_alpha < 0 or g1 < 0:
+    if (np.minimum(n_alpha, g1) < 0).any():
         raise ValueError("n_alpha and g1 must be >= 0")
+    g1s = g1 * g1
     disc = (
-        9.0 * n_alpha**2
-        - 28.0 * n_alpha * g1**2
+        9.0 * (n_alpha * n_alpha)
+        - 28.0 * n_alpha * g1s
         + 2.0 * n_alpha
-        + 36.0 * g1**4
-        + 4.0 * g1**2
+        + 36.0 * (g1s * g1s)
+        + 4.0 * g1s
         + 1.0
     )
-    if disc < 0:
+    if np.any(disc < 0):
         raise ValueError(
             f"negative discriminant for n_alpha={n_alpha}, g1={g1} ({disc})"
         )
-    return (3.0 * n_alpha - 6.0 * g1**2 + math.sqrt(disc)) / (2.0 * n_alpha + 1.0)
+    return (3.0 * n_alpha - 6.0 * g1s + np.sqrt(disc)) / (2.0 * n_alpha + 1.0)
 
 
 def optimal_transmissivity(n_alpha: float, g1: float) -> float:
@@ -250,20 +256,30 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def golden_section_argmax(f, lo: float, hi: float, xtol: float = 1e-10) -> float:
     """Abscissa of the maximum of a unimodal f on [lo, hi] by golden-section
-    search, to within xtol."""
+    search, to within xtol.
+
+    Elementwise where f returns an array (a family of profiles) or the
+    bounds are arrays: each element takes the scalar search's steps and
+    stops when its own bracket is within xtol.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
+    while (active := hi - lo > xtol).any():
+        # keep [x1, hi] where right, else [lo, x2]; a finished element keeps both
+        right = np.less(f1, f2)
+        lo, hi = np.where(active & right, x1, lo), np.where(active & ~right, x2, hi)
+        x = np.where(right, lo + _INV_GOLDEN * (hi - lo), hi - _INV_GOLDEN * (hi - lo))
+        fx = f(x)
+        x1, f1, x2, f2 = (
+            np.where(right, x2, x),
+            np.where(right, f2, fx),
+            np.where(right, x, x1),
+            np.where(right, fx, f1),
+        )
+    mid = 0.5 * (lo + hi)
+    return mid if np.ndim(mid) else float(mid)
 
 
 def argmax_slope_transmissivity(n_alpha: float, g1: float, xtol: float = 1e-10) -> float:
@@ -275,10 +291,10 @@ def argmax_slope_transmissivity(n_alpha: float, g1: float, xtol: float = 1e-10) 
     hence unimodal and safe for golden-section search.
     """
 
-    def profile(t: float) -> float:
-        return math.sqrt(t * (1.0 - t)) * (
-            1.0 + 2.0 * (1.0 - t) * n_alpha + 4.0 * t * g1**2
-        )
+    g1s = g1 * g1
+
+    def profile(t):
+        return np.sqrt(t * (1.0 - t)) * (1.0 + 2.0 * (1.0 - t) * n_alpha + 4.0 * t * g1s)
 
     return golden_section_argmax(profile, 0.0, 1.0, xtol)
 
@@ -286,7 +302,7 @@ def argmax_slope_transmissivity(n_alpha: float, g1: float, xtol: float = 1e-10) 
 def argmax_linear_slope_transmissivity(xtol: float = 1e-10) -> float:
     """Numeric argmax over T of the linear-only slope, which is maximal
     where sqrt(T(1-T)) is, i.e. at T = 1/2."""
-    return golden_section_argmax(lambda t: math.sqrt(t * (1.0 - t)), 0.0, 1.0, xtol)
+    return golden_section_argmax(lambda t: np.sqrt(t * (1.0 - t)), 0.0, 1.0, xtol)
 
 
 def qfi_nonlinear(n_alpha: float, n_g: float, splitter: SplitterParams) -> QfiBreakdown:
@@ -327,14 +343,15 @@ def qfi_linear(n_alpha: float, n_g: float, splitter: SplitterParams) -> float:
 
         N_alpha [4 R^2 + 4 R T (N_g + 1)] + N_g [T^2 N_g + 2 T R] + 2 T^2 N_g
     """
-    if n_alpha < 0 or n_g < 0:
+    if (np.minimum(n_alpha, n_g) < 0).any():
         raise ValueError("n_alpha and n_g must be >= 0")
     r = splitter.reflectivity
     t = splitter.transmissivity
+    t2 = t * t
     return (
-        n_alpha * (4.0 * r**2 + 4.0 * r * t * (n_g + 1.0))
-        + n_g * (t**2 * n_g + 2.0 * t * r)
-        + 2.0 * t**2 * n_g
+        n_alpha * (4.0 * (r * r) + 4.0 * r * t * (n_g + 1.0))
+        + n_g * (t2 * n_g + 2.0 * t * r)
+        + 2.0 * t2 * n_g
     )
 
 
@@ -368,13 +385,15 @@ def qcrb(f: float, repeats: int = 1) -> float:
 def is_balanced(config: InterferometerConfig) -> bool:
     """True for the balanced readout configuration G1 = G2,
     theta_alpha = 0, theta1 = 0, theta2 = pi, the phases within an
-    absolute 1e-12 (a config file may spell pi with fewer digits)."""
-    return (
-        config.nbs1.gain == config.nbs2.gain
-        and abs(config.coherent.phase) <= 1e-12
-        and abs(config.nbs1.phase) <= 1e-12
-        and abs(config.nbs2.phase - math.pi) <= 1e-12
+    absolute 1e-12 (a config file may spell pi with fewer digits); on an
+    array config, True when every cell is balanced."""
+    balanced = (
+        (config.nbs1.gain == config.nbs2.gain)
+        & (abs(config.coherent.phase) <= 1e-12)
+        & (abs(config.nbs1.phase) <= 1e-12)
+        & (abs(config.nbs2.phase - math.pi) <= 1e-12)
     )
+    return bool(balanced.all() if isinstance(balanced, np.ndarray) else balanced)
 
 
 def balanced_terms(config: InterferometerConfig):
@@ -385,14 +404,14 @@ def balanced_terms(config: InterferometerConfig):
         T_nonlin_corr = 4 T sqrt(TR) N_alpha^{1/2} N_g
 
     with g * (sum of terms) equal to the slope.  None when the
-    configuration is not balanced.
+    configuration (any cell of an array config) is not balanced.
     """
     if not is_balanced(config):
         return None
     t = config.splitter.transmissivity
     r = config.splitter.reflectivity
     n_alpha = config.coherent.n_alpha
-    root = math.sqrt(t * r) * math.sqrt(n_alpha)
+    root = np.sqrt(t * r) * np.sqrt(n_alpha)
     return (
         2.0 * root,
         4.0 * r * root * n_alpha,
@@ -440,7 +459,8 @@ def sensitivity(config: InterferometerConfig, repeats: int = 1) -> SensitivityRe
         )
     terms = balanced_terms(config) if config.loss.is_lossless() else None
     return SensitivityReport(
-        *(float(v) for v in report.to_dict().values()), *(terms or (None,) * 3)
+        *(float(v) for v in report.to_dict().values()),
+        *(map(float, terms) if terms else (None,) * 3),
     )
 
 

@@ -12,7 +12,9 @@ Conventions used throughout the package:
 All types are immutable value objects and safe to share between threads.
 The derived properties (``g``, ``n_alpha``, ``n_g``, ``n_ps``) are numpy
 ufuncs and products, so a config whose fields hold arrays evaluates them
-elementwise; a sweep builds such a grid config.
+elementwise; a sweep builds such a grid config.  ``invariant_errors``
+checks every cell of such a config; a bound violation names the first
+violating cell (row-major).
 """
 
 from __future__ import annotations
@@ -48,7 +50,28 @@ class ConfigFileError(ValueError):
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    """True for a finite real number, or a real array with every cell finite."""
+    if isinstance(value, (int, float)):
+        return math.isfinite(value)
+    return (
+        isinstance(value, np.ndarray)
+        and value.dtype.kind in "iuf"
+        and bool(np.isfinite(value).all())
+    )
+
+
+def _bound_errors(message: str, value, bad) -> list:
+    """``[f"{message} (got {v})"]`` for the value ``v`` that breaks a bound:
+    ``value`` itself where ``bad`` is true, the first cell (row-major) of
+    an array where ``bad`` holds; ``[]`` where it holds nowhere.  Callers
+    skip the call where ``bad`` is a plain ``False``, a valid scalar."""
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return []
+        value = np.broadcast_to(value, bad.shape)[bad][0].item()
+    elif not bad:
+        return []
+    return [f"{message} (got {value})"]
 
 
 @dataclass(frozen=True)
@@ -71,8 +94,8 @@ class CoherentInput:
         errs = []
         if not _finite(self.magnitude):
             errs.append("coherent.magnitude not finite")
-        elif self.magnitude < 0:
-            errs.append(f"coherent.magnitude negative (got {self.magnitude})")
+        elif (bad := self.magnitude < 0) is not False:
+            errs += _bound_errors("coherent.magnitude negative", self.magnitude, bad)
         if not _finite(self.phase):
             errs.append("coherent.phase not finite")
         return errs
@@ -99,8 +122,8 @@ class SqueezerParams:
         errs = []
         if not _finite(self.gain):
             errs.append(f"{label}.gain not finite")
-        elif self.gain < 1.0:
-            errs.append(f"{label}.gain below 1 (got {self.gain})")
+        elif (bad := self.gain < 1.0) is not False:
+            errs += _bound_errors(f"{label}.gain below 1", self.gain, bad)
         if not _finite(self.phase):
             errs.append(f"{label}.phase not finite")
         return errs
@@ -120,9 +143,8 @@ class SplitterParams:
         t = self.transmissivity
         if not _finite(t):
             return ["splitter.transmissivity not finite"]
-        if not 0.0 <= t <= 1.0:
-            return [f"transmissivity outside [0,1] (got {t})"]
-        return []
+        bad = (t < 0.0) | (t > 1.0)
+        return [] if bad is False else _bound_errors("transmissivity outside [0,1]", t, bad)
 
 
 @dataclass(frozen=True)
@@ -161,13 +183,13 @@ class LossParams:
             v = getattr(self, name)
             if not _finite(v):
                 errs.append(f"loss.{name} not finite")
-            elif not 0.0 <= v <= 1.0:
-                errs.append(f"loss.{name} outside [0,1] (got {v})")
+            elif (bad := (v < 0.0) | (v > 1.0)) is not False:
+                errs += _bound_errors(f"loss.{name} outside [0,1]", v, bad)
         v = self.eta_det
         if not _finite(v):
             errs.append("loss.eta_det not finite")
-        elif not 0.0 < v <= 1.0:
-            errs.append(f"loss.eta_det outside (0,1] (got {v})")
+        elif (bad := (v <= 0.0) | (v > 1.0)) is not False:
+            errs += _bound_errors("loss.eta_det outside (0,1]", v, bad)
         return errs
 
 

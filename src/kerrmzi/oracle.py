@@ -375,24 +375,18 @@ def apply_beam_splitter(state, transmissivity: float, mode_i: int, mode_j: int):
     return _apply_unitary(state, u, (mode_i, mode_j))
 
 
-def apply_kerr(state, phi_l: float, phi_n: float, mode: int):
-    """Diagonal phase e^{i(phi_l n + phi_n n^2)} on one mode; exactly norm
-    preserving."""
+def apply_kerr(state: FockState, phi_l: float, phi_n: float, mode: int) -> FockState:
+    """Diagonal phase e^{i(phi_l n + phi_n n^2)} on one mode of a pure state;
+    exactly norm preserving.  The pipeline's Kerr stage always meets a pure
+    state, so a density is refused."""
+    if not isinstance(state, FockState):
+        raise TypeError("apply_kerr acts on a pure FockState; the Kerr stage meets no density")
     c = state.cutoff
     n = np.arange(c)
     phases = np.exp(1j * (phi_l * n + phi_n * n.astype(float) ** 2))
-    if isinstance(state, FockState):
-        shape = [1, 1, 1]
-        shape[mode] = c
-        return FockState(
-            amplitudes=state.amplitudes * phases.reshape(shape), cutoff=c
-        )
-    ket = [1] * 6
-    ket[mode] = c
-    bra = [1] * 6
-    bra[mode + 3] = c
-    tensor = state.tensor * phases.reshape(ket) * phases.conj().reshape(bra)
-    return DensityOperator(tensor=tensor, cutoff=c)
+    shape = [1, 1, 1]
+    shape[mode] = c
+    return FockState(amplitudes=state.amplitudes * phases.reshape(shape), cutoff=c)
 
 
 def apply_loss(rho: DensityOperator, eta: float, mode: int) -> DensityOperator:

@@ -106,7 +106,10 @@ class SweepSpec:
 
     def validated(self) -> "SweepSpec":
         """The spec, if its shape, ``repeats``, base (else InvalidConfigError)
-        and each axis value set alone on the base are valid."""
+        and each axis value set alone on the base are valid.  Each axis is
+        validated as one array config; on failure the message names the
+        first invalid value in axis order and words its errors as that
+        value's scalar config does."""
         if not 1 <= len(self.axes) <= 2:
             raise SweepSpecError(f"need 1 or 2 axes (got {len(self.axes)})")
         for axis in self.axes:
@@ -122,6 +125,8 @@ class SweepSpec:
             raise SweepSpecError(f"repeats must be >= 1 (got {self.repeats})")
         validate(self.base)
         for axis in self.axes:
+            if not set_parameter(self.base, axis.name, np.array(axis.values)).invariant_errors():
+                continue
             for value in axis.values:
                 errs = set_parameter(self.base, axis.name, value).invariant_errors()
                 if errs:

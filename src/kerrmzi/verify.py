@@ -15,11 +15,14 @@ import numpy as np
 
 from . import analytic, oracle, sweep
 from .config import (
+    CoherentInput,
     InterferometerConfig,
     PhaseShift,
     SplitterParams,
+    SqueezerParams,
     build_config,
     config_digest,
+    validate,
 )
 
 _MUTATION_FACTOR = 1.0 + 1e-3
@@ -80,128 +83,128 @@ def _suite_records(mutate: str | None):
     return records, record
 
 
-def _random_config(rng) -> InterferometerConfig:
-    return build_config(
-        alpha=rng.uniform(0.1, 6.0),
-        theta_alpha=rng.uniform(-math.pi, math.pi),
-        g1=rng.uniform(0.0, 3.0),
-        theta1=rng.uniform(-math.pi, math.pi),
-        g2=rng.uniform(0.1, 4.0),
-        theta2=rng.uniform(-math.pi, math.pi),
-        transmissivity=rng.uniform(0.05, 0.95),
+def _array_config(
+    alpha, g1, g2, transmissivity, theta_alpha=0.0, theta1=0.0, theta2=math.pi
+) -> InterferometerConfig:
+    """``build_config`` over arrays, lossless: the gains come from
+    ``np.hypot`` as in ``sweep.set_parameter``, and every cell is
+    validated."""
+    return validate(
+        InterferometerConfig(
+            nbs1=SqueezerParams(np.hypot(1.0, g1), theta1),
+            nbs2=SqueezerParams(np.hypot(1.0, g2), theta2),
+            splitter=SplitterParams(transmissivity),
+            coherent=CoherentInput(alpha, theta_alpha),
+        )
     )
 
 
+def _random_configs(rng, count: int) -> InterferometerConfig:
+    """``count`` random lossless configurations as one array config."""
+    alpha, theta_alpha, g1, theta1, g2, theta2, t = (
+        rng.uniform(lo, hi, count)
+        for lo, hi in (
+            (0.1, 6.0), (-math.pi, math.pi), (0.0, 3.0), (-math.pi, math.pi),
+            (0.1, 4.0), (-math.pi, math.pi), (0.05, 0.95),
+        )
+    )
+    return _array_config(alpha, g1, g2, t, theta_alpha, theta1, theta2)
+
+
+def _worst(errors) -> float:
+    return float(np.max(errors))
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
 def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = None):
-    """Identity checks of the closed-form layer over randomized parameters."""
+    """Identity checks of the closed-form layer over randomized parameters.
+
+    Each randomized family is one evaluation of the closed forms on an
+    array config (or array arguments) holding all of its draws; a check
+    records the worst error over the array.
+    """
     rng = np.random.default_rng(seed)
     records, record = _suite_records(mutate)
 
     # unitarity and commutator preservation of the transfer coefficients
-    worst_u1 = worst_u2 = worst_comm = 0.0
-    for _ in range(draws):
-        cfg = _random_config(rng)
-        tc = analytic.transfer_coefficients(
-            cfg.splitter,
-            cfg.nbs1,
-            cfg.nbs2,
-            PhaseShift(rng.uniform(-math.pi, math.pi), rng.uniform(-0.5, 0.5)),
-            int(rng.integers(0, 30)),
-        )
-        worst_u1 = max(worst_u1, abs(abs(tc.m1) ** 2 + abs(tc.m0) ** 2 - 1.0))
-        worst_u2 = max(worst_u2, abs(abs(tc.m2) ** 2 + abs(tc.m0) ** 2 - 1.0))
-        worst_comm = max(
-            worst_comm,
-            abs(abs(tc.a) ** 2 - abs(tc.b) ** 2 - abs(tc.c) ** 2 - 1.0),
-        )
-    record("unitarity_m1_m0", "randomized", 1.0 + worst_u1, 1.0, 1e-12)
-    record("unitarity_m2_m0", "randomized", 1.0 + worst_u2, 1.0, 1e-12)
-    record("commutator_abc", "randomized", 1.0 + worst_comm, 1.0, 1e-12)
+    cfg = _random_configs(rng, draws)
+    phase = PhaseShift(rng.uniform(-math.pi, math.pi, draws), rng.uniform(-0.5, 0.5, draws))
+    tc = analytic.transfer_coefficients(
+        cfg.splitter, cfg.nbs1, cfg.nbs2, phase, rng.integers(0, 30, draws)
+    )
+    m0s = _abs2(tc.m0)
+    record("unitarity_m1_m0", "randomized", 1.0 + _worst(np.abs(_abs2(tc.m1) + m0s - 1.0)),
+           1.0, 1e-12)
+    record("unitarity_m2_m0", "randomized", 1.0 + _worst(np.abs(_abs2(tc.m2) + m0s - 1.0)),
+           1.0, 1e-12)
+    comm = _abs2(tc.a) - _abs2(tc.b) - _abs2(tc.c) - 1.0
+    record("commutator_abc", "randomized", 1.0 + _worst(np.abs(comm)), 1.0, 1e-12)
 
     # lossless reduction of the lossy formulas, and the N_g bookkeeping
     # consistency between the two slope forms
-    worst_slope = worst_noise = 0.0
-    for _ in range(draws):
-        cfg = _random_config(rng)
-        s_lossless = analytic.slope_at_zero(cfg)
-        s_lossy = analytic.lossy_slope_at_zero(cfg)
-        n_lossless = analytic.noise_at_zero(cfg)
-        n_lossy = analytic.lossy_noise_at_zero(cfg)
-        if s_lossless > 0:
-            worst_slope = max(worst_slope, abs(s_lossy - s_lossless) / s_lossless)
-        worst_noise = max(worst_noise, abs(n_lossy - n_lossless) / abs(n_lossless))
-    record("lossless_reduction_slope", "randomized", 1.0 + worst_slope, 1.0, 1e-14)
-    record("lossless_reduction_noise", "randomized", 1.0 + worst_noise, 1.0, 1e-14)
+    cfg = _random_configs(rng, draws)
+    s_lossless = analytic.slope_at_zero(cfg)
+    s_lossy = analytic.lossy_slope_at_zero(cfg)
+    n_lossless = analytic.noise_at_zero(cfg)
+    n_lossy = analytic.lossy_noise_at_zero(cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope_err = np.where(s_lossless > 0, np.abs(s_lossy - s_lossless) / s_lossless, 0.0)
+    noise_err = np.abs(n_lossy - n_lossless) / np.abs(n_lossless)
+    record("lossless_reduction_slope", "randomized", 1.0 + _worst(slope_err), 1.0, 1e-14)
+    record("lossless_reduction_noise", "randomized", 1.0 + _worst(noise_err), 1.0, 1e-14)
 
     # QFI polynomial reassembly and the moment-based re-derivation of the
     # linear-phase information
-    worst_reasm = worst_lin = 0.0
-    for _ in range(draws):
-        n_alpha = rng.uniform(0.0, 50.0)
-        n_g = rng.uniform(0.0, 20.0)
-        sp = SplitterParams(rng.uniform(0.0, 1.0))
-        q = analytic.qfi_nonlinear(n_alpha, n_g, sp)
-        reassembled = (
-            n_alpha**3 * q.s1 + n_alpha**2 * q.s2 + n_alpha * q.s3 + q.s4
-        )
-        if q.f > 0:
-            worst_reasm = max(worst_reasm, abs(q.f - reassembled) / q.f)
-        f_lin = analytic.qfi_linear(n_alpha, n_g, sp)
-        f_mom = analytic.qfi_linear_from_arm_moments(n_alpha, n_g, sp)
-        if f_lin > 0:
-            worst_lin = max(worst_lin, abs(f_lin - f_mom) / f_lin)
-    record("qfi_reassembly", "randomized", 1.0 + worst_reasm, 1.0, 1e-10)
-    record("qfi_linear_moments", "randomized", 1.0 + worst_lin, 1.0, 1e-10)
+    n_alpha = rng.uniform(0.0, 50.0, draws)
+    n_g = rng.uniform(0.0, 20.0, draws)
+    sp = SplitterParams(rng.uniform(0.0, 1.0, draws))
+    q = analytic.qfi_nonlinear(n_alpha, n_g, sp)
+    reassembled = n_alpha**3 * q.s1 + n_alpha**2 * q.s2 + n_alpha * q.s3 + q.s4
+    f_lin = analytic.qfi_linear(n_alpha, n_g, sp)
+    f_mom = analytic.qfi_linear_from_arm_moments(n_alpha, n_g, sp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reasm_err = np.where(q.f > 0, np.abs(q.f - reassembled) / q.f, 0.0)
+        lin_err = np.where(f_lin > 0, np.abs(f_lin - f_mom) / f_lin, 0.0)
+    record("qfi_reassembly", "randomized", 1.0 + _worst(reasm_err), 1.0, 1e-10)
+    record("qfi_linear_moments", "randomized", 1.0 + _worst(lin_err), 1.0, 1e-10)
 
-    # quantum bound: delta_phi >= qcrb wherever both are defined
-    worst_violation = 0.0
-    for _ in range(draws // 4):
-        cfg = _random_config(rng)
-        try:
-            report = analytic.sensitivity(cfg)
-        except analytic.UndefinedSensitivityError:
-            continue
-        if report.delta_phi < report.qcrb:
-            worst_violation = max(
-                worst_violation, (report.qcrb - report.delta_phi) / report.qcrb
-            )
-    record("qcrb_bound", "randomized", 1.0 + worst_violation, 1.0, 1e-12)
+    # quantum bound: delta_phi >= qcrb wherever both are defined (an
+    # undefined cell has delta_phi = inf and qcrb = nan)
+    report = analytic.evaluate(_random_configs(rng, draws // 4))
+    below = report.delta_phi < report.qcrb
+    violation = np.where(below, (report.qcrb - report.delta_phi) / report.qcrb, 0.0)
+    record("qcrb_bound", "randomized", 1.0 + _worst(violation), 1.0, 1e-12)
 
     # closed-form optimal split ratio vs numeric argmax of the slope
-    worst_t = 0.0
-    for _ in range(draws // 10):
-        n_alpha = rng.uniform(1e-3, 1e4)
-        g1 = rng.uniform(0.0, 5.0)
-        t_formula = analytic.optimal_transmissivity(n_alpha, g1)
-        t_numeric = analytic.argmax_slope_transmissivity(n_alpha, g1)
-        worst_t = max(worst_t, abs(t_formula - t_numeric))
-    record("optimal_split_argmax", "randomized", 1.0 + worst_t, 1.0, 1e-4)
+    n_alpha = rng.uniform(1e-3, 1e4, draws // 10)
+    g1 = rng.uniform(0.0, 5.0, draws // 10)
+    t_formula = analytic.optimal_transmissivity(n_alpha, g1)
+    t_numeric = analytic.argmax_slope_transmissivity(n_alpha, g1)
+    record("optimal_split_argmax", "randomized", 1.0 + _worst(np.abs(t_formula - t_numeric)),
+           1.0, 1e-4)
 
     # balanced decomposition: g * (sum of terms) equals the slope
-    worst_bal = 0.0
-    for _ in range(draws // 4):
-        g = rng.uniform(0.05, 3.0)
-        cfg = build_config(
-            alpha=rng.uniform(0.1, 10.0), g1=g, g2=g,
-            transmissivity=rng.uniform(0.05, 0.95),
-        )
-        terms = analytic.balanced_terms(cfg)
-        slope = analytic.slope_at_zero(cfg)
-        combined = cfg.nbs1.g * sum(terms)
-        worst_bal = max(worst_bal, abs(combined - slope) / slope)
-    record("balanced_decomposition", "randomized", 1.0 + worst_bal, 1.0, 1e-12)
+    count = draws // 4
+    g = rng.uniform(0.05, 3.0, count)
+    cfg = _array_config(
+        alpha=rng.uniform(0.1, 10.0, count), g1=g, g2=g,
+        transmissivity=rng.uniform(0.05, 0.95, count),
+    )
+    slope = analytic.slope_at_zero(cfg)
+    combined = cfg.nbs1.g * sum(analytic.balanced_terms(cfg))
+    record("balanced_decomposition", "randomized",
+           1.0 + _worst(np.abs(combined - slope) / slope), 1.0, 1e-12)
 
     # detection loss is exactly a 1/sqrt(eta) penalty for balanced configs
-    worst_det = 0.0
     base = build_config(alpha=4.0, g1=1.2, g2=1.2, transmissivity=0.25)
     dphi_balance = analytic.sensitivity(base).delta_phi
-    for eta in np.linspace(0.1, 1.0, 10):
-        cfg = dataclasses.replace(
-            base, loss=dataclasses.replace(base.loss, eta_det=float(eta))
-        )
-        dphi = analytic.sensitivity(cfg).delta_phi
-        worst_det = max(worst_det, abs(dphi * math.sqrt(eta) / dphi_balance - 1.0))
-    record("detection_loss_identity", config_digest(base), 1.0 + worst_det, 1.0, 1e-12)
+    eta = np.linspace(0.1, 1.0, 10)
+    dphi = analytic.evaluate(sweep.set_parameter(base, "loss.eta_det", eta)).delta_phi
+    record("detection_loss_identity", config_digest(base),
+           1.0 + _worst(np.abs(dphi * np.sqrt(eta) / dphi_balance - 1.0)), 1.0, 1e-12)
 
     # the linear-phase slope peaks at T = 1/2
     t_star = analytic.argmax_linear_slope_transmissivity(xtol=1e-9)

@@ -30,11 +30,15 @@ from kerrmzi.analytic import (
     transfer_coefficients,
 )
 from kerrmzi.config import (
+    CoherentInput,
+    InterferometerConfig,
     KerrMediumSpec,
     PhaseShift,
     SplitterParams,
+    SqueezerParams,
     build_config,
     parse_config,
+    validate,
 )
 
 # shared hypothesis strategies for physical parameter draws
@@ -457,3 +461,142 @@ class TestSlopeConsistency:
         assert lossy_noise_at_zero(cfg) == pytest.approx(
             noise_at_zero(cfg), rel=1e-14
         )
+
+
+def _random_columns(rng, count):
+    """Seeded columns of a lossless config; the gains through np.hypot."""
+    return {
+        "g1": np.hypot(1.0, rng.uniform(0.0, 3.0, count)),
+        "theta1": rng.uniform(-math.pi, math.pi, count),
+        "g2": np.hypot(1.0, rng.uniform(0.0, 4.0, count)),
+        "theta2": rng.uniform(-math.pi, math.pi, count),
+        "t": rng.uniform(0.0, 1.0, count),
+        "alpha": rng.uniform(0.0, 12.0, count),
+        "theta_alpha": rng.uniform(-math.pi, math.pi, count),
+    }
+
+
+def _config_of(cols):
+    return InterferometerConfig(
+        nbs1=SqueezerParams(cols["g1"], cols["theta1"]),
+        nbs2=SqueezerParams(cols["g2"], cols["theta2"]),
+        splitter=SplitterParams(cols["t"]),
+        coherent=CoherentInput(cols["alpha"], cols["theta_alpha"]),
+    )
+
+
+def _cells(cols):
+    """One dict of Python scalars per cell of the columns."""
+    count = len(next(iter(cols.values())))
+    return [{k: v[i].item() for k, v in cols.items()} for i in range(count)]
+
+
+def _assert_same_bits(array, scalars):
+    want = np.array([complex(v) if np.iscomplexobj(array) else float(v) for v in scalars])
+    assert array.dtype == want.dtype and array.tobytes() == want.tobytes()
+
+
+class TestArrayForms:
+    """Each closed form called on arrays gives, cell for cell, the bits of
+    its scalar call."""
+
+    COUNT = 64
+
+    @pytest.fixture
+    def cols(self):
+        return _random_columns(np.random.default_rng(7), self.COUNT)
+
+    @pytest.mark.parametrize("form", [slope_at_zero, noise_at_zero, linear_only_slope])
+    def test_config_forms(self, form, cols):
+        got = form(validate(_config_of(cols)))
+        assert got.shape == (self.COUNT,)
+        _assert_same_bits(got, [form(validate(_config_of(c))) for c in _cells(cols)])
+
+    def test_transfer_coefficients(self, cols):
+        rng = np.random.default_rng(8)
+        cols["phi_l"] = rng.uniform(-math.pi, math.pi, self.COUNT)
+        cols["phi_n"] = rng.uniform(-0.5, 0.5, self.COUNT)
+        cols["n"] = rng.integers(0, 40, self.COUNT)
+
+        def coefficients(c):
+            cfg = _config_of(c)
+            return transfer_coefficients(
+                cfg.splitter, cfg.nbs1, cfg.nbs2, PhaseShift(c["phi_l"], c["phi_n"]), c["n"]
+            )
+
+        got = coefficients(cols)
+        want = [coefficients(c) for c in _cells(cols)]
+        for name in ("m0", "m1", "m2", "a", "b", "c"):
+            _assert_same_bits(getattr(got, name), [getattr(w, name) for w in want])
+
+    def test_qfi_linear_and_optimal_split(self):
+        rng = np.random.default_rng(9)
+        n_alpha = rng.uniform(0.0, 1e4, self.COUNT)
+        n_g = rng.uniform(0.0, 20.0, self.COUNT)
+        g1 = rng.uniform(0.0, 5.0, self.COUNT)
+        t = rng.uniform(0.0, 1.0, self.COUNT)
+        cells = list(zip(n_alpha.tolist(), n_g.tolist(), g1.tolist(), t.tolist()))
+        _assert_same_bits(
+            qfi_linear(n_alpha, n_g, SplitterParams(t)),
+            [qfi_linear(a, n, SplitterParams(s)) for a, n, _, s in cells],
+        )
+        _assert_same_bits(
+            optimal_split_ratio(n_alpha, g1), [optimal_split_ratio(a, g) for a, _, g, _ in cells]
+        )
+        _assert_same_bits(
+            optimal_transmissivity(n_alpha, g1),
+            [optimal_transmissivity(a, g) for a, _, g, _ in cells],
+        )
+
+    def test_argmax_slope_transmissivity(self):
+        rng = np.random.default_rng(10)
+        n_alpha = rng.uniform(1e-3, 1e4, self.COUNT)
+        g1 = rng.uniform(0.0, 5.0, self.COUNT)
+        got = argmax_slope_transmissivity(n_alpha, g1)
+        want = [argmax_slope_transmissivity(a, g) for a, g in zip(n_alpha.tolist(), g1.tolist())]
+        # each cell takes its own scalar steps, so the bits agree, not only xtol
+        _assert_same_bits(got, want)
+        assert isinstance(want[0], float)
+
+    def test_golden_section_array_bounds(self):
+        peaks = np.array([0.1, 0.35, 0.8])
+        got = analytic.golden_section_argmax(
+            lambda x: -(x - peaks) * (x - peaks), np.zeros(3), np.array([0.5, 1.0, 2.0]), 1e-9
+        )
+        want = [
+            analytic.golden_section_argmax(lambda x, p=p: -(x - p) * (x - p), 0.0, hi, 1e-9)
+            for p, hi in zip(peaks.tolist(), (0.5, 1.0, 2.0))
+        ]
+        _assert_same_bits(got, want)
+        assert np.all(np.abs(got - peaks) <= 1e-9)
+
+    def test_balanced_terms(self):
+        rng = np.random.default_rng(11)
+        g = np.hypot(1.0, rng.uniform(0.05, 3.0, self.COUNT))
+        cols = {
+            "g1": g, "theta1": np.zeros(self.COUNT), "g2": g,
+            "theta2": np.full(self.COUNT, math.pi), "t": rng.uniform(0.05, 0.95, self.COUNT),
+            "alpha": rng.uniform(0.1, 10.0, self.COUNT), "theta_alpha": np.zeros(self.COUNT),
+        }
+        got = balanced_terms(_config_of(cols))
+        want = [balanced_terms(_config_of(c)) for c in _cells(cols)]
+        for k in range(3):
+            _assert_same_bits(got[k], [w[k] for w in want])
+        cols["theta2"] = cols["theta2"].copy()
+        cols["theta2"][5] = 3.0
+        assert balanced_terms(_config_of(cols)) is None
+
+    def test_guards_raise_on_any_negative_element(self):
+        cfg = build_config()
+        with pytest.raises(ValueError, match="photon number"):
+            transfer_coefficients(
+                cfg.splitter, cfg.nbs1, cfg.nbs2, cfg.phase, np.array([0, 3, -1, 2])
+            )
+        one_negative = np.array([1.0, 2.0, -0.5, 3.0])
+        ok = np.ones(4)
+        for n_alpha, n_g in ((one_negative, ok), (ok, one_negative)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                qfi_linear(n_alpha, n_g, SplitterParams(0.5))
+        for n_alpha, g1 in ((one_negative, ok), (ok, one_negative)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                optimal_split_ratio(n_alpha, g1)

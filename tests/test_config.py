@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,61 @@ class TestValidate:
         assert "coherent.magnitude" in joined
         assert "loss.eta_a" in joined
         assert "loss.eta_det" in joined
+
+    def test_scalar_messages_unchanged(self):
+        cfg = InterferometerConfig(
+            nbs1=SqueezerParams(gain=0.5),
+            nbs2=SqueezerParams(phase=math.nan),
+            splitter=SplitterParams(1.2),
+            coherent=CoherentInput(-1.0),
+            loss=LossParams(eta_a=2.0, eta_c=-0.25, eta_det=0.0),
+        )
+        assert cfg.invariant_errors() == [
+            "nbs1.gain below 1 (got 0.5)",
+            "nbs2.phase not finite",
+            "transmissivity outside [0,1] (got 1.2)",
+            "coherent.magnitude negative (got -1.0)",
+            "loss.eta_a outside [0,1] (got 2.0)",
+            "loss.eta_c outside [0,1] (got -0.25)",
+            "loss.eta_det outside (0,1] (got 0.0)",
+        ]
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (
+                InterferometerConfig(nbs1=SqueezerParams(gain=np.array([1.0, 2.0, 0.5, 0.25]))),
+                "nbs1.gain below 1 (got 0.5)",
+            ),
+            (
+                InterferometerConfig(splitter=SplitterParams(np.array([[0.2, 0.3], [1.5, 0.4]]))),
+                "transmissivity outside [0,1] (got 1.5)",
+            ),
+            (
+                InterferometerConfig(coherent=CoherentInput(np.array([1.0, -2.0]))),
+                "coherent.magnitude negative (got -2.0)",
+            ),
+            (
+                InterferometerConfig(loss=LossParams(eta_det=np.array([1.0, 0.5, 0.0]))),
+                "loss.eta_det outside (0,1] (got 0.0)",
+            ),
+            (
+                InterferometerConfig(phase=PhaseShift(nonlinear=np.array([0.1, np.nan]))),
+                "phase.nonlinear not finite",
+            ),
+        ],
+    )
+    def test_array_config_with_one_bad_cell_fails(self, cfg, message):
+        with pytest.raises(InvalidConfigError) as exc:
+            validate(cfg)
+        assert exc.value.errors == [message]
+
+    def test_valid_array_config_passes(self):
+        cfg = InterferometerConfig(
+            nbs1=SqueezerParams(np.array([1.0, 2.0]), np.array([0.0, 1.0])),
+            loss=LossParams(eta_a=np.linspace(0.0, 1.0, 5), eta_det=np.array([1e-9, 1.0])),
+        )
+        assert validate(cfg) is cfg
 
     def test_non_finite_rejected(self):
         cfg = InterferometerConfig(phase=PhaseShift(linear=math.inf))

@@ -170,6 +170,11 @@ class TestKerr:
         out = apply_kerr(state, 0.3, 0.11, MODE_B)
         assert out.norm_sq == pytest.approx(state.norm_sq, abs=1e-15)
 
+    def test_rejects_density(self):
+        rho = to_density(coherent_product_state([0.0, 0.4, 0.0], cutoff=8))
+        with pytest.raises(TypeError, match="FockState"):
+            apply_kerr(rho, 0.2, 0.05, MODE_B)
+
     def test_heisenberg_matrix_element(self):
         # the annihilator matrix element from the two-photon level picks up
         # e^{i(phi_l + 3 phi_n)}, the n = 1 value of e^{i(phi_l + phi_n(2n+1))}

@@ -87,6 +87,46 @@ class TestSpecValidation:
             run_sweep(spec)
 
     @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (
+                [0.5, 1.5, 0.7, -2.0],
+                [0.2, -0.5, 0.3],
+                "axis 'loss.eta_c' value 1.5: loss.eta_c outside [0,1] (got 1.5)",
+            ),
+            (
+                [0.5, 0.6, 0.7],
+                [0.2, 0.4, math.inf, 1.5, 0.3],
+                "axis 'eta_ab' value inf: loss.eta_a not finite; loss.eta_b not finite",
+            ),
+        ],
+    )
+    def test_first_invalid_mid_axis_value_named(self, first, second, message):
+        # axis by axis, value by value: the first axis wins, then the first
+        # invalid value along the axis
+        spec = SweepSpec(
+            base=FIG4_BASE,
+            axes=(Axis.from_values("loss.eta_c", first), Axis.from_values("eta_ab", second)),
+        )
+        with pytest.raises(SweepSpecError) as exc:
+            spec.validated()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", SWEEPABLE_PARAMETERS)
+    def test_array_check_agrees_with_each_value(self, name):
+        # the one-array-config check flags an axis exactly when a value set
+        # alone on the base is invalid
+        rng = np.random.default_rng(len(name))
+        values = rng.uniform(-3.0, 3.0, 40)
+        values[7] = math.nan
+        for chunk in (values[:7], values[7:12], values[12:]):
+            array_bad = bool(set_parameter(FIG4_BASE, name, chunk).invariant_errors())
+            scalar_bad = any(
+                set_parameter(FIG4_BASE, name, v).invariant_errors() for v in chunk.tolist()
+            )
+            assert array_bad == scalar_bad
+
+    @pytest.mark.parametrize(
         "base",
         [build_config(alpha=0.0, g1=2.0, g2=4.0), FIG4_BASE],
         ids=["every-point-undefined", "defined-points"],

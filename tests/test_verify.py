@@ -72,6 +72,13 @@ class TestAnalyticSuite:
             assert key in rec
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_analytic_suite_passes_at_cli_default_draws(seed):
+    records = verify.run_analytic_suite(seed=seed, draws=2000)
+    assert tuple(r.check for r in records) == ANALYTIC_CHECKS
+    assert [(r.check, r.rel_err) for r in records if not r.passed] == []
+
+
 class TestOracleSuite:
     def test_all_checks_pass(self, oracle_records):
         failures = [(r.check, r.rel_err) for r in oracle_records if not r.passed]
