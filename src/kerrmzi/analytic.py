@@ -266,6 +266,17 @@ def golden_section_argmax(f, lo: float, hi: float, xtol: float = 1e-10) -> float
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
+    if max(lo.ndim, hi.ndim, np.ndim(f1), np.ndim(f2)) == 0:
+        # the same steps on plain floats, without numpy's 0-d overhead
+        lo, hi, x1, x2, f1, f2 = map(float, (lo, hi, x1, x2, f1, f2))
+        while hi - lo > xtol:
+            if f1 < f2:
+                lo, x1, f1, x2 = x1, x2, f2, x1 + _INV_GOLDEN * (hi - x1)
+                f2 = float(f(x2))
+            else:
+                hi, x2, f2, x1 = x2, x1, f1, x2 - _INV_GOLDEN * (x2 - lo)
+                f1 = float(f(x1))
+        return 0.5 * (lo + hi)
     while (active := hi - lo > xtol).any():
         # keep [x1, hi] where right, else [lo, x2]; a finished element keeps both
         right = np.less(f1, f2)

@@ -4,8 +4,9 @@ Slots are fixed: a = 0 (readout / correlation partner), b = 1 (carries the
 sensing arm between the two linear splitters), c = 2 (pump input).  Pure
 states are kept as a (C, C, C) amplitude tensor; the internal losses split
 one into pure Kraus branches, a (C, C, C, branches) stack.  After the
-second splitter a lossy state is promoted to a density operator stored as a
-(C,)*6 tensor with ket axes 0..2 and bra axes 3..5.
+second splitter a lossy run traces out mode c, which nothing later touches,
+and goes on with the two-mode density rho_ab, a (C,)*4 tensor; a density
+on n modes has ket axes 0..n-1 and bra axes n..2n-1.
 
 Unitaries are built by exponentiating the generator restricted to the
 truncated space.  A principal submatrix of an anti-Hermitian generator is
@@ -37,9 +38,9 @@ _NORM_DRIFT_GUARD = 1e-9
 # Entries per gate and loss cache: simulate uses two squeezers, one splitter
 # and up to five loss channels, so numeric_slope never rebuilds a gate.
 _CACHE_SIZE = 5
-# Largest density tensor, in GiB, that to_density allocates (cutoff 20
-# fits); also the cap on the four branch tensors a lossy numeric_slope keeps
-# alive (state, tangent, and a gate's gather and matmul copies).
+# Largest density tensor, in GiB, that to_density allocates; also the cap
+# on the four branch tensors a lossy simulate or numeric_slope keeps alive
+# (state, tangent, and a gate's gather and matmul copies).
 _DENSITY_GIB_CAP = 1
 
 
@@ -49,11 +50,12 @@ class TruncationError(RuntimeError):
 
 @dataclass
 class FockState:
-    """Pure three-mode state; ``amplitudes`` has shape (cutoff,)*3, plus a
-    trailing axis for the Kraus branches psi_br of sum_br |psi_br><psi_br|."""
+    """Pure state; ``amplitudes`` has shape (cutoff,)*modes, plus a trailing
+    axis for the Kraus branches psi_br of sum_br |psi_br><psi_br|."""
 
     amplitudes: np.ndarray
     cutoff: int
+    modes: int = 3
 
     @property
     def norm_sq(self) -> float:
@@ -62,17 +64,21 @@ class FockState:
 
 @dataclass
 class DensityOperator:
-    """Mixed three-mode state; ``tensor`` has shape (cutoff,)*6."""
+    """Mixed state; ``tensor`` has shape (cutoff,)*(2 modes)."""
 
     tensor: np.ndarray
     cutoff: int
 
     @property
+    def modes(self) -> int:
+        return self.tensor.ndim // 2
+
+    @property
     def trace(self) -> float:
-        return float(np.einsum("abcabc->", self.tensor).real)
+        return float(self.matrix().trace().real)
 
     def matrix(self) -> np.ndarray:
-        d = self.cutoff**3
+        d = self.cutoff**self.modes
         return self.tensor.reshape(d, d)
 
     def hermiticity_defect(self) -> float:
@@ -92,12 +98,12 @@ def _refuse_above_cap(cutoff: int, nbytes: int, what: str = "a density operator"
 
 def to_density(state: FockState) -> DensityOperator:
     """sum_br |psi_br><psi_br| over the Kraus branches (|psi><psi| when
-    pure) as a (cutoff,)*6 tensor, one matmul P P^dag; raises ValueError
-    before allocating when that tensor would exceed _DENSITY_GIB_CAP."""
-    c = state.cutoff
-    _refuse_above_cap(c, 16 * c**6)
-    stack = state.amplitudes.reshape(c**3, -1)
-    tensor = (stack @ stack.conj().T).reshape((c,) * 6)
+    pure) as a (cutoff,)*(2 modes) tensor, one matmul P P^dag; raises
+    ValueError before allocating when it would exceed _DENSITY_GIB_CAP."""
+    c, d = state.cutoff, state.cutoff**state.modes
+    _refuse_above_cap(c, 16 * d * d)
+    stack = state.amplitudes.reshape(d, -1)
+    tensor = (stack @ stack.conj().T).reshape((c,) * (2 * state.modes))
     return DensityOperator(tensor=tensor, cutoff=c)
 
 
@@ -240,8 +246,8 @@ def _sandwich(tensor: np.ndarray, gate: _PackedGate, ket_axes, bra_axes) -> np.n
 def _apply_unitary(state, gate: _PackedGate, modes):
     if isinstance(state, FockState):
         amps = _apply_on_axes(state.amplitudes, gate, modes)
-        return FockState(amplitudes=amps, cutoff=state.cutoff)
-    tensor = _sandwich(state.tensor, gate, modes, [m + 3 for m in modes])
+        return FockState(amplitudes=amps, cutoff=state.cutoff, modes=state.modes)
+    tensor = _sandwich(state.tensor, gate, modes, [m + state.modes for m in modes])
     return DensityOperator(tensor=tensor, cutoff=state.cutoff)
 
 
@@ -252,25 +258,19 @@ def mode_populations(state, mode: int) -> np.ndarray:
     if isinstance(state, FockState):
         joint = np.abs(state.amplitudes) ** 2
     else:
-        joint = np.einsum("abcabc->abc", state.tensor).real
+        joint = state.matrix().diagonal().real.reshape((state.cutoff,) * state.modes)
     return joint.sum(axis=tuple(m for m in range(joint.ndim) if m != mode))
 
 
 def reduced_density(state, mode: int) -> np.ndarray:
-    """(C, C) reduced density matrix of one mode."""
+    """(C, C) reduced density matrix of one mode; a trailing axis of Kraus
+    branches is traced out as well."""
     if isinstance(state, FockState):
-        psi = state.amplitudes
-        if mode == 0:
-            return np.einsum("ijk,ljk->il", psi, psi.conj())
-        if mode == 1:
-            return np.einsum("ijk,ilk->jl", psi, psi.conj())
-        return np.einsum("ijk,ijl->kl", psi, psi.conj())
-    rho = state.tensor
-    if mode == 0:
-        return np.einsum("abcdbc->ad", rho)
-    if mode == 1:
-        return np.einsum("abcaec->be", rho)
-    return np.einsum("abcabf->cf", rho)
+        psi = np.moveaxis(state.amplitudes, mode, 0).reshape(state.cutoff, -1)
+        return psi @ psi.conj().T
+    ket = "abc"[: state.modes]
+    bra = ket[:mode] + "z" + ket[mode + 1 :]
+    return np.einsum(f"{ket}{bra}->{ket[mode]}z", state.tensor)
 
 
 def mean_photon(state, mode: int) -> float:
@@ -299,10 +299,6 @@ def _total_weight(state) -> float:
     if isinstance(state, FockState):
         return state.norm_sq
     return state.trace
-
-
-def _top_level_weight(state, mode: int) -> float:
-    return float(mode_populations(state, mode)[-1])
 
 
 # --- state preparation and gates --------------------------------------------
@@ -399,7 +395,7 @@ def apply_loss(rho: DensityOperator, eta: float, mode: int) -> DensityOperator:
     if eta == 1.0:
         return rho
     superop = _loss_superoperator(eta, rho.cutoff)
-    tensor = _apply_on_axes(rho.tensor, superop, (mode, mode + 3))
+    tensor = _apply_on_axes(rho.tensor, superop, (mode, mode + rho.modes))
     return DensityOperator(tensor=tensor, cutoff=rho.cutoff)
 
 
@@ -434,18 +430,6 @@ def _linear_stage(pair, apply, *args) -> None:
         pair[1] = apply(pair[1], *args)
 
 
-def _lossy_stage(state, *channels):
-    """Loss channels, (eta, mode) each.  A branch stack, or a pure state
-    meeting a loss, is promoted to a density operator first."""
-    if isinstance(state, FockState):
-        if state.amplitudes.ndim == 3 and min(eta for eta, _ in channels) == 1.0:
-            return state
-        state = to_density(state)
-    for eta, mode in channels:
-        state = apply_loss(state, eta, mode)
-    return state
-
-
 def _check_truncation(stage: str, budget: float, drift: float, occupancies) -> None:
     """The norm or trace must not drift across a stage, and no mode may hold
     more than the budget on its top Fock level after it."""
@@ -464,7 +448,7 @@ def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
     before = _total_weight(pair[0])
     _linear_stage(pair, apply, *args)
     _check_truncation(stage, budget, abs(_total_weight(pair[0]) - before),
-                      [_top_level_weight(pair[0], m) for m in range(3)])
+                      [mode_populations(pair[0], m)[-1] for m in range(pair[0].modes)])
 
 
 def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float):
@@ -486,8 +470,12 @@ def _through_bs2(config, phi_n, cutoff: int, budget: float, tangent: bool):
     """[state, tangent] after the second splitter, both pure: the internal
     losses (eta_d on b, eta_c on c) split them into Kraus branches.  The
     tangent, d/dphi_n of the state or None unless asked for, starts at the
-    Kerr stage; every later stage is linear in the state."""
+    Kerr stage; every later stage is linear in the state.  Refuses a lossy
+    run whose four branch stacks would exceed _DENSITY_GIB_CAP."""
     loss = config.loss
+    if not loss.is_lossless():
+        branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
+        _refuse_above_cap(cutoff, 4 * 16 * cutoff**3 * branches, "a lossy run's branch tensors")
     nonlin = config.phase.nonlinear if phi_n is None else phi_n
     state = apply_kerr(
         _entering_kerr(config, cutoff, budget), config.phase.linear, nonlin, MODE_B
@@ -516,26 +504,28 @@ def simulate(
     (b, c), Kerr phase on b, internal losses (eta_d on b, eta_c on c),
     second splitter on (b, c), external losses (eta_a on a, eta_b on b),
     readout squeezer on (a, b), detection loss (eta_det on a).  Lossless
-    configurations stay on the pure-state fast path.  The internal losses
-    keep the state pure as Kraus branches; it is promoted to a density
-    operator after the second splitter (or, without internal losses, just
-    before the first later loss).  A density above _DENSITY_GIB_CAP raises
-    ValueError before anything is allocated.
+    configurations stay pure and return the three-mode state.  Internal
+    losses split the state into Kraus branches P.  Nothing after the second
+    splitter touches mode c, so a lossy run returns the (a, b) density
+    Tr_c(P P^dag) = P' P'^dag, with c one more branch index of P'.  Tensors
+    above _DENSITY_GIB_CAP raise ValueError before they are allocated.
 
     phi_n overrides the configured nonlinear phase.  Raises
     TruncationError naming the stage (prepare, nbs1, bs1, bs2 or nbs2)
-    whose top-level occupancy exceeds the budget.
+    whose top-level occupancy exceeds the budget; from nbs2 on, mode c
+    keeps the occupancy bs2 checked.
     """
     loss = config.loss
-    if not loss.is_lossless():
-        _refuse_above_cap(cutoff, 16 * cutoff**6)
+    lossy = not loss.is_lossless()
     pair = _through_bs2(config, phi_n, cutoff, budget, tangent=False)
-    pair[0] = _lossy_stage(pair[0], (loss.eta_a, MODE_A), (loss.eta_b, MODE_B))
+    if lossy:
+        folded = FockState(pair[0].amplitudes.reshape(cutoff, cutoff, -1), cutoff, modes=2)
+        pair[0] = apply_loss(apply_loss(to_density(folded), loss.eta_a, MODE_A), loss.eta_b, MODE_B)
     _checked_stage(
         pair, "nbs2", budget, apply_two_mode_squeezer,
         config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
     )
-    return _lossy_stage(pair[0], (loss.eta_det, MODE_A))
+    return apply_loss(pair[0], loss.eta_det, MODE_A) if lossy else pair[0]
 
 
 def _pulled_back_readout(config: InterferometerConfig, cutoff: int) -> np.ndarray:
@@ -590,8 +580,6 @@ def numeric_slope(
         state, tangent = pair
         cross = np.einsum("ijk,ljk->il", tangent.amplitudes, state.amplitudes.conj())
         return SlopeEstimate(value=2.0 * float(np.trace(_quadrature_y(cutoff) @ cross).real))
-    branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
-    _refuse_above_cap(cutoff, 4 * 16 * cutoff**3 * branches, "a lossy slope's branch tensors")
     state, tangent = _through_bs2(config, None, cutoff, budget, tangent=True)
     ops = _pulled_back_readout(config, cutoff)
     p = state.amplitudes.reshape(cutoff**2, -1)

@@ -26,7 +26,7 @@ from .config import (
 )
 
 _MUTATION_FACTOR = 1.0 + 1e-3
-_LOSSY_TOL = 1e-4
+_LOSSY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def _lossy_errors(cfg: InterferometerConfig, cutoff: int, budget: float):
 def run_oracle_suite(
     seed: int = 0,
     cutoff: int = 15,
-    lossy_cutoff: int = 10,
+    lossy_cutoff: int = 14,
     mutate: str | None = None,
     budget: float = 1e-6,
     lossy_budget: float = 1e-5,

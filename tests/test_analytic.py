@@ -570,6 +570,21 @@ class TestArrayForms:
         _assert_same_bits(got, want)
         assert np.all(np.abs(got - peaks) <= 1e-9)
 
+    def test_golden_section_scalar_loop_matches_array_path(self):
+        # 0-d bounds and profile take the plain-float loop, one-element
+        # arrays the numpy one; both take the same steps
+        def profile(t):
+            return np.sqrt(t * (1.0 - t))
+
+        for xtol in (1e-9, 1e-10, 1e-13):
+            scalar = analytic.argmax_linear_slope_transmissivity(xtol)
+            array = analytic.golden_section_argmax(profile, np.zeros(1), np.ones(1), xtol)
+            assert isinstance(scalar, float)
+            _assert_same_bits(array, [scalar])
+        skewed = analytic.argmax_slope_transmissivity(3.0, 0.7)
+        family = analytic.argmax_slope_transmissivity(np.array([3.0]), np.array([0.7]))
+        _assert_same_bits(family, [skewed])
+
     def test_balanced_terms(self):
         rng = np.random.default_rng(11)
         g = np.hypot(1.0, rng.uniform(0.05, 3.0, self.COUNT))

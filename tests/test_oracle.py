@@ -12,6 +12,7 @@ from kerrmzi.oracle import (
     MODE_B,
     MODE_C,
     DensityOperator,
+    FockState,
     TruncationError,
     apply_beam_splitter,
     apply_kerr,
@@ -234,16 +235,21 @@ class TestLossChannel:
         lossy = build_config(
             alpha=0.8, g1=0.25, g2=0.5, transmissivity=0.25, eta_c=0.7, eta_d=0.6
         )
-        rho = simulate(lossy, cutoff=8, budget=5e-4)
-        for eta in (0.0, 0.35, 0.8):
-            for mode in range(3):
-                ref = np.zeros_like(rho.tensor)
-                for k in loss_kraus_operators(eta, rho.cutoff):
-                    term = np.moveaxis(np.tensordot(k, rho.tensor, (1, mode)), 0, mode)
-                    term = np.tensordot(k.conj(), term, (1, mode + 3))
-                    ref += np.moveaxis(term, 0, mode + 3)
-                out = apply_loss(rho, eta, mode)
-                assert np.max(np.abs(out.tensor - ref)) <= 1e-14
+        # the mixed three-mode state after bs2, and the two-mode (a, b)
+        # density a lossy simulate ends with
+        branches = oracle._through_bs2(lossy, None, 8, 5e-4, tangent=False)[0]
+        for rho in (to_density(branches), simulate(lossy, cutoff=8, budget=5e-4)):
+            n = rho.modes
+            for eta in (0.0, 0.35, 0.8):
+                for mode in range(n):
+                    ref = np.zeros_like(rho.tensor)
+                    for k in loss_kraus_operators(eta, rho.cutoff):
+                        term = np.moveaxis(np.tensordot(k, rho.tensor, (1, mode)), 0, mode)
+                        term = np.tensordot(k.conj(), term, (1, mode + n))
+                        ref += np.moveaxis(term, 0, mode + n)
+                    out = apply_loss(rho, eta, mode)
+                    assert np.max(np.abs(out.tensor - ref)) <= 1e-14
+        assert [to_density(branches).modes, rho.modes] == [3, 2]
 
     def test_kraus_matrix_elements(self):
         eta = 0.49
@@ -383,8 +389,8 @@ class TestSimulate:
         assert rho.min_eigenvalue() > -1e-8
 
     def test_lossy_peak_memory(self):
-        # at most four (cutoff,)*6 tensors alive at once, plus 5 % for the
-        # small arrays beside them
+        # at most four Kraus branch stacks of cutoff^5 numbers alive at once;
+        # the tail after bs2 holds (cutoff,)*4 densities
         lossy = build_config(
             alpha=0.8, g1=0.25, g2=0.5, transmissivity=0.25,
             eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.9,
@@ -396,7 +402,33 @@ class TestSimulate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 16 * 8**6 * 1.05
+        assert peak <= 4 * 16 * 8**5
+
+    def test_lossy_is_trace_over_c_of_three_mode_reference(self):
+        # the three-mode density after bs2, run through the external
+        # losses, the readout squeezer and the detection loss, then Tr_c
+        lossy = build_config(
+            alpha=0.8, g1=0.25, g2=0.5, transmissivity=0.25, phi_n=0.05,
+            eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.85,
+        )
+        loss = lossy.loss
+        ref = to_density(oracle._through_bs2(lossy, None, 8, 5e-4, tangent=False)[0])
+        ref = apply_loss(apply_loss(ref, loss.eta_a, MODE_A), loss.eta_b, MODE_B)
+        nbs2 = oracle._squeezer_unitary(lossy.nbs2.gain, lossy.nbs2.phase, 8)
+        ref = DensityOperator(oracle._sandwich(ref.tensor, nbs2, (0, 1), (3, 4)), 8)
+        ref = apply_loss(ref, loss.eta_det, MODE_A)
+        rho = simulate(lossy, cutoff=8, budget=5e-4)
+        assert rho.tensor.shape == (8,) * 4
+        assert np.max(np.abs(rho.tensor - np.einsum("abcdec->abde", ref.tensor))) <= 1e-14
+
+    def test_external_losses_only_run_at_cutoff_30(self):
+        # one branch: the (30,)*4 density holds 13 MB, where the (30,)*6
+        # one would need 10.9 GiB
+        cfg = _with_losses(CANON, eta_a=0.8, eta_b=0.7)
+        rho = simulate(cfg, cutoff=30)
+        assert rho.tensor.nbytes == 16 * 30**4
+        _, var = quadrature_stats(rho, MODE_A)
+        assert var == pytest.approx(analytic.lossy_noise_at_zero(cfg), rel=1e-12)
 
     def test_truncation_budget_names_stage(self):
         cfg = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25)
@@ -668,3 +700,61 @@ class TestReducedDensity:
             assert mode_populations(state, mode).sum() == pytest.approx(
                 1.0, abs=1e-10
             )
+
+
+class TestTwoModeDensity:
+    # a lossy simulate ends on the two-mode (a, b) density; folding mode c
+    # into the branch axis traces it out
+    LOSSY = build_config(
+        alpha=0.8, g1=0.25, g2=0.5, transmissivity=0.25,
+        eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6,
+    )
+
+    def test_helpers_match_three_mode_reference(self):
+        rho = simulate(self.LOSSY, cutoff=8, budget=5e-4)
+        branches = oracle._through_bs2(self.LOSSY, None, 8, 5e-4, tangent=False)[0]
+        folded = FockState(branches.amplitudes.reshape(8, 8, -1), 8, modes=2)
+        # the reference: the three-mode density with no loss or gate after bs2
+        ref = to_density(branches)
+        plain = to_density(folded)
+        assert (rho.modes, plain.modes, ref.modes) == (2, 2, 3)
+        assert plain.trace == pytest.approx(ref.trace, abs=1e-14)
+        assert plain.matrix().shape == (64, 64)
+        for mode in (MODE_A, MODE_B):
+            np.testing.assert_allclose(
+                mode_populations(plain, mode), mode_populations(ref, mode), rtol=0, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                reduced_density(plain, mode), reduced_density(ref, mode), rtol=0, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                reduced_density(folded, mode), reduced_density(ref, mode), rtol=0, atol=1e-15
+            )
+        traced = np.einsum("abcdec->abde", ref.tensor).reshape(64, 64)
+        assert plain.min_eigenvalue() == pytest.approx(np.linalg.eigvalsh(traced)[0], abs=1e-15)
+        assert rho.trace == pytest.approx(1.0, abs=1e-10)
+        assert rho.hermiticity_defect() < 1e-15
+        assert rho.min_eigenvalue() > -1e-15
+
+    def test_folded_stack_is_not_a_three_mode_state(self):
+        # a (c, c, c) tensor entangled across (b, c): folding c leaves
+        # vacuum on a and (up to truncation) a thermal state of mean g^2 on b
+        g = 0.3
+        state = apply_two_mode_squeezer(vacuum(8), math.hypot(1.0, g), 0.0, MODE_B, MODE_C)
+        pure = to_density(state)
+        rho = to_density(FockState(state.amplitudes, 8, modes=2))
+        assert pure.tensor.shape == (8,) * 6 and rho.tensor.shape == (8,) * 4
+        assert pure.min_eigenvalue() == pytest.approx(0.0, abs=1e-12)
+        assert rho.min_eigenvalue() == pytest.approx(0.0, abs=1e-12)
+        assert rho.trace == pytest.approx(1.0, abs=1e-12)
+        n = np.arange(8)
+        thermal = g ** (2 * n) / (1 + g * g) ** (n + 1)
+        np.testing.assert_allclose(mode_populations(rho, MODE_B), thermal, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(
+            reduced_density(rho, MODE_B), np.diag(thermal), rtol=0, atol=1e-8
+        )
+        assert mode_populations(rho, MODE_A)[0] == pytest.approx(1.0, abs=1e-12)
+        # rho_ab is mixed with the thermal state's purity; the three-mode state is pure
+        purity = np.trace(rho.matrix() @ rho.matrix()).real
+        assert purity == pytest.approx(np.sum(thermal**2), abs=1e-8)
+        assert np.trace(pure.matrix() @ pure.matrix()).real == pytest.approx(1.0, abs=1e-12)
