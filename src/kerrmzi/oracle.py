@@ -6,7 +6,10 @@ states are kept as a (C, C, C) amplitude tensor; the internal losses split
 one into pure Kraus branches, a (C, C, C, branches) stack.  After the
 second splitter a lossy run traces out mode c, which nothing later touches,
 and goes on with the two-mode density rho_ab, a (C,)*4 tensor; a density
-on n modes has ket axes 0..n-1 and bra axes n..2n-1.
+on n modes has ket axes 0..n-1 and bra axes n..2n-1.  simulate and
+numeric_slope share one forward pass: from the Kerr stage on, the
+derivative of the state with respect to the nonlinear phase rides beside
+it through every later stage, each linear in the state.
 
 Unitaries are built by exponentiating the generator restricted to the
 truncated space.  A principal submatrix of an anti-Hermitian generator is
@@ -36,7 +39,8 @@ from .config import InterferometerConfig
 MODE_A, MODE_B, MODE_C = 0, 1, 2
 _NORM_DRIFT_GUARD = 1e-9
 # Entries per gate and loss cache: simulate uses two squeezers, one splitter
-# and up to five loss channels, so numeric_slope never rebuilds a gate.
+# and up to three loss superoperators (eta_a, eta_b, eta_det; the internal
+# losses use uncached Kraus operators), so numeric_slope never rebuilds a gate.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates; also the cap
 # on the four branch tensors a lossy simulate or numeric_slope keeps alive
@@ -232,11 +236,6 @@ def _apply_on_axes(tensor: np.ndarray, gate: _PackedGate, axes) -> np.ndarray:
     return out
 
 
-def _adjoint(gate: _PackedGate) -> _PackedGate:
-    """The packed gate of gate^dag: the adjoint of each row block."""
-    return gate._replace(stack=gate.stack.conj().transpose(0, 2, 1))
-
-
 def _sandwich(tensor: np.ndarray, gate: _PackedGate, ket_axes, bra_axes) -> np.ndarray:
     """U T U^dag for an operator tensor T with the given ket and bra axes."""
     bra = gate._replace(stack=gate.stack.conj())
@@ -305,7 +304,8 @@ def _total_weight(state) -> float:
 
 
 def coherent_product_state(amplitudes, cutoff: int, budget: float = 1e-8) -> FockState:
-    """Product of coherent states, one complex amplitude per slot."""
+    """Product of coherent states, one complex amplitude per slot; the
+    state has as many modes as there are slots."""
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2 (got {cutoff})")
     vecs = []
@@ -329,8 +329,9 @@ def coherent_product_state(amplitudes, cutoff: int, budget: float = 1e-8) -> Foc
             )
         vec = vec / np.linalg.norm(vec)
         vecs.append(vec)
-    amps = np.einsum("i,j,k->ijk", *vecs)
-    return FockState(amplitudes=amps, cutoff=cutoff)
+    # outer product, one einsum axis per slot
+    amps = np.einsum(*[x for m, vec in enumerate(vecs) for x in (vec, [m])], range(len(vecs)))
+    return FockState(amplitudes=amps, cutoff=cutoff, modes=len(vecs))
 
 
 def _poisson_tail(mu: float, cutoff: int) -> float:
@@ -411,14 +412,6 @@ def _kraus_branches(state: FockState, eta: float, mode: int) -> FockState:
     return FockState(amplitudes=np.moveaxis(amps, -1, mode).reshape(c, c, c, -1), cutoff=c)
 
 
-def _pull_back_loss(ops: np.ndarray, eta: float, axes) -> np.ndarray:
-    """The adjoint loss channel sum_k K_k^dag O K_k on one mode's (ket,
-    bra) axes of an operator tensor; identity at eta = 1."""
-    if eta == 1.0:
-        return ops
-    return _apply_on_axes(ops, _adjoint(_loss_superoperator(eta, ops.shape[0])), axes)
-
-
 # --- full pipeline -----------------------------------------------------------
 
 
@@ -430,25 +423,21 @@ def _linear_stage(pair, apply, *args) -> None:
         pair[1] = apply(pair[1], *args)
 
 
-def _check_truncation(stage: str, budget: float, drift: float, occupancies) -> None:
-    """The norm or trace must not drift across a stage, and no mode may hold
-    more than the budget on its top Fock level after it."""
+def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
+    """A unitary stage followed by the truncation check of its state: the
+    norm or trace must not drift across it, and no mode may hold more than
+    the budget on its top Fock level after it."""
+    before = _total_weight(pair[0])
+    _linear_stage(pair, apply, *args)
+    drift = abs(_total_weight(pair[0]) - before)
     if drift > _NORM_DRIFT_GUARD:
         raise TruncationError(f"{stage}: norm/trace drifted by {drift:.3e}")
-    worst = max(occupancies)
+    worst = max(mode_populations(pair[0], m)[-1] for m in range(pair[0].modes))
     if worst > budget:
         raise TruncationError(
             f"{stage}: top-Fock-level occupancy {worst:.3e} exceeds "
             f"truncation budget {budget:.3e}; increase the cutoff"
         )
-
-
-def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
-    """A unitary stage followed by the truncation check of its state."""
-    before = _total_weight(pair[0])
-    _linear_stage(pair, apply, *args)
-    _check_truncation(stage, budget, abs(_total_weight(pair[0]) - before),
-                      [mode_populations(pair[0], m)[-1] for m in range(pair[0].modes)])
 
 
 def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float):
@@ -492,6 +481,34 @@ def _through_bs2(config, phi_n, cutoff: int, budget: float, tangent: bool):
     return pair
 
 
+def _readout_pair(config, phi_n, cutoff: int, budget: float, tangent: bool):
+    """[state, tangent] at the readout, the one forward pass of simulate and
+    numeric_slope.  Lossless, both stay pure three-mode states.  Lossy,
+    nothing after the second splitter touches mode c, so it joins the
+    branch axis of the Kraus branches P there: the state becomes
+    rho_ab = P P^dag and the tangent d rho_ab = X + X^dag with X = dP P^dag,
+    and the later stages act on both."""
+    loss = config.loss
+    lossy = not loss.is_lossless()
+    pair = _through_bs2(config, phi_n, cutoff, budget, tangent)
+    if lossy:
+        p = pair[0].amplitudes.reshape(cutoff**2, -1)
+        pair[0] = to_density(FockState(p.reshape(cutoff, cutoff, -1), cutoff, modes=2))
+        if tangent:
+            x = pair[1].amplitudes.reshape(cutoff**2, -1) @ p.conj().T
+            pair[1] = DensityOperator((x + x.conj().T).reshape((cutoff,) * 4), cutoff)
+        del p  # the view held the branch stack alive
+        _linear_stage(pair, apply_loss, loss.eta_a, MODE_A)
+        _linear_stage(pair, apply_loss, loss.eta_b, MODE_B)
+    _checked_stage(
+        pair, "nbs2", budget, apply_two_mode_squeezer,
+        config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
+    )
+    if lossy:
+        _linear_stage(pair, apply_loss, loss.eta_det, MODE_A)
+    return pair
+
+
 def simulate(
     config: InterferometerConfig,
     phi_n: float | None = None,
@@ -509,44 +526,15 @@ def simulate(
     splitter touches mode c, so a lossy run returns the (a, b) density
     Tr_c(P P^dag) = P' P'^dag, with c one more branch index of P'.  Tensors
     above _DENSITY_GIB_CAP raise ValueError before they are allocated.
+    numeric_slope runs this same forward pass, with a tangent beside the
+    state.
 
     phi_n overrides the configured nonlinear phase.  Raises
     TruncationError naming the stage (prepare, nbs1, bs1, bs2 or nbs2)
     whose top-level occupancy exceeds the budget; from nbs2 on, mode c
     keeps the occupancy bs2 checked.
     """
-    loss = config.loss
-    lossy = not loss.is_lossless()
-    pair = _through_bs2(config, phi_n, cutoff, budget, tangent=False)
-    if lossy:
-        folded = FockState(pair[0].amplitudes.reshape(cutoff, cutoff, -1), cutoff, modes=2)
-        pair[0] = apply_loss(apply_loss(to_density(folded), loss.eta_a, MODE_A), loss.eta_b, MODE_B)
-    _checked_stage(
-        pair, "nbs2", budget, apply_two_mode_squeezer,
-        config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
-    )
-    return apply_loss(pair[0], loss.eta_det, MODE_A) if lossy else pair[0]
-
-
-def _pulled_back_readout(config: InterferometerConfig, cutoff: int) -> np.ndarray:
-    """(4, cutoff^2, cutoff^2) operators on modes (a, b), pulled back through
-    the stages after the second splitter (eta_a on a and eta_b on b, nbs2,
-    eta_det on a).  Their expectations in the state after bs2 are, in turn,
-    <Y_a> at readout, the top-level occupancy of a and of b after nbs2, and
-    the weight drift across nbs2 (pulled back from U^dag U - 1)."""
-    loss = config.loss
-    c = cutoff
-    one = np.eye(c)
-    top = np.outer(one[-1], one[-1])
-    y = _pull_back_loss(_quadrature_y(c), loss.eta_det, (0, 1))
-    # (ket a, ket b, bra a, bra b, operator)
-    ops = np.stack([np.einsum("ac,bd->abcd", on_a, on_b)
-                    for on_a, on_b in ((y, one), (top, one), (one, top), (one, one))], axis=-1)
-    nbs2 = _adjoint(_squeezer_unitary(config.nbs2.gain, config.nbs2.phase, c))
-    ops = _sandwich(ops, nbs2, (0, 1), (2, 3))
-    ops[..., 3] -= np.eye(c * c).reshape((c,) * 4)
-    ops = _pull_back_loss(_pull_back_loss(ops, loss.eta_a, (0, 2)), loss.eta_b, (1, 3))
-    return np.moveaxis(ops, -1, 0).reshape(4, c * c, c * c)
+    return _readout_pair(config, phi_n, cutoff, budget, tangent=False)[0]
 
 
 class SlopeEstimate(NamedTuple):
@@ -561,35 +549,18 @@ def numeric_slope(
     """Slope of <Y_a> with respect to the nonlinear phase at its configured
     value, exact within the truncated space.
 
-    The derivative of the state is propagated beside it from the Kerr
-    stage, so there is no step size.  Lossless, the slope is
-    2 Re<psi|Y_a|dpsi> at the end.  Lossy, no density is formed: with the
-    Kraus branches P and tangents dP after the second splitter and X the
-    readout Y_a pulled back through the later stages, it is
-    2 Re sum_br <P_br|X (x) 1_c|dP_br>; ValueError, before allocating, when
-    those branch tensors would exceed _DENSITY_GIB_CAP.  Runs the same
-    truncation checks as simulate, with the same messages.
+    The derivative of the state rides beside it from the Kerr stage
+    through the forward pass of simulate, so there is no step size, and
+    the truncation checks and the ValueError of the memory cap are
+    simulate's own.  Lossless, the slope is 2 Re<psi|Y_a|dpsi> at the end;
+    lossy, it is Tr(Y_a d rho_a) with d rho_a the tangent reduced to mode a.
     """
-    loss = config.loss
-    if loss.is_lossless():
-        pair = _through_bs2(config, None, cutoff, budget, tangent=True)
-        _checked_stage(
-            pair, "nbs2", budget, apply_two_mode_squeezer,
-            config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
-        )
-        state, tangent = pair
+    state, tangent = _readout_pair(config, None, cutoff, budget, tangent=True)
+    y = _quadrature_y(cutoff)
+    if config.loss.is_lossless():
         cross = np.einsum("ijk,ljk->il", tangent.amplitudes, state.amplitudes.conj())
-        return SlopeEstimate(value=2.0 * float(np.trace(_quadrature_y(cutoff) @ cross).real))
-    state, tangent = _through_bs2(config, None, cutoff, budget, tangent=True)
-    ops = _pulled_back_readout(config, cutoff)
-    p = state.amplitudes.reshape(cutoff**2, -1)
-    p_dag = p.conj().T
-    # <P|X|Q> = sum_xy X[x, y] (Q P^dag)[y, x]
-    top_a, top_b, drift = np.einsum("jxy,yx->j", ops[1:], p @ p_dag).real
-    # mode c keeps the occupancy bs2 checked: nothing after bs2 touches it
-    _check_truncation("nbs2", budget, abs(drift), [top_a, top_b])
-    dp = tangent.amplitudes.reshape(cutoff**2, -1)
-    return SlopeEstimate(value=2.0 * float(np.einsum("xy,yx->", ops[0], dp @ p_dag).real))
+        return SlopeEstimate(value=2.0 * float(np.trace(y @ cross).real))
+    return SlopeEstimate(value=float(np.trace(y @ reduced_density(tangent, MODE_A)).real))
 
 
 def oracle_qfi(

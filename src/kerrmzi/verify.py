@@ -316,9 +316,10 @@ def run_oracle_suite(
     eta = 0.6
     record("loss_cptp", "none", 1.0 + oracle.kraus_completeness_defect(eta, cutoff),
            1.0, 1e-12, cutoff=cutoff)
-    rho = oracle.to_density(oracle.coherent_product_state([0.0, 0.0, 0.8], cutoff, budget))
-    rho = oracle.apply_loss(rho, eta, oracle.MODE_C)
-    amp = oracle.mean_amplitude(rho, oracle.MODE_C)
+    # on a two-mode density, the lossy mode second: its bra axis sits at 3
+    rho = oracle.to_density(oracle.coherent_product_state([0.0, 0.8], cutoff, budget))
+    rho = oracle.apply_loss(rho, eta, 1)
+    amp = oracle.mean_amplitude(rho, 1)
     record("loss_coherent_amplitude", "none", 1.0 + abs(amp - math.sqrt(eta) * 0.8),
            1.0, 1e-8, cutoff=cutoff)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import kerrmzi
+from kerrmzi import oracle
 from kerrmzi.cli import main
 
 GOOD_CONFIG = """
@@ -183,15 +184,15 @@ class TestVerify:
         assert err.startswith("error:") and "no_such_check" in err
         assert not out.exists()
 
-    def test_oversized_density_exits_2(self, tmp_path, capsys):
-        # the loss check's density operator at cutoff 30 would take 10.9 GiB
+    def test_oversized_density_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a cap below the loss check's 0.77 MiB two-mode density at the
+        # default cutoff 15: refused before allocation, reported as bad input
+        monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 1e-4)
         out = tmp_path / "records.jsonl"
-        code = main(
-            ["verify", "--suite", "oracle", "--cutoff", "30", "--out", str(out)]
-        )
+        code = main(["verify", "--suite", "oracle", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "cutoff 30" in err
+        assert err.startswith("error:") and "cutoff 15" in err
         assert not out.exists()
 
     def test_unknown_suite_exits_2(self, capsys):

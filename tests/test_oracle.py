@@ -492,15 +492,15 @@ _FIVE_LOSSES = build_config(
 class TestSlopeWorkCount:
     # one tensor contraction per gate on the pure prefix and two (state and
     # tangent) per gate after the Kerr stage; the central difference took 16.
-    # A lossy slope forms no density and contracts no (cutoff,)*6 tensor:
-    # bs2 acts on the branch stacks and five contractions pull the readout
-    # back (the density tangent path made 20, 16 of them on c^6 tensors).
+    # A lossy slope forms no (cutoff,)*6 tensor: after bs2 it runs the
+    # two-mode density rho_ab and its tangent forward, 28 944 contracted
+    # elements at cutoff 6 (the adjoint readout pullback contracted 36 756).
     @pytest.mark.parametrize(
-        "cfg, cutoff, budget, limit",
-        [(CANON, 12, 1e-6, 6), (_FIVE_LOSSES, 6, 1e-2, 9)],
+        "cfg, cutoff, budget, measure, limit",
+        [(CANON, 12, 1e-6, len, 6), (_FIVE_LOSSES, 6, 1e-2, sum, 28_944)],
         ids=["lossless", "five-losses"],
     )
-    def test_contractions_per_warm_slope(self, monkeypatch, cfg, cutoff, budget, limit):
+    def test_contractions_per_warm_slope(self, monkeypatch, cfg, cutoff, budget, measure, limit):
         numeric_slope(cfg, cutoff=cutoff, budget=budget)
         sizes = []
         contract = oracle._apply_on_axes
@@ -509,13 +509,14 @@ class TestSlopeWorkCount:
             sizes.append(tensor.size)
             return contract(tensor, *args)
 
-        def no_density(state):
-            raise AssertionError("numeric_slope formed a density operator")
+        def two_mode_density(state):
+            assert state.modes == 2, "numeric_slope formed a three-mode density"
+            return to_density(state)
 
         monkeypatch.setattr(oracle, "_apply_on_axes", counting)
-        monkeypatch.setattr(oracle, "to_density", no_density)
+        monkeypatch.setattr(oracle, "to_density", two_mode_density)
         numeric_slope(cfg, cutoff=cutoff, budget=budget)
-        assert len(sizes) <= limit
+        assert measure(sizes) <= limit
         assert max(sizes) < cutoff**6
 
 
@@ -589,9 +590,9 @@ class TestNumericSlope:
             (_BS1_TRIP, 10, 1e-6, "bs1"),
             (_BS2_TRIP, 10, 1e-6, "bs2"),
             (_NBS2_TRIP, 15, 1e-6, "nbs2"),
-            # lossy: bs2 reads the Kraus branch stack, nbs2 the pulled-back
-            # projectors in numeric_slope and the density in simulate; the
-            # last case parks more on b than on a, the one before on a
+            # lossy: bs2 reads the Kraus branch stack and nbs2 the two-mode
+            # density rho_ab; the last case parks more on b than on a, the
+            # one before on a
             (_with_losses(_BS2_TRIP, eta_c=0.99, eta_d=0.99), 10, 1e-6, "bs2"),
             (_with_losses(_NBS2_TRIP, eta_a=0.95, eta_b=0.9, eta_c=0.9, eta_d=0.9), 12, 1e-6, "nbs2"),
             (_with_losses(_NBS2_TRIP, eta_a=0.5, eta_b=0.99, eta_c=0.9, eta_d=0.9), 12, 1e-6, "nbs2"),

@@ -134,7 +134,11 @@ class TestMutationControl:
         failed = {r.check for r in records if not r.passed}
         assert failed == {check}
 
-    @pytest.mark.parametrize("check", ["tmsv_occupancy", "bs_convention_m1"])
+    @pytest.mark.parametrize(
+        "check",
+        ["tmsv_occupancy", "bs_convention_m1", "loss_coherent_amplitude",
+         "lossy_slope_vs_closed_form"],
+    )
     def test_mutated_oracle_check_fails(self, check):
         records = verify.run_oracle_suite(seed=1, cutoff=12, mutate=check)
         failed = {r.check for r in records if not r.passed}
