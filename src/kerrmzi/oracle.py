@@ -11,12 +11,13 @@ numeric_slope share one forward pass: from the Kerr stage on, the
 derivative of the state with respect to the nonlinear phase rides beside
 it through every later stage, each linear in the state.
 
-Unitaries are built by exponentiating the generator restricted to the
-truncated space.  A principal submatrix of an anti-Hermitian generator is
-again anti-Hermitian, so these truncated gates are exactly unitary and the
-truncation error shows up as population parked near the cutoff, not as
-norm loss; the occupancy of the top Fock level is therefore the leakage
-monitor, with a norm/trace drift guard for numerical accidents.
+Unitaries exponentiate the generator restricted to the truncated space: a
+strength times a unit generator diagonalized once per gate kind and cutoff
+(the squeezer's theta is the diagonal phase e^{i theta n_a}).  A principal
+submatrix of an anti-Hermitian generator is again anti-Hermitian, so these
+gates are exactly unitary and truncation shows up as population parked
+near the cutoff, not as norm loss; the top Fock level's occupancy is the
+leakage monitor, with a norm/trace drift guard for numerical accidents.
 
 Each two-mode gate and the loss channel conserve a label (n_a - n_b,
 n_b + n_c, n_ket - n_bra), so they are stored cyclically packed: a
@@ -26,7 +27,6 @@ label mod C, applied by one gather, one batched matmul and one scatter.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +40,9 @@ MODE_A, MODE_B, MODE_C = 0, 1, 2
 _NORM_DRIFT_GUARD = 1e-9
 # Entries per gate and loss cache: simulate uses two squeezers, one splitter
 # and up to three loss superoperators (eta_a, eta_b, eta_det; the internal
-# losses use uncached Kraus operators), so numeric_slope never rebuilds a gate.
+# losses use uncached Kraus operators), so numeric_slope never rebuilds a gate;
+# the generator eigenbases take one entry per kind and cutoff, so 4 for a
+# cutoff and its double.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates; also the cap
 # on the four branch tensors a lossy simulate or numeric_slope keeps alive
@@ -153,22 +155,31 @@ class _PackedGate(NamedTuple):
     pairs: tuple
 
 
-def _expm_conserving(terms, pairs) -> _PackedGate:
-    """exp(-i h) for the Hermitian h = _packed_kron_sum(terms, pairs), which
-    keeps each packed row within itself: one batched eigendecomposition."""
-    w, v = np.linalg.eigh(_packed_kron_sum(terms, pairs))
-    return _PackedGate((v * np.exp(-1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1), pairs)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _generator_eigenbasis(kind: str, cutoff: int):
+    """(w, v, pairs), v diag(w) v^dag the packed unit generator h0 of a gate
+    kind: i adag bdag - i a b (squeezer, packed by n_a - n_b) or i adag b -
+    i a bdag (splitter, by n_b + n_c); its one eigendecomposition per cutoff."""
+    a = _annihilator(cutoff)
+    b = a.conj().T if kind == "squeezer" else a
+    pairs = _packed_pairs(cutoff, 1 if kind == "squeezer" else -1)
+    w, v = np.linalg.eigh(_packed_kron_sum(((1j, a.conj().T, b), (-1j, a, b.conj().T)), pairs))
+    return w, v, pairs
+
+
+def _exp_generator(kind: str, strength: float, cutoff: int) -> _PackedGate:
+    """exp(-i strength h0) = v diag(e^{-i strength w}) v^dag, row by row."""
+    w, v, pairs = _generator_eigenbasis(kind, cutoff)
+    return _PackedGate((v * np.exp(-1j * strength * w)[:, None]) @ v.conj().swapaxes(1, 2), pairs)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _squeezer_unitary(gain: float, theta: float, cutoff: int) -> _PackedGate:
-    """exp(xi adag bdag - xi* a b) with xi = arccosh(G) e^{i theta} on the
-    two-mode space, packed by n_a - n_b, which it conserves."""
-    a = _annihilator(cutoff)
-    ad = a.conj().T
-    xi = math.acosh(gain) * cmath.exp(1j * theta)
-    terms = ((1j * xi, ad, ad), (-1j * np.conjugate(xi), a, a))
-    return _expm_conserving(terms, _packed_pairs(cutoff, 1))
+    """exp(xi adag bdag - xi* a b), xi = arccosh(G) e^{i theta}, packed by the
+    conserved n_a - n_b: arccosh(G) D h0 D^dag with D = e^{i theta n_a}."""
+    gate = _exp_generator("squeezer", math.acosh(gain), cutoff)
+    d = np.exp(1j * theta * gate.pairs[0])
+    return gate._replace(stack=d[:, :, None] * gate.stack * d.conj()[:, None, :])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -178,13 +189,9 @@ def _beam_splitter_unitary(transmissivity: float, cutoff: int) -> _PackedGate:
     mode.  The zero-phase double pass of the interferometer composes to the
     identity with this sign choice.  Packed by n_b + n_c, which it
     conserves; the pi phase is the sign (-1)^j of each row's pair j."""
-    a = _annihilator(cutoff)
-    ad = a.conj().T
     angle = math.acos(min(1.0, max(0.0, math.sqrt(transmissivity))))
-    terms = ((1j * angle, ad, a), (-1j * angle, a, ad))
-    rot = _expm_conserving(terms, _packed_pairs(cutoff, -1))
-    sign = (-1.0) ** np.arange(cutoff)
-    return rot._replace(stack=sign[:, None] * rot.stack)
+    rot = _exp_generator("splitter", angle, cutoff)
+    return rot._replace(stack=(-1.0) ** np.arange(cutoff)[:, None] * rot.stack)
 
 
 def loss_kraus_operators(eta: float, cutoff: int):
@@ -250,14 +257,18 @@ def _apply_unitary(state, gate: _PackedGate, modes):
     return DensityOperator(tensor=tensor, cutoff=state.cutoff)
 
 
+def _joint_populations(state) -> np.ndarray:
+    """Joint photon-number distribution, any trailing Kraus branch axis kept."""
+    if isinstance(state, FockState):
+        return np.abs(state.amplitudes) ** 2
+    return state.matrix().diagonal().real.reshape((state.cutoff,) * state.modes)
+
+
 def mode_populations(state, mode: int) -> np.ndarray:
     """Photon-number distribution of one mode (diagonal of its reduced
     state), summed from the joint distribution without forming the reduced
     state; a trailing axis of Kraus branches is summed as well."""
-    if isinstance(state, FockState):
-        joint = np.abs(state.amplitudes) ** 2
-    else:
-        joint = state.matrix().diagonal().real.reshape((state.cutoff,) * state.modes)
+    joint = _joint_populations(state)
     return joint.sum(axis=tuple(m for m in range(joint.ndim) if m != mode))
 
 
@@ -292,12 +303,6 @@ def quadrature_stats(state, mode: int):
     mean = float(np.trace(rho @ y).real)
     second = float(np.trace(rho @ y @ y).real)
     return mean, second - mean**2
-
-
-def _total_weight(state) -> float:
-    if isinstance(state, FockState):
-        return state.norm_sq
-    return state.trace
 
 
 # --- state preparation and gates --------------------------------------------
@@ -427,12 +432,13 @@ def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
     """A unitary stage followed by the truncation check of its state: the
     norm or trace must not drift across it, and no mode may hold more than
     the budget on its top Fock level after it."""
-    before = _total_weight(pair[0])
+    before = _joint_populations(pair[0]).sum()
     _linear_stage(pair, apply, *args)
-    drift = abs(_total_weight(pair[0]) - before)
+    joint = _joint_populations(pair[0])
+    drift = abs(joint.sum() - before)
     if drift > _NORM_DRIFT_GUARD:
         raise TruncationError(f"{stage}: norm/trace drifted by {drift:.3e}")
-    worst = max(mode_populations(pair[0], m)[-1] for m in range(pair[0].modes))
+    worst = max(joint.take(-1, axis=m).sum() for m in range(pair[0].modes))
     if worst > budget:
         raise TruncationError(
             f"{stage}: top-Fock-level occupancy {worst:.3e} exceeds "

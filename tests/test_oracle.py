@@ -259,11 +259,11 @@ class TestLossChannel:
         )
 
 
-def _dense_expm(h):
-    """exp(-i h) of a Hermitian matrix from one eigendecomposition of the
-    whole matrix, ignoring its block structure."""
+def _dense_expms(h, strengths):
+    """exp(-i s h) for each strength s, from one eigendecomposition of the
+    whole Hermitian matrix h, ignoring its block structure."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return [(v * np.exp(-1j * s * w)) @ v.conj().T for s in strengths]
 
 
 def _ladder(cutoff):
@@ -281,28 +281,37 @@ def _dense(gate):
     return out
 
 
+def _assert_gate_matches(u, ref, cutoff, case):
+    assert np.max(np.abs(u - ref)) <= 1e-13, case
+    assert np.max(np.abs(u.conj().T @ u - np.eye(cutoff**2))) <= 1e-13, case
+
+
 class TestBlockedGates:
+    # each grid holds its kind's identity end, gain 1 or T = 1.  The phase
+    # only enters as the diagonal e^{i theta n_a}, so cutoff 30 takes one
+    # nonzero phase and spares three dense 900 x 900 eigendecompositions.
     @pytest.mark.parametrize("cutoff", [8, 15, 30])
     def test_squeezer_matches_dense_reference(self, cutoff):
-        gain, theta = math.hypot(1, 0.7), 0.9
         a, ad = _ladder(cutoff)
-        xi = math.acosh(gain) * np.exp(1j * theta)
-        ref = _dense_expm(1j * (xi * np.kron(ad, ad) - np.conj(xi) * np.kron(a, a)))
-        u = _dense(oracle._squeezer_unitary(gain, theta, cutoff))
-        assert np.max(np.abs(u - ref)) <= 1e-13
-        assert np.max(np.abs(u.conj().T @ u - np.eye(cutoff**2))) <= 1e-13
+        gains = [1.0, math.sqrt(1.09), math.sqrt(5)]
+        for theta in [0.0, 0.9, math.pi, -2.0] if cutoff < 30 else [0.9]:
+            h = 1j * (np.exp(1j * theta) * np.kron(ad, ad) - np.exp(-1j * theta) * np.kron(a, a))
+            refs = _dense_expms(h, [math.acosh(gain) for gain in gains])
+            for gain, ref in zip(gains, refs):
+                u = _dense(oracle._squeezer_unitary(gain, theta, cutoff))
+                _assert_gate_matches(u, ref, cutoff, (gain, theta))
 
     @pytest.mark.parametrize("cutoff", [8, 15, 30])
     def test_splitter_matches_dense_reference(self, cutoff):
-        t = 0.3
         a, ad = _ladder(cutoff)
-        angle = math.acos(math.sqrt(t))
-        rot = _dense_expm(1j * angle * (np.kron(ad, a) - np.kron(a, ad)))
-        flip = np.diag((-1.0) ** np.arange(cutoff))
-        ref = np.kron(np.eye(cutoff), flip) @ rot
-        u = _dense(oracle._beam_splitter_unitary(t, cutoff))
-        assert np.max(np.abs(u - ref)) <= 1e-13
-        assert np.max(np.abs(u.conj().T @ u - np.eye(cutoff**2))) <= 1e-13
+        ts = [0.0, 0.3, 1.0]
+        h = 1j * (np.kron(ad, a) - np.kron(a, ad))
+        rots = _dense_expms(h, [math.acos(math.sqrt(t)) for t in ts])
+        # the diagonal of 1 (x) (-1)^n_c, applied as a row scaling
+        flip = np.tile((-1.0) ** np.arange(cutoff), cutoff)[:, None]
+        for t, rot in zip(ts, rots):
+            u = _dense(oracle._beam_splitter_unitary(t, cutoff))
+            _assert_gate_matches(u, flip * rot, cutoff, t)
 
     @pytest.mark.parametrize("cutoff", [8, 10])
     def test_loss_superoperator_matches_kron_sum(self, cutoff):
@@ -469,6 +478,40 @@ class TestGateCaches:
             assert info.misses > info.maxsize
             assert info.currsize <= info.maxsize
 
+    def test_new_gates_need_no_eigendecomposition(self, monkeypatch):
+        # a new gain, phase or T only rescales the cached eigenphases
+        cutoff = 9
+        for cache in (oracle._generator_eigenbasis, *_CACHES):
+            cache.cache_clear()
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        oracle._squeezer_unitary(1.05, 0.0, cutoff)
+        oracle._beam_splitter_unitary(0.45, cutoff)
+        assert len(calls) == 2
+        for k in range(10):
+            oracle._squeezer_unitary(1.1 + 0.1 * k, 0.3 * k - 1.0, cutoff)
+            oracle._beam_splitter_unitary(0.05 + 0.09 * k, cutoff)
+        assert len(calls) == 2
+
+    def test_eigenbasis_cache_stays_bounded(self):
+        # one entry per (kind, cutoff); more cutoffs than it holds
+        basis = oracle._generator_eigenbasis
+        for cache in (basis, *_CACHES):
+            cache.cache_clear()
+        cutoffs = range(4, 5 + basis.cache_info().maxsize)
+        for cutoff in cutoffs:
+            oracle._squeezer_unitary(1.3, 0.4, cutoff)
+            oracle._beam_splitter_unitary(0.35, cutoff)
+        info = basis.cache_info()
+        assert info.misses == 2 * len(cutoffs)
+        assert info.currsize <= info.maxsize
+
     def test_numeric_slope_builds_each_gate_once(self):
         # the internal losses (eta_c, eta_d) use Kraus operators, so only
         # eta_a, eta_b and eta_det build a loss superoperator
@@ -509,8 +552,11 @@ class TestSlopeWorkCount:
             sizes.append(tensor.size)
             return contract(tensor, *args)
 
+        densities = []
+
         def two_mode_density(state):
             assert state.modes == 2, "numeric_slope formed a three-mode density"
+            densities.append(state.modes)
             return to_density(state)
 
         monkeypatch.setattr(oracle, "_apply_on_axes", counting)
@@ -518,6 +564,7 @@ class TestSlopeWorkCount:
         numeric_slope(cfg, cutoff=cutoff, budget=budget)
         assert measure(sizes) <= limit
         assert max(sizes) < cutoff**6
+        assert len(densities) == (0 if cfg.loss.is_lossless() else 1)
 
 
 _LOSSY_PHI = build_config(

@@ -136,8 +136,9 @@ class TestMutationControl:
 
     @pytest.mark.parametrize(
         "check",
-        ["tmsv_occupancy", "bs_convention_m1", "loss_coherent_amplitude",
-         "lossy_slope_vs_closed_form"],
+        ["tmsv_occupancy", "bs_convention_m1", "bs_convention_m0", "loss_coherent_amplitude",
+         "variance_vs_closed_form", "qfi_vs_polynomial", "lossy_slope_vs_closed_form",
+         "arm_occupancy"],
     )
     def test_mutated_oracle_check_fails(self, check):
         records = verify.run_oracle_suite(seed=1, cutoff=12, mutate=check)
