@@ -12,9 +12,13 @@ Conventions used throughout the package:
 All types are immutable value objects and safe to share between threads.
 The derived properties (``g``, ``n_alpha``, ``n_g``, ``n_ps``) are numpy
 ufuncs and products, so a config whose fields hold arrays evaluates them
-elementwise; a sweep builds such a grid config.  ``invariant_errors``
-checks every cell of such a config; a bound violation names the first
-violating cell (row-major).
+elementwise; a sweep builds such a grid config.
+
+``validate`` walks the fields of a config or a Kerr medium in declaration
+order, names each by its dotted path (``nbs1.gain``, ``loss.eta_det``,
+``medium.n0``) and checks that it is finite, then applies its bound from
+the one ``_BOUNDS`` table.  The walk checks every cell of an array field;
+a bound violation names the first violating cell (row-major).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -63,8 +67,8 @@ def _finite(value) -> bool:
 def _bound_errors(message: str, value, bad) -> list:
     """``[f"{message} (got {v})"]`` for the value ``v`` that breaks a bound:
     ``value`` itself where ``bad`` is true, the first cell (row-major) of
-    an array where ``bad`` holds; ``[]`` where it holds nowhere.  Callers
-    skip the call where ``bad`` is a plain ``False``, a valid scalar."""
+    an array where ``bad`` holds; ``[]`` where it holds nowhere.  The walk
+    skips the call where ``bad`` is a plain ``False``, a valid scalar."""
     if isinstance(bad, np.ndarray):
         if not bad.any():
             return []
@@ -90,16 +94,6 @@ class CoherentInput:
     def amplitude(self) -> complex:
         return self.magnitude * complex(math.cos(self.phase), math.sin(self.phase))
 
-    def invariant_errors(self):
-        errs = []
-        if not _finite(self.magnitude):
-            errs.append("coherent.magnitude not finite")
-        elif (bad := self.magnitude < 0) is not False:
-            errs += _bound_errors("coherent.magnitude negative", self.magnitude, bad)
-        if not _finite(self.phase):
-            errs.append("coherent.phase not finite")
-        return errs
-
 
 @dataclass(frozen=True)
 class SqueezerParams:
@@ -118,16 +112,6 @@ class SqueezerParams:
         """Companion amplitude g = sqrt(G^2 - 1); satisfies G^2 - g^2 = 1."""
         return np.sqrt(self.gain * self.gain - 1.0)
 
-    def invariant_errors(self, label: str = "squeezer"):
-        errs = []
-        if not _finite(self.gain):
-            errs.append(f"{label}.gain not finite")
-        elif (bad := self.gain < 1.0) is not False:
-            errs += _bound_errors(f"{label}.gain below 1", self.gain, bad)
-        if not _finite(self.phase):
-            errs.append(f"{label}.phase not finite")
-        return errs
-
 
 @dataclass(frozen=True)
 class SplitterParams:
@@ -139,13 +123,6 @@ class SplitterParams:
     def reflectivity(self) -> float:
         return 1.0 - self.transmissivity
 
-    def invariant_errors(self):
-        t = self.transmissivity
-        if not _finite(t):
-            return ["splitter.transmissivity not finite"]
-        bad = (t < 0.0) | (t > 1.0)
-        return [] if bad is False else _bound_errors("transmissivity outside [0,1]", t, bad)
-
 
 @dataclass(frozen=True)
 class PhaseShift:
@@ -153,14 +130,6 @@ class PhaseShift:
 
     linear: float = 0.0
     nonlinear: float = 0.0
-
-    def invariant_errors(self):
-        errs = []
-        if not _finite(self.linear):
-            errs.append("phase.linear not finite")
-        if not _finite(self.nonlinear):
-            errs.append("phase.nonlinear not finite")
-        return errs
 
 
 @dataclass(frozen=True)
@@ -176,21 +145,6 @@ class LossParams:
 
     def is_lossless(self) -> bool:
         return (self.eta_a, self.eta_b, self.eta_c, self.eta_d, self.eta_det) == (1.0,) * 5
-
-    def invariant_errors(self):
-        errs = []
-        for name in ("eta_a", "eta_b", "eta_c", "eta_d"):
-            v = getattr(self, name)
-            if not _finite(v):
-                errs.append(f"loss.{name} not finite")
-            elif (bad := (v < 0.0) | (v > 1.0)) is not False:
-                errs += _bound_errors(f"loss.{name} outside [0,1]", v, bad)
-        v = self.eta_det
-        if not _finite(v):
-            errs.append("loss.eta_det not finite")
-        elif (bad := (v <= 0.0) | (v > 1.0)) is not False:
-            errs += _bound_errors("loss.eta_det outside (0,1]", v, bad)
-        return errs
 
 
 @dataclass(frozen=True)
@@ -223,16 +177,6 @@ class InterferometerConfig:
         modes plus the pump) that every sensitivity limit is quoted against."""
         return self.n_g + self.coherent.n_alpha
 
-    def invariant_errors(self):
-        errs = []
-        errs += self.nbs1.invariant_errors("nbs1")
-        errs += self.nbs2.invariant_errors("nbs2")
-        errs += self.splitter.invariant_errors()
-        errs += self.coherent.invariant_errors()
-        errs += self.phase.invariant_errors()
-        errs += self.loss.invariant_errors()
-        return errs
-
 
 @dataclass(frozen=True)
 class KerrMediumSpec:
@@ -250,16 +194,6 @@ class KerrMediumSpec:
     epsilon0: float = VACUUM_PERMITTIVITY
     c: float = SPEED_OF_LIGHT
 
-    def invariant_errors(self):
-        errs = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not _finite(v):
-                errs.append(f"medium.{f.name} not finite")
-            elif v <= 0:
-                errs.append(f"medium.{f.name} not strictly positive (got {v})")
-        return errs
-
 
 @dataclass(frozen=True)
 class SensitivityReport:
@@ -276,48 +210,78 @@ class SensitivityReport:
     term_nonlin: float | None = None
     term_nonlin_corr: float | None = None
 
-    CSV_FIELDS = (
-        "slope",
-        "noise",
-        "delta_phi",
-        "sql",
-        "qcrb",
-        "term_lin",
-        "term_nonlin",
-        "term_nonlin_corr",
-    )
-
     def to_dict(self) -> dict:
         """Flat key-value record; absent terms are omitted."""
-        values = {name: getattr(self, name) for name in self.CSV_FIELDS}
-        return {name: v for name, v in values.items() if v is not None}
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
     @classmethod
     def csv_header(cls) -> str:
-        return ",".join(cls.CSV_FIELDS)
+        return ",".join(f.name for f in fields(cls))
 
     def csv_row(self) -> str:
-        values = (getattr(self, name) for name in self.CSV_FIELDS)
+        values = (getattr(self, f.name) for f in fields(self))
         return ",".join("" if v is None else format(v, ".17g") for v in values)
 
 
-def validate(config: InterferometerConfig) -> InterferometerConfig:
+def _outside_unit(v):
+    return (v < 0.0) | (v > 1.0)
+
+
+# The bound of every field that has one, by dotted name: the test that
+# flags a violating value, and the message naming the bound.
+_BOUNDS = {
+    "nbs1.gain": (lambda v: v < 1.0, "nbs1.gain below 1"),
+    "nbs2.gain": (lambda v: v < 1.0, "nbs2.gain below 1"),
+    "splitter.transmissivity": (_outside_unit, "transmissivity outside [0,1]"),
+    "coherent.magnitude": (lambda v: v < 0, "coherent.magnitude negative"),
+    **{f"loss.eta_{k}": (_outside_unit, f"loss.eta_{k} outside [0,1]") for k in "abcd"},
+    "loss.eta_det": (lambda v: (v <= 0.0) | (v > 1.0), "loss.eta_det outside (0,1]"),
+    **{
+        f"medium.{f.name}": (lambda v: v <= 0, f"medium.{f.name} not strictly positive")
+        for f in fields(KerrMediumSpec)
+    },
+}
+
+
+# (section, field, dotted name) of every field of a config and of a medium,
+# in declaration order; a medium has no sections and is named "medium".
+_FIELD_WALK = {
+    InterferometerConfig: tuple(
+        (s.name, f.name, f"{s.name}.{f.name}")
+        for s in fields(InterferometerConfig)
+        for f in fields(s.default_factory)
+    ),
+    KerrMediumSpec: tuple((None, f.name, f"medium.{f.name}") for f in fields(KerrMediumSpec)),
+}
+
+
+def field_errors(obj) -> list:
+    """Every violated invariant of an InterferometerConfig or a
+    KerrMediumSpec, one message per field in declaration order: "<name>
+    not finite", else the message of the field's ``_BOUNDS`` entry with
+    the violating value."""
+    errs = []
+    for section, key, name in _FIELD_WALK[type(obj)]:
+        value = getattr(obj if section is None else getattr(obj, section), key)
+        if not _finite(value):
+            errs.append(f"{name} not finite")
+        elif name in _BOUNDS:
+            violated, message = _BOUNDS[name]
+            if (bad := violated(value)) is not False:
+                errs += _bound_errors(message, value, bad)
+    return errs
+
+
+def validate(config: InterferometerConfig | KerrMediumSpec):
     """Return ``config`` unchanged if every invariant holds.
 
     Raises InvalidConfigError carrying the full list of violations
     otherwise.  Idempotent by construction.
     """
-    errs = config.invariant_errors()
+    errs = field_errors(config)
     if errs:
         raise InvalidConfigError(errs)
     return config
-
-
-def validate_medium(medium: KerrMediumSpec) -> KerrMediumSpec:
-    errs = medium.invariant_errors()
-    if errs:
-        raise InvalidConfigError(errs)
-    return medium
 
 
 def build_config(
@@ -431,16 +395,11 @@ def _parse_sections(text: str, source: str) -> dict:
 def parse_config(text: str, source: str = "<string>") -> InterferometerConfig:
     """Parse an interferometer config from INI text and validate it."""
     values = _parse_sections(text, source)
-    values.pop("medium", None)
-    cfg = InterferometerConfig(
-        nbs1=SqueezerParams(**values.get("nbs1", {})),
-        nbs2=SqueezerParams(**values.get("nbs2", {})),
-        splitter=SplitterParams(**values.get("splitter", {})),
-        coherent=CoherentInput(**values.get("coherent", {})),
-        phase=PhaseShift(**values.get("phase", {})),
-        loss=LossParams(**values.get("loss", {})),
-    )
-    return validate(cfg)
+    sections = {
+        f.name: f.default_factory(**values.get(f.name, {}))
+        for f in fields(InterferometerConfig)
+    }
+    return validate(InterferometerConfig(**sections))
 
 
 def load_config(path) -> InterferometerConfig:
@@ -454,10 +413,10 @@ def parse_medium(text: str, source: str = "<string>") -> KerrMediumSpec:
     if "medium" not in values:
         raise ConfigFileError(f"{source}: missing [medium] section")
     sec = values["medium"]
-    for required in ("n0", "intensity", "wavenumber", "length"):
-        if required not in sec:
-            raise ConfigFileError(f"{source}: [medium] missing key '{required}'")
-    return validate_medium(KerrMediumSpec(**sec))
+    for f in fields(KerrMediumSpec):
+        if f.default is MISSING and f.name not in sec:
+            raise ConfigFileError(f"{source}: [medium] missing key '{f.name}'")
+    return validate(KerrMediumSpec(**sec))
 
 
 def load_medium(path) -> KerrMediumSpec:

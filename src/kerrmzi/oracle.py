@@ -45,8 +45,9 @@ _NORM_DRIFT_GUARD = 1e-9
 # cutoff and its double.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates; also the cap
-# on the four branch tensors a lossy simulate or numeric_slope keeps alive
-# (state, tangent, and a gate's gather and matmul copies).
+# on a pure state coherent_product_state builds and on the four branch
+# tensors a simulate or numeric_slope keeps alive (state, tangent, and a
+# gate's gather and matmul copies).
 _DENSITY_GIB_CAP = 1
 
 
@@ -310,7 +311,8 @@ def quadrature_stats(state, mode: int):
 
 def coherent_product_state(amplitudes, cutoff: int, budget: float = 1e-8) -> FockState:
     """Product of coherent states, one complex amplitude per slot; the
-    state has as many modes as there are slots."""
+    state has as many modes as there are slots.  Raises ValueError before
+    allocating a state above _DENSITY_GIB_CAP."""
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2 (got {cutoff})")
     vecs = []
@@ -334,6 +336,7 @@ def coherent_product_state(amplitudes, cutoff: int, budget: float = 1e-8) -> Foc
             )
         vec = vec / np.linalg.norm(vec)
         vecs.append(vec)
+    _refuse_above_cap(cutoff, 16 * cutoff**len(amplitudes), "a pure state")
     # outer product, one einsum axis per slot
     amps = np.einsum(*[x for m, vec in enumerate(vecs) for x in (vec, [m])], range(len(vecs)))
     return FockState(amplitudes=amps, cutoff=cutoff, modes=len(vecs))
@@ -461,19 +464,18 @@ def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float):
     return pair[0]
 
 
-def _through_bs2(config, phi_n, cutoff: int, budget: float, tangent: bool):
+def _through_bs2(config, cutoff: int, budget: float, tangent: bool):
     """[state, tangent] after the second splitter, both pure: the internal
     losses (eta_d on b, eta_c on c) split them into Kraus branches.  The
     tangent, d/dphi_n of the state or None unless asked for, starts at the
-    Kerr stage; every later stage is linear in the state.  Refuses a lossy
-    run whose four branch stacks would exceed _DENSITY_GIB_CAP."""
+    Kerr stage; every later stage is linear in the state.  Refuses a run
+    whose four branch stacks would exceed _DENSITY_GIB_CAP."""
     loss = config.loss
-    if not loss.is_lossless():
-        branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
-        _refuse_above_cap(cutoff, 4 * 16 * cutoff**3 * branches, "a lossy run's branch tensors")
-    nonlin = config.phase.nonlinear if phi_n is None else phi_n
+    branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
+    _refuse_above_cap(cutoff, 4 * 16 * cutoff**3 * branches, "a run's branch tensors")
     state = apply_kerr(
-        _entering_kerr(config, cutoff, budget), config.phase.linear, nonlin, MODE_B
+        _entering_kerr(config, cutoff, budget),
+        config.phase.linear, config.phase.nonlinear, MODE_B,
     )
     # d/dphi_n of the Kerr output is i n_b^2 psi
     n2_b = np.arange(cutoff, dtype=float)[:, None] ** 2
@@ -487,7 +489,7 @@ def _through_bs2(config, phi_n, cutoff: int, budget: float, tangent: bool):
     return pair
 
 
-def _readout_pair(config, phi_n, cutoff: int, budget: float, tangent: bool):
+def _readout_pair(config, cutoff: int, budget: float, tangent: bool):
     """[state, tangent] at the readout, the one forward pass of simulate and
     numeric_slope.  Lossless, both stay pure three-mode states.  Lossy,
     nothing after the second splitter touches mode c, so it joins the
@@ -496,7 +498,7 @@ def _readout_pair(config, phi_n, cutoff: int, budget: float, tangent: bool):
     and the later stages act on both."""
     loss = config.loss
     lossy = not loss.is_lossless()
-    pair = _through_bs2(config, phi_n, cutoff, budget, tangent)
+    pair = _through_bs2(config, cutoff, budget, tangent)
     if lossy:
         p = pair[0].amplitudes.reshape(cutoff**2, -1)
         pair[0] = to_density(FockState(p.reshape(cutoff, cutoff, -1), cutoff, modes=2))
@@ -515,12 +517,7 @@ def _readout_pair(config, phi_n, cutoff: int, budget: float, tangent: bool):
     return pair
 
 
-def simulate(
-    config: InterferometerConfig,
-    phi_n: float | None = None,
-    cutoff: int = 15,
-    budget: float = 1e-8,
-):
+def simulate(config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-8):
     """Run the full interferometer.
 
     Stage order: prepare, first squeezer on (a, b), first splitter on
@@ -535,12 +532,11 @@ def simulate(
     numeric_slope runs this same forward pass, with a tangent beside the
     state.
 
-    phi_n overrides the configured nonlinear phase.  Raises
-    TruncationError naming the stage (prepare, nbs1, bs1, bs2 or nbs2)
+    Raises TruncationError naming the stage (prepare, nbs1, bs1, bs2 or nbs2)
     whose top-level occupancy exceeds the budget; from nbs2 on, mode c
     keeps the occupancy bs2 checked.
     """
-    return _readout_pair(config, phi_n, cutoff, budget, tangent=False)[0]
+    return _readout_pair(config, cutoff, budget, tangent=False)[0]
 
 
 class SlopeEstimate(NamedTuple):
@@ -561,7 +557,7 @@ def numeric_slope(
     simulate's own.  Lossless, the slope is 2 Re<psi|Y_a|dpsi> at the end;
     lossy, it is Tr(Y_a d rho_a) with d rho_a the tangent reduced to mode a.
     """
-    state, tangent = _readout_pair(config, None, cutoff, budget, tangent=True)
+    state, tangent = _readout_pair(config, cutoff, budget, tangent=True)
     y = _quadrature_y(cutoff)
     if config.loss.is_lossless():
         cross = np.einsum("ijk,ljk->il", tangent.amplitudes, state.amplitudes.conj())

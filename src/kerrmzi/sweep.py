@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analytic
-from .config import InterferometerConfig, validate
+from .config import InterferometerConfig, field_errors, validate
 
 
 # Sweepable parameters: dotted dataclass paths plus a few derived axes that
@@ -102,11 +102,10 @@ class SweepSpec:
 
     base: InterferometerConfig
     axes: tuple
-    repeats: int = 1
 
     def validated(self) -> "SweepSpec":
-        """The spec, if its shape, ``repeats``, base (else InvalidConfigError)
-        and each axis value set alone on the base are valid.  Each axis is
+        """The spec, if its shape, base (else InvalidConfigError) and each
+        axis value set alone on the base are valid.  Each axis is
         validated as one array config; on failure the message names the
         first invalid value in axis order and words its errors as that
         value's scalar config does."""
@@ -121,14 +120,12 @@ class SweepSpec:
                 raise SweepSpecError(
                     f"axis '{axis.name}': point count must be >= 2"
                 )
-        if self.repeats < 1:
-            raise SweepSpecError(f"repeats must be >= 1 (got {self.repeats})")
         validate(self.base)
         for axis in self.axes:
-            if not set_parameter(self.base, axis.name, np.array(axis.values)).invariant_errors():
+            if not field_errors(set_parameter(self.base, axis.name, np.array(axis.values))):
                 continue
             for value in axis.values:
-                errs = set_parameter(self.base, axis.name, value).invariant_errors()
+                errs = field_errors(set_parameter(self.base, axis.name, value))
                 if errs:
                     raise SweepSpecError(
                         f"axis '{axis.name}' value {float(value)!r}: " + "; ".join(errs)
@@ -232,7 +229,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     config = spec.base
     for axis, values in zip(spec.axes, axis_values):
         config = set_parameter(config, axis.name, values)
-    out = analytic.evaluate(config, spec.repeats)
+    out = analytic.evaluate(config)
     slope, delta_phi, sql, qcrb = (
         np.broadcast_to(v, axis_values[0].shape).copy()
         for v in (out.slope, out.delta_phi, out.sql, out.qcrb)

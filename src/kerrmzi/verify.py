@@ -27,6 +27,11 @@ from .config import (
 
 _MUTATION_FACTOR = 1.0 + 1e-3
 _LOSSY_TOL = 1e-6
+# truncation budget of the oracle checks; the lossy checks run at their own
+# cutoff and budget
+_BUDGET = 1e-6
+_LOSSY_CUTOFF = 14
+_LOSSY_BUDGET = 1e-5
 
 
 @dataclass(frozen=True)
@@ -260,14 +265,7 @@ def _lossy_errors(cfg: InterferometerConfig, cutoff: int, budget: float):
     return abs(abs(slope) - s_an) / s_an, abs(var - v_an) / v_an
 
 
-def run_oracle_suite(
-    seed: int = 0,
-    cutoff: int = 15,
-    lossy_cutoff: int = 14,
-    mutate: str | None = None,
-    budget: float = 1e-6,
-    lossy_budget: float = 1e-5,
-):
+def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None):
     """Fock-simulator checks of the closed forms at desk-scale parameters.
 
     The canonical slope and variance comparisons carry a converged flag
@@ -279,7 +277,7 @@ def run_oracle_suite(
 
     # squeezer sends vacuum to a pair with per-mode occupancy g^2
     cfg = build_config(g1=0.4)
-    state = oracle.prepare_input(cfg, cutoff, budget)
+    state = oracle.prepare_input(cfg, cutoff, _BUDGET)
     state = oracle.apply_two_mode_squeezer(
         state, cfg.nbs1.gain, cfg.nbs1.phase, oracle.MODE_A, oracle.MODE_B
     )
@@ -288,7 +286,7 @@ def run_oracle_suite(
 
     # coherent preparation lands at |alpha|^2 photons
     cfg = build_config(alpha=1.0)
-    state = oracle.prepare_input(cfg, cutoff, budget)
+    state = oracle.prepare_input(cfg, cutoff, _BUDGET)
     record("coherent_mean_photon", config_digest(cfg), 1.0,
            oracle.mean_photon(state, oracle.MODE_C), 1e-8, cutoff=cutoff)
 
@@ -301,7 +299,7 @@ def run_oracle_suite(
     tc = analytic.transfer_coefficients(
         cfg.splitter, cfg.nbs1, cfg.nbs2, PhaseShift(phi_l, 0.0), 0
     )
-    seeded = oracle.coherent_product_state([0.0, beta, 0.0], cutoff, budget)
+    seeded = oracle.coherent_product_state([0.0, beta, 0.0], cutoff, _BUDGET)
     seeded = oracle.apply_beam_splitter(seeded, t, oracle.MODE_B, oracle.MODE_C)
     seeded = oracle.apply_kerr(seeded, phi_l, 0.0, oracle.MODE_B)
     seeded = oracle.apply_beam_splitter(seeded, t, oracle.MODE_B, oracle.MODE_C)
@@ -317,7 +315,7 @@ def run_oracle_suite(
     record("loss_cptp", "none", 1.0 + oracle.kraus_completeness_defect(eta, cutoff),
            1.0, 1e-12, cutoff=cutoff)
     # on a two-mode density, the lossy mode second: its bra axis sits at 3
-    rho = oracle.to_density(oracle.coherent_product_state([0.0, 0.8], cutoff, budget))
+    rho = oracle.to_density(oracle.coherent_product_state([0.0, 0.8], cutoff, _BUDGET))
     rho = oracle.apply_loss(rho, eta, 1)
     amp = oracle.mean_amplitude(rho, 1)
     record("loss_coherent_amplitude", "none", 1.0 + abs(amp - math.sqrt(eta) * 0.8),
@@ -325,17 +323,17 @@ def run_oracle_suite(
 
     # slope and variance against the closed forms, canonical small config
     canon = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25)
-    est = oracle.numeric_slope(canon, cutoff=cutoff, budget=budget)
-    est2 = oracle.numeric_slope(canon, cutoff=2 * cutoff, budget=budget)
+    est = oracle.numeric_slope(canon, cutoff=cutoff, budget=_BUDGET)
+    est2 = oracle.numeric_slope(canon, cutoff=2 * cutoff, budget=_BUDGET)
     converged = abs(est2.value - est.value) <= 1e-7 * abs(est2.value)
     record("slope_vs_closed_form", config_digest(canon),
            analytic.slope_at_zero(canon), abs(est.value), 1e-6,
            cutoff=cutoff, converged=converged)
     _, var0 = oracle.quadrature_stats(
-        oracle.simulate(canon, cutoff=cutoff, budget=budget), oracle.MODE_A
+        oracle.simulate(canon, cutoff=cutoff, budget=_BUDGET), oracle.MODE_A
     )
     _, var0_big = oracle.quadrature_stats(
-        oracle.simulate(canon, cutoff=2 * cutoff, budget=budget), oracle.MODE_A
+        oracle.simulate(canon, cutoff=2 * cutoff, budget=_BUDGET), oracle.MODE_A
     )
     record("variance_vs_closed_form", config_digest(canon),
            analytic.noise_at_zero(canon), var0, 1e-4, cutoff=cutoff,
@@ -346,7 +344,7 @@ def run_oracle_suite(
     worst_digest = ""
     for _ in range(6):
         cfg = _random_small_config(rng)
-        f_oracle = oracle.oracle_qfi(cfg, cutoff=cutoff, budget=budget)
+        f_oracle = oracle.oracle_qfi(cfg, cutoff=cutoff, budget=_BUDGET)
         f_poly = analytic.qfi_nonlinear(
             cfg.coherent.n_alpha, 2.0 * cfg.nbs1.g ** 2, cfg.splitter
         ).f
@@ -365,19 +363,19 @@ def run_oracle_suite(
             eta_a=float(etas[0]), eta_b=float(etas[1]),
             eta_c=float(etas[2]), eta_d=float(etas[3]),
         )
-        s_rel, v_rel = _lossy_errors(cfg, lossy_cutoff, lossy_budget)
+        s_rel, v_rel = _lossy_errors(cfg, _LOSSY_CUTOFF, _LOSSY_BUDGET)
         if max(s_rel, v_rel) > max(worst_s, worst_v):
             worst_digest = config_digest(cfg)
         worst_s = max(worst_s, s_rel)
         worst_v = max(worst_v, v_rel)
     record("lossy_slope_vs_closed_form", worst_digest, 1.0 + worst_s,
-           1.0, _LOSSY_TOL, cutoff=lossy_cutoff)
+           1.0, _LOSSY_TOL, cutoff=_LOSSY_CUTOFF)
     record("lossy_noise_vs_closed_form", worst_digest, 1.0 + worst_v,
-           1.0, _LOSSY_TOL, cutoff=lossy_cutoff)
+           1.0, _LOSSY_TOL, cutoff=_LOSSY_CUTOFF)
 
     # sensing-arm occupancy after the first splitter: T g1^2 + R N_alpha
     cfg = build_config(alpha=0.9, g1=0.35, transmissivity=0.3)
-    state = oracle.prepare_input(cfg, cutoff, budget)
+    state = oracle.prepare_input(cfg, cutoff, _BUDGET)
     state = oracle.apply_two_mode_squeezer(
         state, cfg.nbs1.gain, cfg.nbs1.phase, oracle.MODE_A, oracle.MODE_B
     )

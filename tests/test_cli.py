@@ -195,6 +195,13 @@ class TestVerify:
         assert err.startswith("error:") and "cutoff 15" in err
         assert not out.exists()
 
+    def test_oversized_pure_state_exits_2(self, capsys, monkeypatch):
+        # a cap below the 54 KB pure state at the default cutoff 15: the
+        # first check's state is refused before allocation, as bad input
+        monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 4e-5)
+        assert main(["verify", "--suite", "oracle"]) == 2
+        assert capsys.readouterr().err.startswith("error: a pure state at cutoff 15 needs")
+
     def test_unknown_suite_exits_2(self, capsys):
         # argparse would normally catch this; bypass to the handler level
         from kerrmzi import verify as v

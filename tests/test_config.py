@@ -18,6 +18,7 @@ from kerrmzi.config import (
     SqueezerParams,
     build_config,
     config_digest,
+    field_errors,
     parse_config,
     parse_medium,
     validate,
@@ -27,11 +28,11 @@ from kerrmzi.config import (
 class TestSqueezerParams:
     def test_identity_squeezer_is_valid(self):
         sq = SqueezerParams(gain=1.0)
-        assert sq.invariant_errors("nbs1") == []
+        assert field_errors(InterferometerConfig(nbs1=sq)) == []
         assert sq.g == 0.0
 
     def test_gain_below_one_rejected(self):
-        errs = SqueezerParams(gain=0.5).invariant_errors("nbs1")
+        errs = field_errors(InterferometerConfig(nbs1=SqueezerParams(gain=0.5)))
         assert any("nbs1.gain" in e for e in errs)
 
     def test_from_g_round_trip(self):
@@ -56,7 +57,7 @@ class TestSplitterParams:
         assert sp.reflectivity + sp.transmissivity == 1.0
 
     def test_transmissivity_out_of_range(self):
-        errs = SplitterParams(1.2).invariant_errors()
+        errs = field_errors(InterferometerConfig(splitter=SplitterParams(1.2)))
         assert errs and "transmissivity outside [0,1]" in errs[0]
 
 
@@ -96,7 +97,7 @@ class TestValidate:
             coherent=CoherentInput(-1.0),
             loss=LossParams(eta_a=2.0, eta_c=-0.25, eta_det=0.0),
         )
-        assert cfg.invariant_errors() == [
+        assert field_errors(cfg) == [
             "nbs1.gain below 1 (got 0.5)",
             "nbs2.phase not finite",
             "transmissivity outside [0,1] (got 1.2)",
@@ -145,7 +146,7 @@ class TestValidate:
 
     def test_non_finite_rejected(self):
         cfg = InterferometerConfig(phase=PhaseShift(linear=math.inf))
-        assert cfg.invariant_errors() == ["phase.linear not finite"]
+        assert field_errors(cfg) == ["phase.linear not finite"]
 
     def test_validate_is_idempotent(self):
         cfg = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25)

@@ -237,7 +237,7 @@ class TestLossChannel:
         )
         # the mixed three-mode state after bs2, and the two-mode (a, b)
         # density a lossy simulate ends with
-        branches = oracle._through_bs2(lossy, None, 8, 5e-4, tangent=False)[0]
+        branches = oracle._through_bs2(lossy, 8, 5e-4, tangent=False)[0]
         for rho in (to_density(branches), simulate(lossy, cutoff=8, budget=5e-4)):
             n = rho.modes
             for eta in (0.0, 0.35, 0.8):
@@ -421,7 +421,7 @@ class TestSimulate:
             eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.85,
         )
         loss = lossy.loss
-        ref = to_density(oracle._through_bs2(lossy, None, 8, 5e-4, tangent=False)[0])
+        ref = to_density(oracle._through_bs2(lossy, 8, 5e-4, tangent=False)[0])
         ref = apply_loss(apply_loss(ref, loss.eta_a, MODE_A), loss.eta_b, MODE_B)
         nbs2 = oracle._squeezer_unitary(lossy.nbs2.gain, lossy.nbs2.phase, 8)
         ref = DensityOperator(oracle._sandwich(ref.tensor, nbs2, (0, 1), (3, 4)), 8)
@@ -623,7 +623,10 @@ class TestNumericSlope:
         base = cfg.phase.nonlinear
 
         def mean_y(phi):
-            state = simulate(cfg, phi_n=phi, cutoff=cutoff, budget=budget)
+            shifted = dataclasses.replace(
+                cfg, phase=dataclasses.replace(cfg.phase, nonlinear=phi)
+            )
+            state = simulate(shifted, cutoff=cutoff, budget=budget)
             return quadrature_stats(state, MODE_A)[0]
 
         central = (mean_y(base + delta) - mean_y(base - delta)) / (2 * delta)
@@ -721,6 +724,40 @@ class TestOracleQfi:
             oracle_qfi(cfg, cutoff=8)
 
 
+class TestLosslessMemoryCap:
+    # at cutoff 15 a pure three-mode state takes 16 * 15^3 B = 54 KB and
+    # the four branch tensors of a lossless run 216 KB; each cap sits below
+    # one of them, so nothing near the cap is ever allocated
+    BELOW_STATE_GIB = 4e-5
+    BELOW_BRANCHES_GIB = 1e-4
+
+    @pytest.mark.parametrize("run", [simulate, numeric_slope, oracle_qfi])
+    def test_run_refused_below_state_size(self, run, monkeypatch):
+        monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", self.BELOW_STATE_GIB)
+        with pytest.raises(ValueError, match=r"at cutoff 15 needs .* GiB, above the 4e-05 GiB cap"):
+            run(CANON, cutoff=15)
+
+    def test_pure_state_refused_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", self.BELOW_STATE_GIB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="a pure state at cutoff 15 needs"):
+                coherent_product_state([0.0, 0.0, 1.0], 15)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 15**3
+
+    @pytest.mark.parametrize("run", [simulate, numeric_slope])
+    def test_branch_tensors_capped_without_loss(self, run, monkeypatch):
+        monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", self.BELOW_BRANCHES_GIB)
+        with pytest.raises(ValueError) as exc:
+            run(CANON, cutoff=15)
+        assert str(exc.value).startswith("a run's branch tensors at cutoff 15 needs")
+        # the pure state alone still fits
+        assert oracle_qfi(CANON, cutoff=15) > 0.0
+
+
 class TestReducedDensity:
     def test_pure_and_density_paths_agree(self):
         state = simulate(CANON, cutoff=12, budget=1e-6)
@@ -760,7 +797,7 @@ class TestTwoModeDensity:
 
     def test_helpers_match_three_mode_reference(self):
         rho = simulate(self.LOSSY, cutoff=8, budget=5e-4)
-        branches = oracle._through_bs2(self.LOSSY, None, 8, 5e-4, tangent=False)[0]
+        branches = oracle._through_bs2(self.LOSSY, 8, 5e-4, tangent=False)[0]
         folded = FockState(branches.amplitudes.reshape(8, 8, -1), 8, modes=2)
         # the reference: the three-mode density with no loss or gate after bs2
         ref = to_density(branches)
