@@ -16,7 +16,6 @@ carry no timestamps so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -60,33 +59,23 @@ def _fail(message: str, code: int) -> int:
 # --- presets -----------------------------------------------------------------
 
 
-def _gain_sweep_base() -> "sweep.SweepSpec":
-    # strong pump, fixed seed squeezer; readout gain and split ratio scanned
-    base = build_config(alpha=10.0, g1=2.0, g2=2.0, transmissivity=0.25)
-    axes = (
+def _unit_axes(*names) -> tuple:
+    return tuple(sweep.Axis.linspace(name, 0.0, 1.0, GRID_POINTS_2D) for name in names)
+
+
+# kind -> (readout amplitude g2, axes); every base is a strong pump,
+# alpha = 10 and g1 = 2, at the split ratio T = 1/4
+_SWEEP_KINDS = {
+    # fixed seed squeezer; readout gain and split ratio scanned
+    "gain": (2.0, (
         sweep.Axis.from_values("r_over_t", (1.0, 3.0, 9.0)),
         sweep.Axis.linspace("g2_over_g1", 0.5, 4.0, GRID_POINTS_1D),
-    )
-    return sweep.SweepSpec(base=base, axes=axes)
-
-
-def _loss_sweep_base(kind: str) -> "sweep.SweepSpec":
+    )),
     # g2 = 2 g1 readout at the optimal split ratio
-    base = build_config(alpha=10.0, g1=2.0, g2=4.0, transmissivity=0.25)
-    if kind == "internal-loss":
-        names = ("loss.eta_c", "loss.eta_d")
-    else:
-        names = ("loss.eta_a", "loss.eta_b")
-    axes = tuple(
-        sweep.Axis.linspace(name, 0.0, 1.0, GRID_POINTS_2D) for name in names
-    )
-    return sweep.SweepSpec(base=base, axes=axes)
-
-
-def _split_sweep_base(base) -> "sweep.SweepSpec":
-    axes = (sweep.Axis.linspace("splitter.transmissivity", 0.02, 0.98, 49),)
-    return sweep.SweepSpec(base=base, axes=axes)
-
+    "internal-loss": (4.0, _unit_axes("loss.eta_c", "loss.eta_d")),
+    "external-loss": (4.0, _unit_axes("loss.eta_a", "loss.eta_b")),
+    "split": (4.0, (sweep.Axis.linspace("splitter.transmissivity", 0.02, 0.98, 49),)),
+}
 
 PRESETS = {
     "fig2": "gain",
@@ -96,15 +85,12 @@ PRESETS = {
 
 
 def _build_spec(kind: str, base) -> "sweep.SweepSpec":
-    if kind == "gain":
-        spec = _gain_sweep_base()
-    elif kind in ("internal-loss", "external-loss"):
-        spec = _loss_sweep_base(kind)
-    elif kind == "split":
-        spec = _split_sweep_base(build_config(alpha=10.0, g1=2.0, g2=4.0, transmissivity=0.25))
-    else:
+    if kind not in _SWEEP_KINDS:
         raise sweep.SweepSpecError(f"unknown sweep kind '{kind}'")
-    return spec if base is None else dataclasses.replace(spec, base=base)
+    g2, axes = _SWEEP_KINDS[kind]
+    if base is None:
+        base = build_config(alpha=10.0, g1=2.0, g2=g2, transmissivity=0.25)
+    return sweep.SweepSpec(base=base, axes=axes)
 
 
 # --- commands ----------------------------------------------------------------
@@ -213,7 +199,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("sweep", help="grid sweep to CSV")
-    p.add_argument("--kind", choices=("gain", "internal-loss", "external-loss", "split"))
+    p.add_argument("--kind", choices=tuple(_SWEEP_KINDS))
     p.add_argument("--preset", choices=tuple(PRESETS))
     p.add_argument("--config", help="override the preset base configuration")
     p.add_argument("--out", help="output CSV path (default sweep.csv)")

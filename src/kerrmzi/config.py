@@ -53,9 +53,12 @@ class ConfigFileError(ValueError):
     """Raised on unreadable or malformed configuration files."""
 
 
+_REAL_SCALARS = (int, float, np.integer, np.floating)
+
+
 def _finite(value) -> bool:
-    """True for a finite real number, or a real array with every cell finite."""
-    if isinstance(value, (int, float)):
+    """True for a finite real scalar, or a real array with every cell finite."""
+    if isinstance(value, _REAL_SCALARS):
         return math.isfinite(value)
     return (
         isinstance(value, np.ndarray)
@@ -327,7 +330,7 @@ def config_digest(config) -> str:
             for f in fields(obj):
                 out.update(flatten(getattr(obj, f.name), f"{prefix}{f.name}."))
         else:
-            out[prefix.rstrip(".")] = repr(float(obj) if isinstance(obj, (int, float)) else obj)
+            out[prefix.rstrip(".")] = repr(float(obj) if isinstance(obj, _REAL_SCALARS) else obj)
         return out
 
     blob = json.dumps(flatten(config), sort_keys=True)

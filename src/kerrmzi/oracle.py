@@ -9,7 +9,8 @@ and goes on with the two-mode density rho_ab, a (C,)*4 tensor; a density
 on n modes has ket axes 0..n-1 and bra axes n..2n-1.  simulate and
 numeric_slope share one forward pass: from the Kerr stage on, the
 derivative of the state with respect to the nonlinear phase rides beside
-it through every later stage, each linear in the state.
+it through every later stage, each linear in the state; numeric_slope
+also returns the state, so one pass yields the slope and the variance.
 
 Unitaries exponentiate the generator restricted to the truncated space: a
 strength times a unit generator diagonalized once per gate kind and cutoff
@@ -119,10 +120,7 @@ def to_density(state: FockState) -> DensityOperator:
 
 @lru_cache(maxsize=None)
 def _annihilator(cutoff: int) -> np.ndarray:
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    for n in range(1, cutoff):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
 
 
 @lru_cache(maxsize=None)
@@ -315,43 +313,28 @@ def coherent_product_state(amplitudes, cutoff: int, budget: float = 1e-8) -> Foc
     allocating a state above _DENSITY_GIB_CAP."""
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2 (got {cutoff})")
+    n = np.arange(cutoff)
+    logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff)))))
     vecs = []
     for alpha in amplitudes:
-        mu = abs(alpha) ** 2
-        tail = _poisson_tail(mu, cutoff)
+        if alpha == 0:
+            vec = np.zeros(cutoff, dtype=complex)
+            vec[0] = 1.0
+        else:
+            vec = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(complex(alpha)) - logfact / 2.0)
+        # the unnormalized vector lacks exactly the weight clipped at the cutoff
+        tail = 1.0 - np.vdot(vec, vec).real
         if tail > budget:
             raise TruncationError(
                 f"prepare: coherent amplitude |alpha|={abs(alpha):.4g} needs "
                 f"more than {cutoff} levels (clipped weight {tail:.3e} > "
                 f"budget {budget:.3e})"
             )
-        n = np.arange(cutoff)
-        logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff)))))
-        if alpha == 0:
-            vec = np.zeros(cutoff, dtype=complex)
-            vec[0] = 1.0
-        else:
-            vec = np.exp(
-                -mu / 2.0 + n * np.log(complex(alpha)) - logfact / 2.0
-            )
-        vec = vec / np.linalg.norm(vec)
-        vecs.append(vec)
+        vecs.append(vec / np.linalg.norm(vec))
     _refuse_above_cap(cutoff, 16 * cutoff**len(amplitudes), "a pure state")
     # outer product, one einsum axis per slot
     amps = np.einsum(*[x for m, vec in enumerate(vecs) for x in (vec, [m])], range(len(vecs)))
     return FockState(amplitudes=amps, cutoff=cutoff, modes=len(vecs))
-
-
-def _poisson_tail(mu: float, cutoff: int) -> float:
-    """Probability mass of a Poisson(mu) at or above the cutoff."""
-    if mu == 0.0:
-        return 0.0
-    term = math.exp(-mu)
-    acc = term
-    for n in range(1, cutoff):
-        term *= mu / n
-        acc += term
-    return max(0.0, 1.0 - acc)
 
 
 def prepare_input(
@@ -494,8 +477,9 @@ def _readout_pair(config, cutoff: int, budget: float, tangent: bool):
     numeric_slope.  Lossless, both stay pure three-mode states.  Lossy,
     nothing after the second splitter touches mode c, so it joins the
     branch axis of the Kraus branches P there: the state becomes
-    rho_ab = P P^dag and the tangent d rho_ab = X + X^dag with X = dP P^dag,
-    and the later stages act on both."""
+    rho_ab = P P^dag and the tangent X = dP P^dag, and the later stages act
+    on both.  They are linear and preserve Hermiticity, so X carries half
+    of d rho_ab = X + X^dag."""
     loss = config.loss
     lossy = not loss.is_lossless()
     pair = _through_bs2(config, cutoff, budget, tangent)
@@ -504,7 +488,7 @@ def _readout_pair(config, cutoff: int, budget: float, tangent: bool):
         pair[0] = to_density(FockState(p.reshape(cutoff, cutoff, -1), cutoff, modes=2))
         if tangent:
             x = pair[1].amplitudes.reshape(cutoff**2, -1) @ p.conj().T
-            pair[1] = DensityOperator((x + x.conj().T).reshape((cutoff,) * 4), cutoff)
+            pair[1] = DensityOperator(x.reshape((cutoff,) * 4), cutoff)
         del p  # the view held the branch stack alive
         _linear_stage(pair, apply_loss, loss.eta_a, MODE_A)
         _linear_stage(pair, apply_loss, loss.eta_b, MODE_B)
@@ -530,7 +514,7 @@ def simulate(config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-
     Tr_c(P P^dag) = P' P'^dag, with c one more branch index of P'.  Tensors
     above _DENSITY_GIB_CAP raise ValueError before they are allocated.
     numeric_slope runs this same forward pass, with a tangent beside the
-    state.
+    state, and returns this state as its ``state``.
 
     Raises TruncationError naming the stage (prepare, nbs1, bs1, bs2 or nbs2)
     whose top-level occupancy exceeds the budget; from nbs2 on, mode c
@@ -540,29 +524,31 @@ def simulate(config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-
 
 
 class SlopeEstimate(NamedTuple):
+    """The slope and the readout state of its pass, simulate's result."""
+
     value: float
+    state: FockState | DensityOperator
 
 
 def numeric_slope(
-    config: InterferometerConfig,
-    cutoff: int = 15,
-    budget: float = 1e-8,
+    config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-8
 ) -> SlopeEstimate:
     """Slope of <Y_a> with respect to the nonlinear phase at its configured
-    value, exact within the truncated space.
+    value, exact within the truncated space, and the state it was read on.
 
     The derivative of the state rides beside it from the Kerr stage
     through the forward pass of simulate, so there is no step size, and
     the truncation checks and the ValueError of the memory cap are
-    simulate's own.  Lossless, the slope is 2 Re<psi|Y_a|dpsi> at the end;
-    lossy, it is Tr(Y_a d rho_a) with d rho_a the tangent reduced to mode a.
+    simulate's own.  The slope is 2 Re Tr(Y_a C), with C the cross term of
+    the tangent and the state reduced to mode a: |dpsi><psi| when
+    lossless, the tangent X = dP P^dag when lossy.
     """
     state, tangent = _readout_pair(config, cutoff, budget, tangent=True)
-    y = _quadrature_y(cutoff)
     if config.loss.is_lossless():
         cross = np.einsum("ijk,ljk->il", tangent.amplitudes, state.amplitudes.conj())
-        return SlopeEstimate(value=2.0 * float(np.trace(y @ cross).real))
-    return SlopeEstimate(value=float(np.trace(y @ reduced_density(tangent, MODE_A)).real))
+    else:
+        cross = reduced_density(tangent, MODE_A)
+    return SlopeEstimate(2.0 * float(np.trace(_quadrature_y(cutoff) @ cross).real), state)
 
 
 def oracle_qfi(

@@ -257,12 +257,11 @@ def _random_small_config(rng) -> InterferometerConfig:
 
 def _lossy_errors(cfg: InterferometerConfig, cutoff: int, budget: float):
     """Relative errors of the simulated slope and variance against the loss
-    formulas (density-operator path)."""
-    slope = oracle.numeric_slope(cfg, cutoff=cutoff, budget=budget).value
-    state = oracle.simulate(cfg, cutoff=cutoff, budget=budget)
-    var = oracle.quadrature_stats(state, oracle.MODE_A)[1]
+    formulas (density-operator path), both from one forward pass."""
+    est = oracle.numeric_slope(cfg, cutoff=cutoff, budget=budget)
+    var = oracle.quadrature_stats(est.state, oracle.MODE_A)[1]
     s_an, v_an = analytic.lossy_slope_at_zero(cfg), analytic.lossy_noise_at_zero(cfg)
-    return abs(abs(slope) - s_an) / s_an, abs(var - v_an) / v_an
+    return abs(abs(est.value) - s_an) / s_an, abs(var - v_an) / v_an
 
 
 def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None):
@@ -321,20 +320,16 @@ def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None)
     record("loss_coherent_amplitude", "none", 1.0 + abs(amp - math.sqrt(eta) * 0.8),
            1.0, 1e-8, cutoff=cutoff)
 
-    # slope and variance against the closed forms, canonical small config
+    # slope and variance against the closed forms, canonical small config,
+    # both read from one forward pass per cutoff
     canon = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25)
     est = oracle.numeric_slope(canon, cutoff=cutoff, budget=_BUDGET)
     est2 = oracle.numeric_slope(canon, cutoff=2 * cutoff, budget=_BUDGET)
-    converged = abs(est2.value - est.value) <= 1e-7 * abs(est2.value)
     record("slope_vs_closed_form", config_digest(canon),
-           analytic.slope_at_zero(canon), abs(est.value), 1e-6,
-           cutoff=cutoff, converged=converged)
-    _, var0 = oracle.quadrature_stats(
-        oracle.simulate(canon, cutoff=cutoff, budget=_BUDGET), oracle.MODE_A
-    )
-    _, var0_big = oracle.quadrature_stats(
-        oracle.simulate(canon, cutoff=2 * cutoff, budget=_BUDGET), oracle.MODE_A
-    )
+           analytic.slope_at_zero(canon), abs(est.value), 1e-6, cutoff=cutoff,
+           converged=abs(est2.value - est.value) <= 1e-7 * abs(est2.value))
+    _, var0 = oracle.quadrature_stats(est.state, oracle.MODE_A)
+    _, var0_big = oracle.quadrature_stats(est2.state, oracle.MODE_A)
     record("variance_vs_closed_form", config_digest(canon),
            analytic.noise_at_zero(canon), var0, 1e-4, cutoff=cutoff,
            converged=abs(var0_big - var0) <= 1e-5 * abs(var0_big))

@@ -141,6 +141,19 @@ class TestSweep:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [("gain", "f3110fa7aefa"), ("internal-loss", "673dcb4859fa"),
+         ("external-loss", "673dcb4859fa"), ("split", "673dcb4859fa")],
+    )
+    def test_kind_base_digest(self, kind, digest, tmp_path, capsys):
+        # every base is alpha = 10, g1 = 2, T = 1/4; gain keeps g2 = 2, the
+        # others read out at g2 = 4
+        out = tmp_path / "kind.csv"
+        assert main(["sweep", "--kind", kind, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "kind.csv.manifest.json").read_text())
+        assert manifest["config_digest"] == digest
+
     def test_missing_kind_and_preset_exits_2(self, capsys):
         assert main(["sweep"]) == 2
 

@@ -148,6 +148,23 @@ class TestValidate:
         cfg = InterferometerConfig(phase=PhaseShift(linear=math.inf))
         assert field_errors(cfg) == ["phase.linear not finite"]
 
+    @pytest.mark.parametrize(
+        "value", [np.float32(0.5), np.float16(0.5), np.int64(1), np.uint8(1)],
+        ids=["float32", "float16", "int64", "uint8"],
+    )
+    def test_finite_numpy_scalars_accepted(self, value):
+        cfg = build_config(transmissivity=value)
+        assert cfg.splitter.transmissivity == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.5 + 0j, np.complex64(0.5), np.complex128(0.5), np.float32(np.inf), np.float64(np.nan)],
+        ids=["complex", "complex64", "complex128", "float32-inf", "float64-nan"],
+    )
+    def test_complex_and_non_finite_scalars_rejected(self, value):
+        cfg = InterferometerConfig(splitter=SplitterParams(value))
+        assert field_errors(cfg) == ["splitter.transmissivity not finite"]
+
     def test_validate_is_idempotent(self):
         cfg = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25)
         assert validate(validate(cfg)) is validate(cfg)
@@ -284,6 +301,14 @@ class TestDigest:
         c = set_parameter(a, "r_over_t", 1.0)
         assert a == b == c
         assert config_digest(a) == config_digest(b) == config_digest(c)
+
+    def test_digest_formats_numpy_scalars_as_python_numbers(self):
+        a = InterferometerConfig(
+            coherent=CoherentInput(np.int64(1)), splitter=SplitterParams(np.float32(0.5)),
+            loss=LossParams(eta_det=np.uint8(1)),
+        )
+        b = InterferometerConfig(coherent=CoherentInput(1), splitter=SplitterParams(0.5))
+        assert config_digest(a) == config_digest(b)
 
     def test_medium_digest(self):
         med = KerrMediumSpec(n0=1.45, intensity=1e12, wavenumber=7.85e6, length=0.01)

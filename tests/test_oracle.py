@@ -67,6 +67,12 @@ class TestPreparation:
         with pytest.raises(TruncationError, match="prepare"):
             prepare_input(build_config(alpha=2.0), cutoff=8)
 
+    def test_clipped_weight_is_poisson_tail(self):
+        mu = 4.0
+        tail = 1.0 - sum(math.exp(-mu) * mu**n / math.factorial(n) for n in range(8))
+        with pytest.raises(TruncationError, match=f"clipped weight {tail:.3e} > budget"):
+            coherent_product_state([0.0, 2.0], cutoff=8)
+
     def test_cutoff_floor(self):
         with pytest.raises(ValueError, match="cutoff"):
             prepare_input(build_config(), cutoff=1)
@@ -597,6 +603,19 @@ def _density_tangent_slope(cfg, cutoff, budget):
 
 
 class TestNumericSlope:
+    @pytest.mark.parametrize(
+        "cfg, cutoff, budget",
+        [(CANON, 15, 1e-8), (_FIVE_LOSSES, 14, 1e-5)],
+        ids=["lossless", "five-losses"],
+    )
+    def test_state_is_simulate_result(self, cfg, cutoff, budget):
+        value, state = numeric_slope(cfg, cutoff=cutoff, budget=budget)
+        ref = simulate(cfg, cutoff=cutoff, budget=budget)
+        assert type(state) is type(ref) and state.modes == ref.modes
+        field = "amplitudes" if isinstance(ref, FockState) else "tensor"
+        assert np.array_equal(getattr(state, field), getattr(ref, field))
+        assert value != 0.0
+
     def test_matches_closed_form(self):
         est = numeric_slope(CANON, cutoff=15)
         assert abs(est.value) == pytest.approx(

@@ -1,6 +1,6 @@
 import pytest
 
-from kerrmzi import verify
+from kerrmzi import oracle, verify
 from kerrmzi.config import build_config
 
 
@@ -99,6 +99,21 @@ class TestOracleSuite:
 
     def test_expected_checks_present(self, oracle_records):
         assert tuple(r.check for r in oracle_records) == ORACLE_CHECKS
+
+    def test_one_forward_pass_per_configuration_and_cutoff(self, monkeypatch):
+        # the canonical slope and variance at the cutoff and its double, then
+        # each of the three lossy draws; reading the variance from a second
+        # simulate pass made ten
+        cutoffs = []
+        readout = oracle._readout_pair
+
+        def counting(config, cutoff, *args, **kwargs):
+            cutoffs.append(cutoff)
+            return readout(config, cutoff, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_readout_pair", counting)
+        verify.run_oracle_suite(seed=0)
+        assert cutoffs == [15, 30] + 3 * [verify._LOSSY_CUTOFF]
 
 
 class TestMutationControl:
