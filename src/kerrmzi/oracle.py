@@ -13,17 +13,22 @@ it through every later stage, each linear in the state; numeric_slope
 also returns the state, so one pass yields the slope and the variance.
 
 Unitaries exponentiate the generator restricted to the truncated space: a
-strength times a unit generator diagonalized once per gate kind and cutoff
-(the squeezer's theta is the diagonal phase e^{i theta n_a}).  A principal
-submatrix of an anti-Hermitian generator is again anti-Hermitian, so these
-gates are exactly unitary and truncation shows up as population parked
-near the cutoff, not as norm loss; the top Fock level's occupancy is the
-leakage monitor, with a norm/trace drift guard for numerical accidents.
+strength times a unit generator diagonalized once per gate kind and cutoff.
+Both generators, a^dag b^dag - a b and b^dag c - b c^dag, are real and
+antisymmetric, so the squeezer at theta = 0 and the splitter are real
+orthogonal; the squeezer's theta is the diagonal phase D = e^{i theta n_a}
+around its real gate, D S0 D^dag.  A principal submatrix of an antisymmetric
+generator is again antisymmetric, so these gates are exactly unitary and
+truncation shows up as population parked near the cutoff, not as norm loss;
+the top Fock level's occupancy is the leakage monitor, with a norm/trace
+drift guard for numerical accidents.
 
 Each two-mode gate and the loss channel conserve a label (n_a - n_b,
-n_b + n_c, n_ket - n_bra), so they are stored cyclically packed: a
+n_b + n_c, n_ket - n_bra), so they are stored cyclically packed: a real
 (C, C, C) stack of C x C matrices, one per row of index pairs with equal
-label mod C, applied by one gather, one batched matmul and one scatter.
+label mod C, applied by one gather, one batched real matmul on the complex
+rows seen as float pairs, and one scatter.  The loss channel's Kraus
+operators are real too, and contract through the same float view.
 """
 
 from __future__ import annotations
@@ -148,37 +153,48 @@ def _packed_kron_sum(terms, pairs) -> np.ndarray:
 
 
 class _PackedGate(NamedTuple):
-    """(cutoff, cutoff, cutoff) stack of row matrices and its index map."""
+    """Real (cutoff, cutoff, cutoff) stack of row matrices S, its index
+    map, and an optional diagonal phase d, one per packed pair: the gate
+    is d S conj(d) row by row, and plain S when ``phase`` is None."""
 
     stack: np.ndarray
     pairs: tuple
+    phase: np.ndarray | None = None
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _generator_eigenbasis(kind: str, cutoff: int):
-    """(w, v, pairs), v diag(w) v^dag the packed unit generator h0 of a gate
-    kind: i adag bdag - i a b (squeezer, packed by n_a - n_b) or i adag b -
-    i a bdag (splitter, by n_b + n_c); its one eigendecomposition per cutoff."""
+    """(w, basis, pairs) of the packed unit generator h0 = v diag(w) v^dag of
+    a gate kind: i adag bdag - i a b (squeezer, packed by n_a - n_b) or
+    i adag b - i a bdag (splitter, by n_b + n_c); its one eigendecomposition
+    per cutoff.  basis stacks the real and imaginary parts of v = x + i y
+    as [x^T; y^T], a real (cutoff, 2 cutoff, cutoff) array."""
     a = _annihilator(cutoff)
     b = a.conj().T if kind == "squeezer" else a
     pairs = _packed_pairs(cutoff, 1 if kind == "squeezer" else -1)
     w, v = np.linalg.eigh(_packed_kron_sum(((1j, a.conj().T, b), (-1j, a, b.conj().T)), pairs))
-    return w, v, pairs
+    vt = v.swapaxes(1, 2)
+    return w, np.concatenate((vt.real, vt.imag), axis=1), pairs
 
 
 def _exp_generator(kind: str, strength: float, cutoff: int) -> _PackedGate:
-    """exp(-i strength h0) = v diag(e^{-i strength w}) v^dag, row by row."""
-    w, v, pairs = _generator_eigenbasis(kind, cutoff)
-    return _PackedGate((v * np.exp(-1j * strength * w)[:, None]) @ v.conj().swapaxes(1, 2), pairs)
+    """exp(-i strength h0), the exponential of a real antisymmetric matrix:
+    Re(v diag(e^{-i strength w}) v^dag) = [x cos + y sin, y cos - x sin]
+    [x^T; y^T] row by row, one real batched matmul."""
+    w, basis, pairs = _generator_eigenbasis(kind, cutoff)
+    xt, yt = basis[:, :cutoff], basis[:, cutoff:]
+    cos, sin = np.cos(strength * w)[:, :, None], np.sin(strength * w)[:, :, None]
+    rotated = np.concatenate((xt * cos + yt * sin, yt * cos - xt * sin), axis=1)
+    return _PackedGate(rotated.swapaxes(1, 2) @ basis, pairs)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _squeezer_unitary(gain: float, theta: float, cutoff: int) -> _PackedGate:
     """exp(xi adag bdag - xi* a b), xi = arccosh(G) e^{i theta}, packed by the
-    conserved n_a - n_b: arccosh(G) D h0 D^dag with D = e^{i theta n_a}."""
+    conserved n_a - n_b: D S0 D^dag with the real theta = 0 gate S0 as the
+    stack and D = e^{i theta n_a} as its phase (none at theta = 0)."""
     gate = _exp_generator("squeezer", math.acosh(gain), cutoff)
-    d = np.exp(1j * theta * gate.pairs[0])
-    return gate._replace(stack=d[:, :, None] * gate.stack * d.conj()[:, None, :])
+    return gate._replace(phase=np.exp(1j * theta * gate.pairs[0])) if theta else gate
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -193,58 +209,78 @@ def _beam_splitter_unitary(transmissivity: float, cutoff: int) -> _PackedGate:
     return rot._replace(stack=(-1.0) ** np.arange(cutoff)[:, None] * rot.stack)
 
 
-def loss_kraus_operators(eta: float, cutoff: int):
-    """Photon-loss Kraus family: K_k maps |n> to |n-k> with amplitude
-    sqrt(C(n,k) eta^{n-k} (1-eta)^k)."""
-    ops = []
-    for k in range(cutoff):
-        mat = np.zeros((cutoff, cutoff), dtype=complex)
-        for n in range(k, cutoff):
-            mat[n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
-        ops.append(mat)
-    return tuple(ops)
+@lru_cache(maxsize=None)
+def _binomials(cutoff: int) -> np.ndarray:
+    """C(n, k) as floats, indexed [k, n]; zero for k > n."""
+    return np.array([[float(math.comb(n, k)) for n in range(cutoff)] for k in range(cutoff)])
+
+
+def loss_kraus_operators(eta: float, cutoff: int) -> np.ndarray:
+    """Photon-loss Kraus family as a real (cutoff,)*3 array: K_k = ops[k]
+    maps |n> to |n-k> with amplitude sqrt(C(n,k) eta^{n-k} (1-eta)^k)."""
+    k, n = np.indices((cutoff, cutoff))
+    amps = np.sqrt(_binomials(cutoff) * eta ** np.maximum(n - k, 0) * (1.0 - eta) ** k)
+    ops = np.zeros((cutoff,) * 3)
+    # (n - k) % cutoff parks the zero amplitudes of k > n off the band
+    ops[k, (n - k) % cutoff, n] = amps
+    return ops
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _loss_superoperator(eta: float, cutoff: int) -> _PackedGate:
-    """sum_k K_k (x) conj(K_k) acting on the (ket, bra) index pair of one
-    mode, packed by n_ket - n_bra, which it conserves."""
+    """sum_k K_k (x) K_k, the real K_k (x) conj(K_k), acting on the
+    (ket, bra) index pair of one mode, packed by n_ket - n_bra, which it
+    conserves."""
     pairs = _packed_pairs(cutoff, 1)
-    terms = ((1, k, k.conj()) for k in loss_kraus_operators(eta, cutoff))
+    terms = ((1, k, k) for k in loss_kraus_operators(eta, cutoff))
     return _PackedGate(_packed_kron_sum(terms, pairs), pairs)
 
 
 def kraus_completeness_defect(eta: float, cutoff: int) -> float:
     """Max-norm distance of sum K^dag K from the identity on the retained
     subspace (any deviation quantifies truncation of the Kraus family)."""
-    total = sum(k.conj().T @ k for k in loss_kraus_operators(eta, cutoff))
+    ops = loss_kraus_operators(eta, cutoff)
+    total = np.tensordot(ops, ops, axes=([0, 1], [0, 1]))
     return float(np.max(np.abs(total - np.eye(cutoff))))
 
 
 # --- tensor application helpers ---------------------------------------------
 
 
+def _real_matmul(mats: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """mats @ work for real mats and a C-contiguous complex work: one real
+    matmul on the float pairs of work (its last axis doubled)."""
+    return np.matmul(mats, work.view(np.float64)).view(complex)
+
+
 def _apply_on_axes(tensor: np.ndarray, gate: _PackedGate, axes) -> np.ndarray:
     """Apply a packed gate to the two tensor axes ``axes``: gather their
     index pairs in packed order, multiply each row block by its matrix in
-    one batched matmul, and scatter the result into a new tensor."""
+    one batched real matmul, between conj(d) and d when the gate carries a
+    phase, and scatter the result into a new tensor."""
     i, j = gate.pairs
     c = len(i)
-    work = np.moveaxis(tensor, axes, (0, 1))[i, j]
+    work = np.moveaxis(tensor, axes, (0, 1))[i, j].astype(complex, copy=False)
     shape = tensor.shape
     # Frees an input no caller holds (the ket half of _apply_unitary) before
     # the matmul; rebinding work frees the gathered copy before out exists.
     del tensor
     rest = work.shape[2:]
-    work = np.matmul(gate.stack, work.reshape(c, c, -1))
+    work = work.reshape(c, c, -1)
+    if gate.phase is not None:
+        work *= gate.phase.conj()[:, :, None]
+    work = _real_matmul(gate.stack, work)
+    if gate.phase is not None:
+        work *= gate.phase[:, :, None]
     out = np.empty(shape, dtype=work.dtype)
     np.moveaxis(out, axes, (0, 1))[i, j] = work.reshape((c, c) + rest)
     return out
 
 
 def _sandwich(tensor: np.ndarray, gate: _PackedGate, ket_axes, bra_axes) -> np.ndarray:
-    """U T U^dag for an operator tensor T with the given ket and bra axes."""
-    bra = gate._replace(stack=gate.stack.conj())
+    """U T U^dag for an operator tensor T with the given ket and bra axes;
+    the bra side applies conj(U) = conj(d) S d."""
+    bra = gate if gate.phase is None else gate._replace(phase=gate.phase.conj())
     return _apply_on_axes(_apply_on_axes(tensor, gate, ket_axes), bra, bra_axes)
 
 
@@ -393,14 +429,17 @@ def apply_loss(rho: DensityOperator, eta: float, mode: int) -> DensityOperator:
 
 def _kraus_branches(state: FockState, eta: float, mode: int) -> FockState:
     """Photon loss on one mode of a pure state or branch stack, kept pure:
-    each branch psi_br becomes the branches K_k psi_br (k appended to the
-    trailing branch axis); identity at eta = 1."""
+    each branch psi_br becomes the branches K_k psi_br, the trailing branch
+    axis running over (k, br); identity at eta = 1."""
     if eta == 1.0:
         return state
     c = state.cutoff
-    kraus = np.array(loss_kraus_operators(eta, c))
-    amps = np.tensordot(state.amplitudes, kraus, axes=([mode], [2]))
-    return FockState(amplitudes=np.moveaxis(amps, -1, mode).reshape(c, c, c, -1), cutoff=c)
+    # rows (n', k), batched over the modes before this one, so k lands just
+    # ahead of the later modes and the old branch axis
+    kraus = loss_kraus_operators(eta, c).swapaxes(0, 1).reshape(c * c, c)
+    psi = np.ascontiguousarray(state.amplitudes, dtype=complex).reshape(c**mode, c, -1)
+    amps = _real_matmul(kraus, psi).reshape((c,) * (mode + 2) + state.amplitudes.shape[mode + 1 :])
+    return FockState(amplitudes=np.moveaxis(amps, mode + 1, 3).reshape(c, c, c, -1), cutoff=c)
 
 
 # --- full pipeline -----------------------------------------------------------
@@ -545,7 +584,8 @@ def numeric_slope(
     """
     state, tangent = _readout_pair(config, cutoff, budget, tangent=True)
     if config.loss.is_lossless():
-        cross = np.einsum("ijk,ljk->il", tangent.amplitudes, state.amplitudes.conj())
+        psi = state.amplitudes.reshape(cutoff, -1)
+        cross = tangent.amplitudes.reshape(cutoff, -1) @ psi.conj().T
     else:
         cross = reduced_density(tangent, MODE_A)
     return SlopeEstimate(2.0 * float(np.trace(_quadrature_y(cutoff) @ cross).real), state)

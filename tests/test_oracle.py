@@ -259,7 +259,9 @@ class TestLossChannel:
 
     def test_kraus_matrix_elements(self):
         eta = 0.49
-        k1 = loss_kraus_operators(eta, 6)[1]
+        ops = loss_kraus_operators(eta, 6)
+        assert ops.dtype == np.float64 and ops.shape == (6, 6, 6)
+        k1 = ops[1]
         assert k1[2, 3] == pytest.approx(
             math.sqrt(3 * eta**2 * (1 - eta)), abs=1e-14
         )
@@ -278,12 +280,16 @@ def _ladder(cutoff):
 
 
 def _dense(gate):
-    """The (cutoff^2, cutoff^2) matrix of a packed gate."""
+    """The (cutoff^2, cutoff^2) matrix of a packed gate, d S conj(d) row by
+    row when it carries a phase d."""
     i, j = gate.pairs
     c = len(i)
     flat = i * c + j
+    rows = gate.stack
+    if gate.phase is not None:
+        rows = gate.phase[:, :, None] * rows * gate.phase.conj()[:, None, :]
     out = np.zeros((c * c, c * c), dtype=complex)
-    out[flat[:, :, None], flat[:, None, :]] = gate.stack
+    out[flat[:, :, None], flat[:, None, :]] = rows
     return out
 
 
@@ -332,15 +338,36 @@ class TestBlockedGates:
             (oracle._squeezer_unitary, (math.hypot(1, 0.7), 0.9)),
             (oracle._beam_splitter_unitary, (0.3,)),
             (oracle._loss_superoperator, (0.37,)),
+            (oracle._squeezer_unitary, (math.hypot(1, 0.7), 0.0)),
         ],
-        ids=["squeezer", "splitter", "loss"],
+        ids=["squeezer", "splitter", "loss", "squeezer-theta-0"],
     )
     def test_cached_gate_holds_cube_of_cutoff(self, build, args):
-        # the dense c^2 x c^2 matrix at cutoff 30 took 12.96 MB
+        # the dense c^2 x c^2 matrix at cutoff 30 took 12.96 MB and the
+        # complex stack 432 000 B; the real stack takes 216 000 B, the pairs
+        # 14 400 and a squeezer's phase e^{i theta n_a} 14 400, none at theta = 0
         gate = build(*args, 30)
-        assert gate.stack.shape == (30, 30, 30)
-        assert gate.stack.nbytes + sum(p.nbytes for p in gate.pairs) < 0.5e6
+        assert gate.stack.shape == (30, 30, 30) and gate.stack.dtype == np.float64
+        assert (gate.phase is None) == (build is not oracle._squeezer_unitary or args[1] == 0.0)
+        phase = 0 if gate.phase is None else gate.phase.nbytes
+        assert gate.stack.nbytes + sum(p.nbytes for p in gate.pairs) + phase < 0.25e6
 
+    def test_real_valued_state_is_promoted(self):
+        # the real matmul views its input as float pairs, so a gate, a Kraus
+        # split or a loss given real amplitudes must act as on complex ones
+        real = np.zeros((8, 8, 8))
+        real[0, 1, 2] = 0.6
+        real[1, 2, 0] = 0.8
+        runs = [
+            lambda s: apply_two_mode_squeezer(s, 1.2, 0.9, MODE_A, MODE_B).amplitudes,
+            lambda s: apply_beam_splitter(s, 0.3, MODE_B, MODE_C).amplitudes,
+            lambda s: oracle._kraus_branches(s, 0.6, MODE_B).amplitudes,
+            lambda s: apply_loss(to_density(s), 0.7, MODE_A).tensor,
+        ]
+        for run in runs:
+            out = run(FockState(real, 8))
+            assert out.dtype == complex
+            assert np.array_equal(out, run(FockState(real.astype(complex), 8)))
 
 class TestQuadratureStats:
     def test_vacuum_convention(self):
@@ -517,6 +544,9 @@ class TestGateCaches:
         info = basis.cache_info()
         assert info.misses == 2 * len(cutoffs)
         assert info.currsize <= info.maxsize
+        # [x^T; y^T] of v = x + i y holds the bytes of the complex v
+        stack = basis("squeezer", cutoffs[-1])[1]
+        assert stack.dtype == np.float64 and stack.nbytes == 16 * cutoffs[-1] ** 3
 
     def test_numeric_slope_builds_each_gate_once(self):
         # the internal losses (eta_c, eta_d) use Kraus operators, so only
@@ -706,6 +736,26 @@ class TestNumericSlope:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 30**3
+
+    @pytest.mark.parametrize(
+        "etas, cutoff, budget",
+        [
+            ({}, 15, 1e-6),
+            (dict(eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.85), 14, 1e-5),
+        ],
+        ids=["lossless", "five-losses"],
+    )
+    def test_generic_phases_match_closed_form(self, etas, cutoff, budget):
+        # every phase off the {0, pi} grid verify and the benchmark use, so
+        # the squeezers' diagonal phases e^{i theta n_a} act on both sides
+        cfg = build_config(
+            alpha=0.8, theta_alpha=-0.4, g1=0.25, theta1=0.7, g2=0.4, theta2=2.1,
+            transmissivity=0.3, **etas,
+        )
+        est = numeric_slope(cfg, cutoff=cutoff, budget=budget)
+        report = analytic.sensitivity(cfg)
+        assert abs(est.value) == pytest.approx(report.slope, rel=1e-6)
+        assert quadrature_stats(est.state, MODE_A)[1] == pytest.approx(report.noise, rel=1e-6)
 
     def test_zero_readout_gain_gives_zero(self):
         cfg = build_config(alpha=1.0, g1=0.3, g2=0.0, transmissivity=0.25)
