@@ -11,6 +11,10 @@ numeric_slope share one forward pass: from the Kerr stage on, the
 derivative of the state with respect to the nonlinear phase rides beside
 it through every later stage, each linear in the state; numeric_slope
 also returns the state, so one pass yields the slope and the variance.
+Nothing before the Kerr stage depends on the phases, so that prefix is
+built once per (alpha, G1, theta1, T, cutoff, budget) and shared, read
+only, by simulate, numeric_slope and oracle_qfi; the memory guard counts
+the bytes it holds.
 
 Unitaries exponentiate the generator restricted to the truncated space: a
 strength times a unit generator diagonalized once per gate kind and cutoff.
@@ -21,7 +25,8 @@ around its real gate, D S0 D^dag.  A principal submatrix of an antisymmetric
 generator is again antisymmetric, so these gates are exactly unitary and
 truncation shows up as population parked near the cutoff, not as norm loss;
 the top Fock level's occupancy is the leakage monitor, with a norm/trace
-drift guard for numerical accidents.
+drift guard for numerical accidents.  A pure state reads both from its
+amplitudes, without forming |psi|^2.
 
 Each two-mode gate and the loss channel conserve a label (n_a - n_b,
 n_b + n_c, n_ket - n_bra), so they are stored cyclically packed: a real
@@ -34,6 +39,7 @@ operators are real too, and contract through the same float view.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,12 +54,16 @@ _NORM_DRIFT_GUARD = 1e-9
 # and up to three loss superoperators (eta_a, eta_b, eta_det; the internal
 # losses use uncached Kraus operators), so numeric_slope never rebuilds a gate;
 # the generator eigenbases take one entry per kind and cutoff, so 4 for a
-# cutoff and its double.
+# cutoff and its double.  The prefix cache (_PREFIXES) holds 2 states, for
+# a cutoff and its double; a warm run applies only the gates after the
+# Kerr stage.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates; also the cap
-# on a pure state coherent_product_state builds and on the four branch
+# on a pure state coherent_product_state builds, and on the four branch
 # tensors a simulate or numeric_slope keeps alive (state, tangent, and a
-# gate's gather and matmul copies).
+# gate's gather and matmul copies) together with the prefix states cached
+# beside them; a run whose tensors fit only without its prefix held
+# builds that prefix uncached.
 _DENSITY_GIB_CAP = 1
 
 
@@ -400,17 +410,19 @@ def apply_beam_splitter(state, transmissivity: float, mode_i: int, mode_j: int):
 
 
 def apply_kerr(state: FockState, phi_l: float, phi_n: float, mode: int) -> FockState:
-    """Diagonal phase e^{i(phi_l n + phi_n n^2)} on one mode of a pure state;
-    exactly norm preserving.  The pipeline's Kerr stage always meets a pure
-    state, so a density is refused."""
+    """Diagonal phase e^{i(phi_l n + phi_n n^2)} on one mode of a pure state
+    or branch stack, of any mode count; exactly norm preserving.  The
+    pipeline's Kerr stage always meets a pure state, so a density is
+    refused."""
     if not isinstance(state, FockState):
         raise TypeError("apply_kerr acts on a pure FockState; the Kerr stage meets no density")
     c = state.cutoff
     n = np.arange(c)
     phases = np.exp(1j * (phi_l * n + phi_n * n.astype(float) ** 2))
-    shape = [1, 1, 1]
+    shape = [1] * state.amplitudes.ndim
     shape[mode] = c
-    return FockState(amplitudes=state.amplitudes * phases.reshape(shape), cutoff=c)
+    amps = state.amplitudes * phases.reshape(shape)
+    return FockState(amplitudes=amps, cutoff=c, modes=state.modes)
 
 
 def apply_loss(rho: DensityOperator, eta: float, mode: int) -> DensityOperator:
@@ -453,17 +465,33 @@ def _linear_stage(pair, apply, *args) -> None:
         pair[1] = apply(pair[1], *args)
 
 
+def _norm(state) -> float:
+    """Norm of a pure state or branch stack; trace of a density, summed
+    from its diagonal."""
+    return state.norm_sq if isinstance(state, FockState) else _joint_populations(state).sum()
+
+
+def _top_weights(state) -> list:
+    """Weight each mode holds on its top Fock level: for a pure state or
+    branch stack the vdot of each top slice of the amplitudes, with no
+    |psi|^2 tensor; for a density the sums of its diagonal's slices."""
+    if isinstance(state, FockState):
+        tops = (state.amplitudes.take(-1, axis=m) for m in range(state.modes))
+        return [np.vdot(top, top).real for top in tops]
+    joint = _joint_populations(state)
+    return [joint.take(-1, axis=m).sum() for m in range(state.modes)]
+
+
 def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
     """A unitary stage followed by the truncation check of its state: the
     norm or trace must not drift across it, and no mode may hold more than
     the budget on its top Fock level after it."""
-    before = _joint_populations(pair[0]).sum()
+    before = _norm(pair[0])
     _linear_stage(pair, apply, *args)
-    joint = _joint_populations(pair[0])
-    drift = abs(joint.sum() - before)
+    drift = abs(_norm(pair[0]) - before)
     if drift > _NORM_DRIFT_GUARD:
         raise TruncationError(f"{stage}: norm/trace drifted by {drift:.3e}")
-    worst = max(joint.take(-1, axis=m).sum() for m in range(pair[0].modes))
+    worst = max(_top_weights(pair[0]))
     if worst > budget:
         raise TruncationError(
             f"{stage}: top-Fock-level occupancy {worst:.3e} exceeds "
@@ -471,19 +499,89 @@ def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
         )
 
 
-def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float):
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _PrefixCache:
+    """Bounded LRU of read-only prefix states with the cache_info and
+    cache_clear of functools.lru_cache, that keeps within the bytes each
+    call leaves it: older entries go first to make room for the one asked
+    for, and a state that does not fit is returned without being kept.  A
+    build that raises keeps nothing, so it raises again on the next call."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.hits = self.misses = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (state, nbytes)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(nbytes for _, nbytes in self._entries.values())
+
+    def __call__(self, key, nbytes: int, room: int, build) -> FockState:
+        state, _ = self._entries.pop(key, (None, 0))
+        while self._entries and (len(self._entries) >= self.maxsize or self.nbytes + nbytes > room):
+            self._entries.popitem(last=False)
+        if state is None:
+            self.misses += 1
+            state = build()
+            state.amplitudes.flags.writeable = False
+        else:
+            self.hits += 1
+        if nbytes <= room:
+            self._entries[key] = state, nbytes
+        return state
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self.hits = self.misses = 0
+
+
+_PREFIXES = _PrefixCache(maxsize=2)
+
+
+def _prefix_room(cutoff: int, branches: int) -> int:
+    """Bytes the prefix cache may hold beside a run's four branch tensors,
+    4 * 16 cutoff^3 branches bytes: the cap less those, negative when they
+    alone exceed it.  Lossless, a cached 16 cutoff^3 prefix fits beside
+    them up to cutoff 237, and runs at cutoffs 238 to 256 build it
+    uncached."""
+    return _DENSITY_GIB_CAP * 2**30 - 4 * 16 * cutoff**3 * branches
+
+
+def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, room: int):
     """Prepare, first squeezer on (a, b), first splitter on (b, c): the
-    phase-independent prefix of the interferometer, checked per stage."""
-    pair = [prepare_input(config, cutoff, budget), None]
-    _checked_stage(
-        pair, "nbs1", budget, apply_two_mode_squeezer,
-        config.nbs1.gain, config.nbs1.phase, MODE_A, MODE_B,
+    phase-independent prefix of the interferometer, checked per stage.
+    The read-only state is cached on the parameters the prefix reads and
+    kept within room bytes (see _PrefixCache); the pure-state cap is
+    checked on every call, before the cache is read."""
+    nbytes = 16 * cutoff**3
+    _refuse_above_cap(cutoff, nbytes, "a pure state")
+
+    def build():
+        pair = [prepare_input(config, cutoff, budget), None]
+        _checked_stage(
+            pair, "nbs1", budget, apply_two_mode_squeezer,
+            config.nbs1.gain, config.nbs1.phase, MODE_A, MODE_B,
+        )
+        _checked_stage(
+            pair, "bs1", budget, apply_beam_splitter,
+            config.splitter.transmissivity, MODE_B, MODE_C,
+        )
+        return pair[0]
+
+    key = (
+        config.coherent.amplitude, config.nbs1.gain, config.nbs1.phase,
+        config.splitter.transmissivity, cutoff, budget,
     )
-    _checked_stage(
-        pair, "bs1", budget, apply_beam_splitter,
-        config.splitter.transmissivity, MODE_B, MODE_C,
-    )
-    return pair[0]
+    return _PREFIXES(key, nbytes, room, build)
 
 
 def _through_bs2(config, cutoff: int, budget: float, tangent: bool):
@@ -491,12 +589,13 @@ def _through_bs2(config, cutoff: int, budget: float, tangent: bool):
     losses (eta_d on b, eta_c on c) split them into Kraus branches.  The
     tangent, d/dphi_n of the state or None unless asked for, starts at the
     Kerr stage; every later stage is linear in the state.  Refuses a run
-    whose four branch stacks would exceed _DENSITY_GIB_CAP."""
+    whose four branch stacks would exceed _DENSITY_GIB_CAP, and keeps the
+    cached prefixes within what they leave of it."""
     loss = config.loss
     branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
     _refuse_above_cap(cutoff, 4 * 16 * cutoff**3 * branches, "a run's branch tensors")
     state = apply_kerr(
-        _entering_kerr(config, cutoff, budget),
+        _entering_kerr(config, cutoff, budget, _prefix_room(cutoff, branches)),
         config.phase.linear, config.phase.nonlinear, MODE_B,
     )
     # d/dphi_n of the Kerr output is i n_b^2 psi
@@ -605,7 +704,8 @@ def oracle_qfi(
             "oracle_qfi supports lossless configurations only "
             "(mixed-state Fisher information is out of scope)"
         )
-    state = _entering_kerr(config, cutoff, budget)
+    # kept only where a lossless run at this cutoff would keep it too
+    state = _entering_kerr(config, cutoff, budget, _prefix_room(cutoff, 1))
     pops = mode_populations(state, MODE_B)
     n = np.arange(state.cutoff, dtype=float)
     m2 = float(np.dot(pops, n**2))

@@ -177,6 +177,21 @@ class TestKerr:
         out = apply_kerr(state, 0.3, 0.11, MODE_B)
         assert out.norm_sq == pytest.approx(state.norm_sq, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "shape, modes", [((7, 7), 2), ((7, 7, 7, 5), 3)], ids=["two-mode", "branch-stack"]
+    )
+    def test_phase_lands_on_named_axis(self, shape, modes):
+        # mode 1 of a two-mode state and of a (c, c, c, branches) stack
+        c, phi_l, phi_n = 7, 0.3, 0.11
+        rng = np.random.default_rng(4)
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = apply_kerr(FockState(amps, c, modes=modes), phi_l, phi_n, MODE_B)
+        n = np.arange(c)
+        diag = np.diag(np.exp(1j * (phi_l * n + phi_n * n**2)))
+        ref = np.moveaxis(np.tensordot(diag, amps, axes=(1, MODE_B)), 0, MODE_B)
+        assert out.amplitudes.shape == shape and out.modes == modes
+        np.testing.assert_allclose(out.amplitudes, ref, rtol=0, atol=1e-14)
+
     def test_rejects_density(self):
         rho = to_density(coherent_product_state([0.0, 0.4, 0.0], cutoff=8))
         with pytest.raises(TypeError, match="FockState"):
@@ -490,6 +505,7 @@ _CACHES = (
     oracle._squeezer_unitary,
     oracle._beam_splitter_unitary,
     oracle._loss_superoperator,
+    oracle._PREFIXES,
 )
 
 
@@ -559,24 +575,26 @@ class TestGateCaches:
         )
         numeric_slope(cfg, cutoff=6, budget=1e-2)
         misses = [cache.cache_info().misses for cache in _CACHES]
-        assert misses == [2, 1, 3]
+        assert misses == [2, 1, 3, 1]
 
 
-_FIVE_LOSSES = build_config(
+_FIVE_LOSS_ARGS = dict(
     alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25,
     eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.5,
 )
+_FIVE_LOSSES = build_config(**_FIVE_LOSS_ARGS)
 
 
 class TestSlopeWorkCount:
-    # one tensor contraction per gate on the pure prefix and two (state and
-    # tangent) per gate after the Kerr stage; the central difference took 16.
-    # A lossy slope forms no (cutoff,)*6 tensor: after bs2 it runs the
-    # two-mode density rho_ab and its tangent forward, 28 944 contracted
-    # elements at cutoff 6 (the adjoint readout pullback contracted 36 756).
+    # a warm slope reads its pure prefix from the cache and contracts twice
+    # (state and tangent) per gate after the Kerr stage; the central
+    # difference took 16.  A lossy slope forms no (cutoff,)*6 tensor: after
+    # bs2 it runs the two-mode density rho_ab and its tangent forward,
+    # 28 512 contracted elements at cutoff 6 (28 944 with the prefix's two
+    # applies, 36 756 by the adjoint readout pullback).
     @pytest.mark.parametrize(
         "cfg, cutoff, budget, measure, limit",
-        [(CANON, 12, 1e-6, len, 6), (_FIVE_LOSSES, 6, 1e-2, sum, 28_944)],
+        [(CANON, 12, 1e-6, len, 4), (_FIVE_LOSSES, 6, 1e-2, sum, 28_512)],
         ids=["lossless", "five-losses"],
     )
     def test_contractions_per_warm_slope(self, monkeypatch, cfg, cutoff, budget, measure, limit):
@@ -601,6 +619,135 @@ class TestSlopeWorkCount:
         assert measure(sizes) <= limit
         assert max(sizes) < cutoff**6
         assert len(densities) == (0 if cfg.loss.is_lossless() else 1)
+
+
+def _outputs(cfg, cutoff, budget, cold):
+    """simulate's state, numeric_slope's value and state and, lossless,
+    oracle_qfi, each call on a cleared prefix cache when cold."""
+    def call(run):
+        if cold:
+            oracle._PREFIXES.cache_clear()
+        return run(cfg, cutoff=cutoff, budget=budget)
+
+    def tensor(state):
+        return state.amplitudes if isinstance(state, FockState) else state.tensor
+
+    slope = call(numeric_slope)
+    qfi = call(oracle_qfi) if cfg.loss.is_lossless() else None
+    return tensor(call(simulate)), slope.value, tensor(slope.state), qfi
+
+
+class TestPrefixCache:
+    def test_one_build_serves_simulate_slope_and_qfi(self):
+        oracle._PREFIXES.cache_clear()
+        simulate(CANON, cutoff=12, budget=1e-6)
+        numeric_slope(CANON, cutoff=12, budget=1e-6)
+        oracle_qfi(CANON, cutoff=12, budget=1e-6)
+        info = oracle._PREFIXES.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    @pytest.mark.parametrize(
+        "cfg, cutoff, budget",
+        [(CANON, 15, 1e-8), (_FIVE_LOSSES, 8, 1e-2)],
+        ids=["lossless", "five-losses"],
+    )
+    def test_warm_results_are_bit_identical_to_cold(self, cfg, cutoff, budget):
+        cold = _outputs(cfg, cutoff, budget, cold=True)
+        oracle._PREFIXES.cache_clear()
+        warm = _outputs(cfg, cutoff, budget, cold=False)
+        assert oracle._PREFIXES.cache_info().hits == (2 if cfg.loss.is_lossless() else 1)
+        state, value, slope_state, qfi = warm
+        assert np.array_equal(state, cold[0]) and np.array_equal(slope_state, cold[2])
+        assert value == cold[1] and qfi == cold[3]
+
+    @pytest.mark.parametrize(
+        "change, hit",
+        [
+            (dict(phi_l=0.3), True),
+            (dict(phi_n=0.02), True),
+            (dict(g2=0.5), True),
+            (dict(theta2=1.0), True),
+            (dict(eta_a=1.0), True),
+            (dict(eta_c=0.9), True),
+            (dict(eta_det=0.7), True),
+            (dict(alpha=0.35), False),
+            (dict(theta_alpha=0.5), False),
+            (dict(g1=0.25), False),
+            (dict(theta1=0.4), False),
+            (dict(transmissivity=0.3), False),
+            (dict(cutoff=7), False),
+            (dict(budget=2e-2), False),
+        ],
+    )
+    def test_key_holds_what_the_prefix_reads(self, change, hit):
+        run = dict(cutoff=6, budget=1e-2)
+        args = dict(_FIVE_LOSS_ARGS)
+        for name, value in change.items():
+            (run if name in run else args)[name] = value
+        oracle._PREFIXES.cache_clear()
+        simulate(_FIVE_LOSSES, cutoff=6, budget=1e-2)
+        simulate(build_config(**args), **run)
+        info = oracle._PREFIXES.cache_info()
+        assert (info.hits, info.misses) == ((1, 1) if hit else (0, 2))
+
+    def test_cached_amplitudes_refuse_writes(self):
+        state = oracle._entering_kerr(CANON, 12, 1e-6, oracle._prefix_room(12, 1))
+        assert oracle._entering_kerr(CANON, 12, 1e-6, oracle._prefix_room(12, 1)) is state
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "cfg, cutoff, budget, stage",
+        [(CANON, 8, 1e-8, "prepare"), (_BS1_TRIP, 10, 1e-6, "bs1")],
+    )
+    def test_refused_prefix_raises_on_every_call(self, cfg, cutoff, budget, stage):
+        oracle._PREFIXES.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(TruncationError, match=stage) as exc:
+                simulate(cfg, cutoff=cutoff, budget=budget)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        info = oracle._PREFIXES.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_room_counts_the_held_prefix(self):
+        # estimator only: placeholders stand for the 16 c^3-byte prefixes.
+        # Lossless, four branch tensors and one cached prefix fit the 1 GiB
+        # cap up to cutoff 237, the four tensors alone up to 256; with both
+        # internal losses the tensors fit up to cutoff 27
+        cache = oracle._PrefixCache(maxsize=2)
+
+        def held_after(cutoff, branches=1):
+            room = oracle._prefix_room(cutoff, branches)
+            cache((cutoff, branches), 16 * cutoff**3, room, lambda: FockState(np.zeros(1), cutoff))
+            return cache.cache_info().currsize
+
+        assert [held_after(100), held_after(200)] == [1, 2]
+        assert held_after(237) == 1  # the prefix at 200 no longer fits beside it
+        assert held_after(238) == 0 and held_after(256) == 0
+        assert oracle._prefix_room(256, 1) == 0 > oracle._prefix_room(257, 1)
+        assert held_after(27, 27**2) == 1
+        assert oracle._prefix_room(28, 28**2) < 0
+        assert cache.cache_info().misses == 6
+
+    def test_run_without_room_builds_its_prefix_uncached(self, monkeypatch):
+        # at cutoff 15 the four branch tensors take 216 000 B and the prefix
+        # 54 000 B; a 250 000 B cap admits the run but not its prefix beside
+        # it, and drops the prefix an earlier run left
+        expected = simulate(CANON, cutoff=15, budget=1e-8).amplitudes
+        oracle._PREFIXES.cache_clear()
+        oracle_qfi(CANON, cutoff=12, budget=1e-6)
+        monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 250_000 / 2**30)
+        for _ in range(2):
+            assert np.array_equal(simulate(CANON, cutoff=15, budget=1e-8).amplitudes, expected)
+        info = oracle._PREFIXES.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 0)
+        # oracle_qfi keeps its prefix only where a lossless run would: at
+        # 100 000 B its state fits, but no run's four tensors do
+        monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 100_000 / 2**30)
+        oracle_qfi(CANON, cutoff=15, budget=1e-8)
+        assert oracle._PREFIXES.cache_info()[1:] == (4, 2, 0)
 
 
 _LOSSY_PHI = build_config(
@@ -802,6 +949,7 @@ class TestLosslessMemoryCap:
 
     @pytest.mark.parametrize("run", [simulate, numeric_slope, oracle_qfi])
     def test_run_refused_below_state_size(self, run, monkeypatch):
+        run(CANON, cutoff=15)  # a warm prefix must not skip the lowered cap
         monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", self.BELOW_STATE_GIB)
         with pytest.raises(ValueError, match=r"at cutoff 15 needs .* GiB, above the 4e-05 GiB cap"):
             run(CANON, cutoff=15)
