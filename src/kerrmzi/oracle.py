@@ -17,16 +17,18 @@ only, by simulate, numeric_slope and oracle_qfi; the memory guard counts
 the bytes it holds.
 
 Unitaries exponentiate the generator restricted to the truncated space: a
-strength times a unit generator diagonalized once per gate kind and cutoff.
-Both generators, a^dag b^dag - a b and b^dag c - b c^dag, are real and
+strength times a unit generator diagonalized once per gate kind and cutoff,
+the gate Re(v E v^dag) one real matmul on the cached eigenvectors v; the
+first squeezer meets vacuum, so the prefix takes one column of it.  Both
+generators, a^dag b^dag - a b and b^dag c - b c^dag, are real and
 antisymmetric, so the squeezer at theta = 0 and the splitter are real
 orthogonal; the squeezer's theta is the diagonal phase D = e^{i theta n_a}
-around its real gate, D S0 D^dag.  A principal submatrix of an antisymmetric
-generator is again antisymmetric, so these gates are exactly unitary and
-truncation shows up as population parked near the cutoff, not as norm loss;
-the top Fock level's occupancy is the leakage monitor, with a norm/trace
-drift guard for numerical accidents.  A pure state reads both from its
-amplitudes, without forming |psi|^2.
+around its real gate, D S0 D^dag.  A principal submatrix of an
+antisymmetric generator is again antisymmetric, so these gates are exactly
+unitary and truncation shows up as population parked near the cutoff, not
+as norm loss; the top Fock level's occupancy is the leakage monitor, with
+a norm/trace drift guard for numerical accidents.  A pure state reads
+both, and its mode populations, from its amplitudes, without |psi|^2.
 
 Each two-mode gate and the loss channel conserve a label (n_a - n_b,
 n_b + n_c, n_ket - n_bra), so they are stored cyclically packed: a real
@@ -50,13 +52,13 @@ from .config import InterferometerConfig
 
 MODE_A, MODE_B, MODE_C = 0, 1, 2
 _NORM_DRIFT_GUARD = 1e-9
-# Entries per gate and loss cache: simulate uses two squeezers, one splitter
-# and up to three loss superoperators (eta_a, eta_b, eta_det; the internal
-# losses use uncached Kraus operators), so numeric_slope never rebuilds a gate;
-# the generator eigenbases take one entry per kind and cutoff, so 4 for a
-# cutoff and its double.  The prefix cache (_PREFIXES) holds 2 states, for
-# a cutoff and its double; a warm run applies only the gates after the
-# Kerr stage.
+# Entries per gate and loss cache: simulate builds one squeezer gate (nbs2),
+# one splitter and up to three loss superoperators (eta_a, eta_b, eta_det;
+# the internal losses use uncached Kraus operators), so numeric_slope never
+# rebuilds a gate; the generator eigenbases take one entry per kind and
+# cutoff, so 4 for a cutoff and its double.  The prefix cache (_PREFIXES)
+# holds 2 states, for a cutoff and its double; a warm run applies only the
+# gates after the Kerr stage.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates; also the cap
 # on a pure state coherent_product_state builds, and on the four branch
@@ -119,14 +121,16 @@ def _refuse_above_cap(cutoff: int, nbytes: int, what: str = "a density operator"
                          f"above the {_DENSITY_GIB_CAP} GiB cap; lower the cutoff")
 
 
-def to_density(state: FockState) -> DensityOperator:
+def to_density(state: FockState, adjoint: np.ndarray | None = None) -> DensityOperator:
     """sum_br |psi_br><psi_br| over the Kraus branches (|psi><psi| when
-    pure) as a (cutoff,)*(2 modes) tensor, one matmul P P^dag; raises
-    ValueError before allocating when it would exceed _DENSITY_GIB_CAP."""
+    pure) as a (cutoff,)*(2 modes) tensor, one matmul P P^dag, with the
+    caller's P^dag as ``adjoint`` when it holds one; raises ValueError
+    before allocating when it would exceed _DENSITY_GIB_CAP."""
     c, d = state.cutoff, state.cutoff**state.modes
     _refuse_above_cap(c, 16 * d * d)
     stack = state.amplitudes.reshape(d, -1)
-    tensor = (stack @ stack.conj().T).reshape((c,) * (2 * state.modes))
+    adjoint = stack.conj().T if adjoint is None else adjoint
+    tensor = (stack @ adjoint).reshape((c,) * (2 * state.modes))
     return DensityOperator(tensor=tensor, cutoff=c)
 
 
@@ -174,28 +178,26 @@ class _PackedGate(NamedTuple):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _generator_eigenbasis(kind: str, cutoff: int):
-    """(w, basis, pairs) of the packed unit generator h0 = v diag(w) v^dag of
-    a gate kind: i adag bdag - i a b (squeezer, packed by n_a - n_b) or
+    """(w, v, pairs) of the packed unit generator h0 = v diag(w) v^dag of a
+    gate kind: i adag bdag - i a b (squeezer, packed by n_a - n_b) or
     i adag b - i a bdag (splitter, by n_b + n_c); its one eigendecomposition
-    per cutoff.  basis stacks the real and imaginary parts of v = x + i y
-    as [x^T; y^T], a real (cutoff, 2 cutoff, cutoff) array."""
+    per cutoff.  v is the C-contiguous complex (cutoff, cutoff, cutoff)
+    stack of eigenvectors, one column per eigenvalue."""
     a = _annihilator(cutoff)
     b = a.conj().T if kind == "squeezer" else a
     pairs = _packed_pairs(cutoff, 1 if kind == "squeezer" else -1)
     w, v = np.linalg.eigh(_packed_kron_sum(((1j, a.conj().T, b), (-1j, a, b.conj().T)), pairs))
-    vt = v.swapaxes(1, 2)
-    return w, np.concatenate((vt.real, vt.imag), axis=1), pairs
+    return w, v, pairs
 
 
 def _exp_generator(kind: str, strength: float, cutoff: int) -> _PackedGate:
     """exp(-i strength h0), the exponential of a real antisymmetric matrix:
-    Re(v diag(e^{-i strength w}) v^dag) = [x cos + y sin, y cos - x sin]
-    [x^T; y^T] row by row, one real batched matmul."""
-    w, basis, pairs = _generator_eigenbasis(kind, cutoff)
-    xt, yt = basis[:, :cutoff], basis[:, cutoff:]
-    cos, sin = np.cos(strength * w)[:, :, None], np.sin(strength * w)[:, :, None]
-    rotated = np.concatenate((xt * cos + yt * sin, yt * cos - xt * sin), axis=1)
-    return _PackedGate(rotated.swapaxes(1, 2) @ basis, pairs)
+    Re(v E v^dag), E = diag(e^{-i strength w}), row by row.  Re(p conj(q))
+    is the dot product of the (re, im) pairs of p and q, so the gate is one
+    real batched matmul of v E and v seen as interleaved float pairs."""
+    w, v, pairs = _generator_eigenbasis(kind, cutoff)
+    rotated = v * np.exp(-1j * strength * w)[:, None, :]
+    return _PackedGate(rotated.view(np.float64) @ v.view(np.float64).swapaxes(1, 2), pairs)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -302,17 +304,19 @@ def _apply_unitary(state, gate: _PackedGate, modes):
     return DensityOperator(tensor=tensor, cutoff=state.cutoff)
 
 
-def _joint_populations(state) -> np.ndarray:
-    """Joint photon-number distribution, any trailing Kraus branch axis kept."""
-    if isinstance(state, FockState):
-        return np.abs(state.amplitudes) ** 2
-    return state.matrix().diagonal().real.reshape((state.cutoff,) * state.modes)
+def _joint_populations(rho: DensityOperator) -> np.ndarray:
+    """Joint photon-number distribution of a density, its diagonal."""
+    return rho.matrix().diagonal().real.reshape((rho.cutoff,) * rho.modes)
 
 
 def mode_populations(state, mode: int) -> np.ndarray:
     """Photon-number distribution of one mode (diagonal of its reduced
-    state), summed from the joint distribution without forming the reduced
-    state; a trailing axis of Kraus branches is summed as well."""
+    state), summed from the squared float parts of a pure state's amplitudes
+    or a density's diagonal without forming the reduced state or |psi|^2;
+    a trailing axis of Kraus branches is summed as well."""
+    if isinstance(state, FockState):
+        parts = np.ascontiguousarray(state.amplitudes, dtype=complex)[..., None].view(np.float64)
+        return np.einsum(parts, range(parts.ndim), parts, range(parts.ndim), [mode])
     joint = _joint_populations(state)
     return joint.sum(axis=tuple(m for m in range(joint.ndim) if m != mode))
 
@@ -556,9 +560,23 @@ def _prefix_room(cutoff: int, branches: int) -> int:
     return _DENSITY_GIB_CAP * 2**30 - 4 * 16 * cutoff**3 * branches
 
 
+def _squeeze_vacuum(pump: FockState, gain: float, theta: float) -> FockState:
+    """The first squeezer on vacuum a and b beside the one-mode pump: vacuum
+    is pair 0 of packed row 0 (n_a = n_b), so psi[n, n, :] = e^{i theta n}
+    s_n pump with s = Re(v0 E v0^dag)[:, 0], O(cutoff^2), no gate stack."""
+    c, n = pump.cutoff, np.arange(pump.cutoff)
+    w, v, _ = _generator_eigenbasis("squeezer", c)
+    rotated = v[0] * np.exp(-1j * math.acosh(gain) * w[0])
+    column = np.exp(1j * theta * n) * (rotated.view(np.float64) @ v[0, 0].view(np.float64))
+    amps = np.zeros((c,) * 3, dtype=complex)
+    amps[n, n] = column[:, None] * pump.amplitudes
+    return FockState(amplitudes=amps, cutoff=c)
+
+
 def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, room: int):
     """Prepare, first squeezer on (a, b), first splitter on (b, c): the
-    phase-independent prefix of the interferometer, checked per stage.
+    phase-independent prefix of the interferometer, checked per stage;
+    prepare makes only the pump, the drift reference of _squeeze_vacuum.
     The read-only state is cached on the parameters the prefix reads and
     kept within room bytes (see _PrefixCache); the pure-state cap is
     checked on every call, before the cache is read."""
@@ -566,11 +584,8 @@ def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, roo
     _refuse_above_cap(cutoff, nbytes, "a pure state")
 
     def build():
-        pair = [prepare_input(config, cutoff, budget), None]
-        _checked_stage(
-            pair, "nbs1", budget, apply_two_mode_squeezer,
-            config.nbs1.gain, config.nbs1.phase, MODE_A, MODE_B,
-        )
+        pair = [coherent_product_state([config.coherent.amplitude], cutoff, budget), None]
+        _checked_stage(pair, "nbs1", budget, _squeeze_vacuum, config.nbs1.gain, config.nbs1.phase)
         _checked_stage(
             pair, "bs1", budget, apply_beam_splitter,
             config.splitter.transmissivity, MODE_B, MODE_C,
@@ -623,11 +638,13 @@ def _readout_pair(config, cutoff: int, budget: float, tangent: bool):
     pair = _through_bs2(config, cutoff, budget, tangent)
     if lossy:
         p = pair[0].amplitudes.reshape(cutoff**2, -1)
-        pair[0] = to_density(FockState(p.reshape(cutoff, cutoff, -1), cutoff, modes=2))
+        _refuse_above_cap(cutoff, 16 * cutoff**4)  # before P^dag is allocated
+        p_dag = p.conj().T
+        pair[0] = to_density(FockState(p.reshape(cutoff, cutoff, -1), cutoff, modes=2), p_dag)
         if tangent:
-            x = pair[1].amplitudes.reshape(cutoff**2, -1) @ p.conj().T
+            x = pair[1].amplitudes.reshape(cutoff**2, -1) @ p_dag
             pair[1] = DensityOperator(x.reshape((cutoff,) * 4), cutoff)
-        del p  # the view held the branch stack alive
+        del p, p_dag  # frees the branch stack, which the view held, and its adjoint
         _linear_stage(pair, apply_loss, loss.eta_a, MODE_A)
         _linear_stage(pair, apply_loss, loss.eta_b, MODE_B)
     _checked_stage(

@@ -39,6 +39,9 @@ CANON = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25)
 # weight on the top Fock level of one splitter output.
 _BS1_TRIP = build_config(alpha=0.8, g1=0.5, g2=0.0, transmissivity=0.25)
 _BS2_TRIP = build_config(alpha=0.8, g1=0.5, g2=0.0, transmissivity=0.1, phi_l=3.14)
+# At cutoff 10 and budget 1e-6 the first squeezer alone parks 2.28e-3 on
+# the top Fock level of modes a and b.
+_NBS1_TRIP = build_config(alpha=0.5, g1=1.0, g2=0.0, transmissivity=0.25)
 # At cutoff 15 and budget 1e-6 the uncancelled readout squeezer parks
 # 2.5e-5 on the top level at nbs2.
 _NBS2_TRIP = build_config(alpha=1.0, g1=0.05, g2=1.0, transmissivity=0.25)
@@ -560,13 +563,14 @@ class TestGateCaches:
         info = basis.cache_info()
         assert info.misses == 2 * len(cutoffs)
         assert info.currsize <= info.maxsize
-        # [x^T; y^T] of v = x + i y holds the bytes of the complex v
-        stack = basis("squeezer", cutoffs[-1])[1]
-        assert stack.dtype == np.float64 and stack.nbytes == 16 * cutoffs[-1] ** 3
+        # the complex eigenvectors v, one (cutoff, cutoff) matrix per row
+        v = basis("squeezer", cutoffs[-1])[1]
+        assert v.dtype == complex and v.nbytes == 16 * cutoffs[-1] ** 3
 
     def test_numeric_slope_builds_each_gate_once(self):
         # the internal losses (eta_c, eta_d) use Kraus operators, so only
-        # eta_a, eta_b and eta_det build a loss superoperator
+        # eta_a, eta_b and eta_det build a loss superoperator; the first
+        # squeezer meets vacuum and builds no gate, so only nbs2 does
         for cache in _CACHES:
             cache.cache_clear()
         cfg = build_config(
@@ -575,7 +579,7 @@ class TestGateCaches:
         )
         numeric_slope(cfg, cutoff=6, budget=1e-2)
         misses = [cache.cache_info().misses for cache in _CACHES]
-        assert misses == [2, 1, 3, 1]
+        assert misses == [1, 1, 3, 1]
 
 
 _FIVE_LOSS_ARGS = dict(
@@ -608,10 +612,10 @@ class TestSlopeWorkCount:
 
         densities = []
 
-        def two_mode_density(state):
+        def two_mode_density(state, *args):
             assert state.modes == 2, "numeric_slope formed a three-mode density"
             densities.append(state.modes)
-            return to_density(state)
+            return to_density(state, *args)
 
         monkeypatch.setattr(oracle, "_apply_on_axes", counting)
         monkeypatch.setattr(oracle, "to_density", two_mode_density)
@@ -748,6 +752,49 @@ class TestPrefixCache:
         monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 100_000 / 2**30)
         oracle_qfi(CANON, cutoff=15, budget=1e-8)
         assert oracle._PREFIXES.cache_info()[1:] == (4, 2, 0)
+
+
+class TestVacuumSqueezer:
+    # slots a and b enter the first squeezer in vacuum, so the prefix builds
+    # its output from one column of the gate; the full gate applied to the
+    # three-mode input is the reference
+    @pytest.mark.parametrize("cutoff", [7, 8, 15, 30])
+    def test_prefix_matches_full_gate(self, cutoff):
+        cfg = build_config(alpha=0.8, theta_alpha=0.7, g1=0.25, theta1=1.1, transmissivity=0.3)
+        ref = apply_two_mode_squeezer(
+            prepare_input(cfg, cutoff, 1e-2), cfg.nbs1.gain, cfg.nbs1.phase, MODE_A, MODE_B
+        )
+        pump = coherent_product_state([cfg.coherent.amplitude], cutoff, 1e-2)
+        squeezed = oracle._squeeze_vacuum(pump, cfg.nbs1.gain, cfg.nbs1.phase)
+        assert np.max(np.abs(squeezed.amplitudes - ref.amplitudes)) <= 1e-15
+        ref = apply_beam_splitter(ref, cfg.splitter.transmissivity, MODE_B, MODE_C)
+        oracle._PREFIXES.cache_clear()
+        state = oracle._entering_kerr(cfg, cutoff, 1e-2, oracle._prefix_room(cutoff, 1))
+        assert np.max(np.abs(state.amplitudes - ref.amplitudes)) <= 1e-15
+
+    def test_over_large_gain_trips_nbs1(self):
+        oracle._PREFIXES.cache_clear()
+        with pytest.raises(TruncationError) as exc:
+            simulate(_NBS1_TRIP, cutoff=10, budget=1e-6)
+        assert str(exc.value) == (
+            "nbs1: top-Fock-level occupancy 2.282e-03 exceeds truncation "
+            "budget 1.000e-06; increase the cutoff"
+        )
+
+    def test_norm_drift_is_checked(self, monkeypatch):
+        # squeezer eigenvectors scaled by 1 + 1e-7 scale the state's norm
+        # by about 1 + 4e-7, far above the drift guard and far below the
+        # top-level budget
+        basis = oracle._generator_eigenbasis
+
+        def scaled(kind, cutoff):
+            w, v, pairs = basis(kind, cutoff)
+            return w, v * (1 + 1e-7) if kind == "squeezer" else v, pairs
+
+        monkeypatch.setattr(oracle, "_generator_eigenbasis", scaled)
+        oracle._PREFIXES.cache_clear()
+        with pytest.raises(TruncationError, match=r"^nbs1: norm/trace drifted by 4\.\d+e-07$"):
+            simulate(CANON, cutoff=12, budget=1e-6)
 
 
 _LOSSY_PHI = build_config(
@@ -1037,6 +1084,19 @@ class TestTwoModeDensity:
         assert rho.trace == pytest.approx(1.0, abs=1e-10)
         assert rho.hermiticity_defect() < 1e-15
         assert rho.min_eigenvalue() > -1e-15
+
+    def test_shared_adjoint_keeps_rho_and_tangent(self, monkeypatch):
+        # rho_ab = P P^dag and X = dP P^dag share one P^dag; with the stages
+        # after bs2 made identities, the pass returns them as it built them
+        p, dp = (
+            s.amplitudes.reshape(64, -1)
+            for s in oracle._through_bs2(self.LOSSY, 8, 5e-4, tangent=True)
+        )
+        monkeypatch.setattr(oracle, "apply_loss", lambda rho, *args: rho)
+        monkeypatch.setattr(oracle, "apply_two_mode_squeezer", lambda state, *args: state)
+        rho, x = oracle._readout_pair(self.LOSSY, 8, 5e-4, tangent=True)
+        assert np.array_equal(rho.matrix(), p @ p.conj().T)
+        assert np.array_equal(x.matrix(), dp @ p.conj().T)
 
     def test_folded_stack_is_not_a_three_mode_state(self):
         # a (c, c, c) tensor entangled across (b, c): folding c leaves
