@@ -29,6 +29,7 @@ import json
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -354,18 +355,26 @@ def config_digest(config) -> str:
 # rejected with the offending line cited.
 
 _CONFIG_SCHEMA = {
-    section.name: tuple(f.name for f in fields(section.default_factory))
-    for section in fields(InterferometerConfig)
+    section: tuple(key for _, key, _ in walk)
+    for section, walk in groupby(
+        _FIELD_WALK[InterferometerConfig] + _FIELD_WALK[KerrMediumSpec],
+        key=lambda entry: entry[2].split(".")[0],
+    )
 }
-_CONFIG_SCHEMA["medium"] = tuple(f.name for f in fields(KerrMediumSpec))
 
 
-def _find_line(text: str, key: str) -> str:
+def _find_line(text: str, section: str, key: str) -> str:
+    """'line N' of the first ``key =`` or ``key:`` in [section], else in
+    [DEFAULT], whose keys configparser lends every section."""
     pat = re.compile(r"^\s*" + re.escape(key) + r"\s*[=:]", re.IGNORECASE)
+    found, current = {}, None
     for i, line in enumerate(text.splitlines(), start=1):
-        if pat.match(line):
-            return f"line {i}"
-    return "line unknown"
+        if header := configparser.ConfigParser.SECTCRE.match(line.strip()):
+            current = header["header"]
+        elif pat.match(line):
+            found.setdefault(current, i)
+    line = found.get(section, found.get(configparser.DEFAULTSECT))
+    return "line unknown" if line is None else f"line {line}"
 
 
 def _parse_sections(text: str, source: str) -> dict:
@@ -383,14 +392,14 @@ def _parse_sections(text: str, source: str) -> dict:
         for key, raw in parser.items(section):
             if key not in _CONFIG_SCHEMA[section]:
                 raise ConfigFileError(
-                    f"{source}: unknown key '{key}' in [{section}] ({_find_line(text, key)})"
+                    f"{source}: unknown key '{key}' in [{section}] ({_find_line(text, section, key)})"
                 )
             try:
                 values[section][key] = float(raw)
             except ValueError:
                 raise ConfigFileError(
                     f"{source}: [{section}] {key}: not a number "
-                    f"(got {raw!r}, {_find_line(text, key)})"
+                    f"(got {raw!r}, {_find_line(text, section, key)})"
                 ) from None
     return values
 

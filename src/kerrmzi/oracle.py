@@ -13,8 +13,9 @@ it through every later stage, each linear in the state; numeric_slope
 also returns the state, so one pass yields the slope and the variance.
 Nothing before the Kerr stage depends on the phases, so that prefix is
 built once per (alpha, G1, theta1, T, cutoff, budget) and shared, read
-only, by simulate, numeric_slope and oracle_qfi; the memory guard counts
-the bytes it holds.
+only, by simulate, numeric_slope and oracle_qfi.  One account,
+_pass_bytes, sizes a pass before it is run, and the cached prefixes keep
+within the cap less that account.
 
 Unitaries exponentiate the generator restricted to the truncated space: a
 strength times a unit generator diagonalized once per gate kind and cutoff,
@@ -61,11 +62,9 @@ _NORM_DRIFT_GUARD = 1e-9
 # gates after the Kerr stage.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates; also the cap
-# on a pure state coherent_product_state builds, and on the four branch
-# tensors a simulate or numeric_slope keeps alive (state, tangent, and a
-# gate's gather and matmul copies) together with the prefix states cached
-# beside them; a run whose tensors fit only without its prefix held
-# builds that prefix uncached.
+# on a pure state coherent_product_state builds, and on what a simulate or
+# numeric_slope pass holds at its peak (_pass_bytes) together with the
+# prefix states cached beside it.
 _DENSITY_GIB_CAP = 1
 
 
@@ -503,61 +502,45 @@ def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
         )
 
 
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
+def _pass_bytes(cutoff: int, branches: int, lossy: bool) -> int:
+    """The memory account of a simulate or numeric_slope pass: the bytes it
+    holds at its peak beside the cached prefixes.  Up to bs2 that is four
+    branch stacks of 16 cutoff^3 branches bytes (state, tangent, and a
+    gate's gather and matmul).  A lossy pass then peaks at the fold, on the
+    stacks P, P^dag and dP beside rho_ab and X, and in the tail, on rho_ab,
+    X, a _sandwich's held ket half, its gather and its matmul: five
+    (cutoff,)*4 tensors, which bound the fold too.  Under the 1 GiB cap a
+    lossless pass fits up to cutoff 256 (237 with its prefix cached), one
+    with external or one internal loss up to 60, and one with both internal
+    losses up to 27."""
+    return 16 * max(4 * cutoff**3 * branches, 5 * cutoff**4 if lossy else 0)
 
 
-class _PrefixCache:
-    """Bounded LRU of read-only prefix states with the cache_info and
-    cache_clear of functools.lru_cache, that keeps within the bytes each
-    call leaves it: older entries go first to make room for the one asked
-    for, and a state that does not fit is returned without being kept.  A
-    build that raises keeps nothing, so it raises again on the next call."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.hits = self.misses = 0
-        self._entries: OrderedDict = OrderedDict()  # key -> (state, nbytes)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(nbytes for _, nbytes in self._entries.values())
-
-    def __call__(self, key, nbytes: int, room: int, build) -> FockState:
-        state, _ = self._entries.pop(key, (None, 0))
-        while self._entries and (len(self._entries) >= self.maxsize or self.nbytes + nbytes > room):
-            self._entries.popitem(last=False)
-        if state is None:
-            self.misses += 1
-            state = build()
-            state.amplitudes.flags.writeable = False
-        else:
-            self.hits += 1
-        if nbytes <= room:
-            self._entries[key] = state, nbytes
-        return state
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
-
-    def cache_clear(self) -> None:
-        self._entries.clear()
-        self.hits = self.misses = 0
+# Read-only prefix states by key, oldest first: at most two, for a cutoff
+# and its double.
+_PREFIXES: OrderedDict = OrderedDict()
 
 
-_PREFIXES = _PrefixCache(maxsize=2)
-
-
-def _prefix_room(cutoff: int, branches: int) -> int:
-    """Bytes the prefix cache may hold beside a run's four branch tensors,
-    4 * 16 cutoff^3 branches bytes: the cap less those, negative when they
-    alone exceed it.  Lossless, a cached 16 cutoff^3 prefix fits beside
-    them up to cutoff 237, and runs at cutoffs 238 to 256 build it
-    uncached."""
-    return _DENSITY_GIB_CAP * 2**30 - 4 * 16 * cutoff**3 * branches
+def _cached_prefix(key, nbytes: int, account: int, build) -> FockState:
+    """The prefix state of key, from _PREFIXES or from build(), of nbytes
+    bytes.  The cache keeps within the cap less the account of the pass
+    (_pass_bytes), reading the bytes it holds from its states: older states
+    go first to make room for this one, and one that does not fit is
+    returned without being kept.  A build that raises keeps nothing, so it
+    raises again on the next call."""
+    room = _DENSITY_GIB_CAP * 2**30 - account
+    state = _PREFIXES.pop(key, None)
+    while _PREFIXES and (
+        len(_PREFIXES) >= 2
+        or sum(s.amplitudes.nbytes for s in _PREFIXES.values()) + nbytes > room
+    ):
+        _PREFIXES.popitem(last=False)
+    if state is None:
+        state = build()
+        state.amplitudes.flags.writeable = False
+    if nbytes <= room:
+        _PREFIXES[key] = state
+    return state
 
 
 def _squeeze_vacuum(pump: FockState, gain: float, theta: float) -> FockState:
@@ -573,13 +556,13 @@ def _squeeze_vacuum(pump: FockState, gain: float, theta: float) -> FockState:
     return FockState(amplitudes=amps, cutoff=c)
 
 
-def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, room: int):
+def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, account: int):
     """Prepare, first squeezer on (a, b), first splitter on (b, c): the
     phase-independent prefix of the interferometer, checked per stage;
     prepare makes only the pump, the drift reference of _squeeze_vacuum.
-    The read-only state is cached on the parameters the prefix reads and
-    kept within room bytes (see _PrefixCache); the pure-state cap is
-    checked on every call, before the cache is read."""
+    The read-only state is cached on the parameters the prefix reads, within
+    the cap less the account of the pass (see _cached_prefix); the
+    pure-state cap is checked on every call, before the cache is read."""
     nbytes = 16 * cutoff**3
     _refuse_above_cap(cutoff, nbytes, "a pure state")
 
@@ -596,26 +579,21 @@ def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, roo
         config.coherent.amplitude, config.nbs1.gain, config.nbs1.phase,
         config.splitter.transmissivity, cutoff, budget,
     )
-    return _PREFIXES(key, nbytes, room, build)
+    return _cached_prefix(key, nbytes, account, build)
 
 
-def _through_bs2(config, cutoff: int, budget: float, tangent: bool):
+def _through_bs2(config, cutoff: int, budget: float, tangent: bool, account: int):
     """[state, tangent] after the second splitter, both pure: the internal
     losses (eta_d on b, eta_c on c) split them into Kraus branches.  The
     tangent, d/dphi_n of the state or None unless asked for, starts at the
-    Kerr stage; every later stage is linear in the state.  Refuses a run
-    whose four branch stacks would exceed _DENSITY_GIB_CAP, and keeps the
-    cached prefixes within what they leave of it."""
+    Kerr stage; every later stage is linear in the state.  The cached
+    prefixes keep within the cap less the account of the pass."""
     loss = config.loss
-    branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
-    _refuse_above_cap(cutoff, 4 * 16 * cutoff**3 * branches, "a run's branch tensors")
-    state = apply_kerr(
-        _entering_kerr(config, cutoff, budget, _prefix_room(cutoff, branches)),
-        config.phase.linear, config.phase.nonlinear, MODE_B,
-    )
-    # d/dphi_n of the Kerr output is i n_b^2 psi
-    n2_b = np.arange(cutoff, dtype=float)[:, None] ** 2
-    pair = [state, FockState(1j * n2_b * state.amplitudes, cutoff) if tangent else None]
+    pair = [_entering_kerr(config, cutoff, budget, account), None]
+    _linear_stage(pair, apply_kerr, config.phase.linear, config.phase.nonlinear, MODE_B)
+    if tangent:  # d/dphi_n of the Kerr output is i n_b^2 psi
+        n2_b = np.arange(cutoff, dtype=float)[:, None] ** 2
+        pair[1] = FockState(1j * n2_b * pair[0].amplitudes, cutoff)
     _linear_stage(pair, _kraus_branches, loss.eta_d, MODE_B)
     _linear_stage(pair, _kraus_branches, loss.eta_c, MODE_C)
     _checked_stage(
@@ -632,13 +610,16 @@ def _readout_pair(config, cutoff: int, budget: float, tangent: bool):
     branch axis of the Kraus branches P there: the state becomes
     rho_ab = P P^dag and the tangent X = dP P^dag, and the later stages act
     on both.  They are linear and preserve Hermiticity, so X carries half
-    of d rho_ab = X + X^dag."""
+    of d rho_ab = X + X^dag.  Refuses a pass whose account (_pass_bytes)
+    exceeds _DENSITY_GIB_CAP before anything is built."""
     loss = config.loss
     lossy = not loss.is_lossless()
-    pair = _through_bs2(config, cutoff, budget, tangent)
+    branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
+    account = _pass_bytes(cutoff, branches, lossy)
+    _refuse_above_cap(cutoff, account, "a run's branch tensors")
+    pair = _through_bs2(config, cutoff, budget, tangent, account)
     if lossy:
         p = pair[0].amplitudes.reshape(cutoff**2, -1)
-        _refuse_above_cap(cutoff, 16 * cutoff**4)  # before P^dag is allocated
         p_dag = p.conj().T
         pair[0] = to_density(FockState(p.reshape(cutoff, cutoff, -1), cutoff, modes=2), p_dag)
         if tangent:
@@ -722,7 +703,7 @@ def oracle_qfi(
             "(mixed-state Fisher information is out of scope)"
         )
     # kept only where a lossless run at this cutoff would keep it too
-    state = _entering_kerr(config, cutoff, budget, _prefix_room(cutoff, 1))
+    state = _entering_kerr(config, cutoff, budget, _pass_bytes(cutoff, 1, False))
     pops = mode_populations(state, MODE_B)
     n = np.arange(state.cutoff, dtype=float)
     m2 = float(np.dot(pops, n**2))

@@ -19,18 +19,14 @@ from functools import cached_property
 import numpy as np
 
 from . import analytic
-from .config import InterferometerConfig, field_errors, validate
+from .config import _FIELD_WALK, InterferometerConfig, field_errors, validate
 
 
 # Sweepable parameters: dotted dataclass paths plus a few derived axes that
 # figure reproductions need.
 _DERIVED_AXES = ("g2_over_g1", "r_over_t", "eta_ab")
 
-_FIELD_AXES = tuple(
-    f"{group.name}.{f.name}"
-    for group in dataclasses.fields(InterferometerConfig)
-    for f in dataclasses.fields(group.default_factory)
-)
+_FIELD_AXES = tuple(name for _, _, name in _FIELD_WALK[InterferometerConfig])
 
 SWEEPABLE_PARAMETERS = _FIELD_AXES + _DERIVED_AXES
 

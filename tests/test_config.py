@@ -248,6 +248,28 @@ class TestConfigFile:
         with pytest.raises(ConfigFileError, match=r"eta_x.*line 3"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[nbs1]\nphase = 0.0\ngain = 1.1\n[nbs2]\ngain = 1.2\n\nphase = pi\n",
+             "[nbs2] phase: not a number (got 'pi', line 7)"),
+            ("[nbs1]\nphase = 0.0\n[loss]\neta_a = 1.0\nPhase: 1.0\n",
+             "unknown key 'phase' in [loss] (line 5)"),
+            ("[loss]\nphase = 0.0\n[nbs1]\nphase = 0.0\n[phase]\nlinear = 0.0\n",
+             "unknown key 'phase' in [loss] (line 2)"),
+            ("[DEFAULT]\nphase = 0.0\n[loss]\neta_a = 1.0\n",
+             "unknown key 'phase' in [loss] (line 2)"),
+        ],
+        ids=["bad-number", "unknown-key", "first-section", "default-section"],
+    )
+    def test_repeated_key_cites_its_own_section(self, text, message):
+        # a key that an earlier section also holds is cited at its line in
+        # the named section, not at its first match in the file; a key of
+        # [DEFAULT], which configparser lends every section, at its own line
+        with pytest.raises(ConfigFileError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"<string>: {message}"
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigFileError, match=r"unknown section \[mirror\]"):
             parse_config("[mirror]\nangle = 1\n")

@@ -261,7 +261,7 @@ class TestLossChannel:
         )
         # the mixed three-mode state after bs2, and the two-mode (a, b)
         # density a lossy simulate ends with
-        branches = oracle._through_bs2(lossy, 8, 5e-4, tangent=False)[0]
+        branches = oracle._through_bs2(lossy, 8, 5e-4, tangent=False, account=0)[0]
         for rho in (to_density(branches), simulate(lossy, cutoff=8, budget=5e-4)):
             n = rho.modes
             for eta in (0.0, 0.35, 0.8):
@@ -472,7 +472,7 @@ class TestSimulate:
             eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.85,
         )
         loss = lossy.loss
-        ref = to_density(oracle._through_bs2(lossy, 8, 5e-4, tangent=False)[0])
+        ref = to_density(oracle._through_bs2(lossy, 8, 5e-4, tangent=False, account=0)[0])
         ref = apply_loss(apply_loss(ref, loss.eta_a, MODE_A), loss.eta_b, MODE_B)
         nbs2 = oracle._squeezer_unitary(lossy.nbs2.gain, lossy.nbs2.phase, 8)
         ref = DensityOperator(oracle._sandwich(ref.tensor, nbs2, (0, 1), (3, 4)), 8)
@@ -508,14 +508,29 @@ _CACHES = (
     oracle._squeezer_unitary,
     oracle._beam_splitter_unitary,
     oracle._loss_superoperator,
-    oracle._PREFIXES,
 )
 
 
+def _calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of oracle.<name> from now on; with
+    _squeeze_vacuum, one entry per prefix build."""
+    calls = []
+    run = getattr(oracle, name)
+
+    def counting(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(oracle, name, counting)
+    return calls
+
+
 class TestGateCaches:
-    def test_caches_stay_bounded(self):
+    def test_caches_stay_bounded(self, monkeypatch):
         for cache in _CACHES:
             cache.cache_clear()
+        oracle._PREFIXES.clear()
+        builds = _calls(monkeypatch, "_squeeze_vacuum")
         runs = max(cache.cache_info().maxsize for cache in _CACHES) + 2
         for i in range(runs):
             x = i / runs
@@ -529,6 +544,7 @@ class TestGateCaches:
             info = cache.cache_info()
             assert info.misses > info.maxsize
             assert info.currsize <= info.maxsize
+        assert len(builds) > 2 and len(oracle._PREFIXES) <= 2
 
     def test_new_gates_need_no_eigendecomposition(self, monkeypatch):
         # a new gain, phase or T only rescales the cached eigenphases
@@ -567,19 +583,21 @@ class TestGateCaches:
         v = basis("squeezer", cutoffs[-1])[1]
         assert v.dtype == complex and v.nbytes == 16 * cutoffs[-1] ** 3
 
-    def test_numeric_slope_builds_each_gate_once(self):
+    def test_numeric_slope_builds_each_gate_once(self, monkeypatch):
         # the internal losses (eta_c, eta_d) use Kraus operators, so only
         # eta_a, eta_b and eta_det build a loss superoperator; the first
         # squeezer meets vacuum and builds no gate, so only nbs2 does
         for cache in _CACHES:
             cache.cache_clear()
+        oracle._PREFIXES.clear()
+        builds = _calls(monkeypatch, "_squeeze_vacuum")
         cfg = build_config(
             alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25,
             eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.5,
         )
         numeric_slope(cfg, cutoff=6, budget=1e-2)
         misses = [cache.cache_info().misses for cache in _CACHES]
-        assert misses == [1, 1, 3, 1]
+        assert misses + [len(builds)] == [1, 1, 3, 1]
 
 
 _FIVE_LOSS_ARGS = dict(
@@ -630,7 +648,7 @@ def _outputs(cfg, cutoff, budget, cold):
     oracle_qfi, each call on a cleared prefix cache when cold."""
     def call(run):
         if cold:
-            oracle._PREFIXES.cache_clear()
+            oracle._PREFIXES.clear()
         return run(cfg, cutoff=cutoff, budget=budget)
 
     def tensor(state):
@@ -642,24 +660,25 @@ def _outputs(cfg, cutoff, budget, cold):
 
 
 class TestPrefixCache:
-    def test_one_build_serves_simulate_slope_and_qfi(self):
-        oracle._PREFIXES.cache_clear()
+    def test_one_build_serves_simulate_slope_and_qfi(self, monkeypatch):
+        oracle._PREFIXES.clear()
+        builds = _calls(monkeypatch, "_squeeze_vacuum")
         simulate(CANON, cutoff=12, budget=1e-6)
         numeric_slope(CANON, cutoff=12, budget=1e-6)
         oracle_qfi(CANON, cutoff=12, budget=1e-6)
-        info = oracle._PREFIXES.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert (len(builds), len(oracle._PREFIXES)) == (1, 1)
 
     @pytest.mark.parametrize(
         "cfg, cutoff, budget",
         [(CANON, 15, 1e-8), (_FIVE_LOSSES, 8, 1e-2)],
         ids=["lossless", "five-losses"],
     )
-    def test_warm_results_are_bit_identical_to_cold(self, cfg, cutoff, budget):
+    def test_warm_results_are_bit_identical_to_cold(self, monkeypatch, cfg, cutoff, budget):
         cold = _outputs(cfg, cutoff, budget, cold=True)
-        oracle._PREFIXES.cache_clear()
+        oracle._PREFIXES.clear()
+        builds = _calls(monkeypatch, "_squeeze_vacuum")
         warm = _outputs(cfg, cutoff, budget, cold=False)
-        assert oracle._PREFIXES.cache_info().hits == (2 if cfg.loss.is_lossless() else 1)
+        assert len(builds) == 1
         state, value, slope_state, qfi = warm
         assert np.array_equal(state, cold[0]) and np.array_equal(slope_state, cold[2])
         assert value == cold[1] and qfi == cold[3]
@@ -683,20 +702,20 @@ class TestPrefixCache:
             (dict(budget=2e-2), False),
         ],
     )
-    def test_key_holds_what_the_prefix_reads(self, change, hit):
+    def test_key_holds_what_the_prefix_reads(self, monkeypatch, change, hit):
         run = dict(cutoff=6, budget=1e-2)
         args = dict(_FIVE_LOSS_ARGS)
         for name, value in change.items():
             (run if name in run else args)[name] = value
-        oracle._PREFIXES.cache_clear()
+        oracle._PREFIXES.clear()
+        builds = _calls(monkeypatch, "_squeeze_vacuum")
         simulate(_FIVE_LOSSES, cutoff=6, budget=1e-2)
         simulate(build_config(**args), **run)
-        info = oracle._PREFIXES.cache_info()
-        assert (info.hits, info.misses) == ((1, 1) if hit else (0, 2))
+        assert len(builds) == (1 if hit else 2)
 
     def test_cached_amplitudes_refuse_writes(self):
-        state = oracle._entering_kerr(CANON, 12, 1e-6, oracle._prefix_room(12, 1))
-        assert oracle._entering_kerr(CANON, 12, 1e-6, oracle._prefix_room(12, 1)) is state
+        state = oracle._entering_kerr(CANON, 12, 1e-6, oracle._pass_bytes(12, 1, False))
+        assert oracle._entering_kerr(CANON, 12, 1e-6, oracle._pass_bytes(12, 1, False)) is state
         with pytest.raises(ValueError, match="read-only"):
             state.amplitudes[0, 0, 0] = 0.0
 
@@ -704,54 +723,138 @@ class TestPrefixCache:
         "cfg, cutoff, budget, stage",
         [(CANON, 8, 1e-8, "prepare"), (_BS1_TRIP, 10, 1e-6, "bs1")],
     )
-    def test_refused_prefix_raises_on_every_call(self, cfg, cutoff, budget, stage):
-        oracle._PREFIXES.cache_clear()
+    def test_refused_prefix_raises_on_every_call(self, monkeypatch, cfg, cutoff, budget, stage):
+        oracle._PREFIXES.clear()
+        # prepare trips before the first squeezer, so count the pump builds
+        builds = _calls(monkeypatch, "coherent_product_state")
         messages = []
         for _ in range(2):
             with pytest.raises(TruncationError, match=stage) as exc:
                 simulate(cfg, cutoff=cutoff, budget=budget)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
-        info = oracle._PREFIXES.cache_info()
-        assert (info.misses, info.currsize) == (2, 0)
+        assert (len(builds), len(oracle._PREFIXES)) == (2, 0)
 
     def test_room_counts_the_held_prefix(self):
-        # estimator only: placeholders stand for the 16 c^3-byte prefixes.
-        # Lossless, four branch tensors and one cached prefix fit the 1 GiB
-        # cap up to cutoff 237, the four tensors alone up to 256; with both
-        # internal losses the tensors fit up to cutoff 27
-        cache = oracle._PrefixCache(maxsize=2)
+        # estimator only: broadcast placeholders report the 16 c^3 bytes of
+        # a prefix and allocate none.  Lossless, a pass and one cached
+        # prefix fit the 1 GiB cap up to cutoff 237, the pass alone up to
+        # 256; with both internal losses the pass fits up to cutoff 27
+        oracle._PREFIXES.clear()
+        builds = []
 
-        def held_after(cutoff, branches=1):
-            room = oracle._prefix_room(cutoff, branches)
-            cache((cutoff, branches), 16 * cutoff**3, room, lambda: FockState(np.zeros(1), cutoff))
-            return cache.cache_info().currsize
+        def held_after(cutoff, branches=1, lossy=False):
+            placeholder = FockState(np.broadcast_to(np.complex128(0), (cutoff,) * 3), cutoff)
+            account = oracle._pass_bytes(cutoff, branches, lossy)
+            oracle._cached_prefix((cutoff, branches), 16 * cutoff**3, account,
+                                  lambda: builds.append(cutoff) or placeholder)
+            return len(oracle._PREFIXES)
 
-        assert [held_after(100), held_after(200)] == [1, 2]
-        assert held_after(237) == 1  # the prefix at 200 no longer fits beside it
-        assert held_after(238) == 0 and held_after(256) == 0
-        assert oracle._prefix_room(256, 1) == 0 > oracle._prefix_room(257, 1)
-        assert held_after(27, 27**2) == 1
-        assert oracle._prefix_room(28, 28**2) < 0
-        assert cache.cache_info().misses == 6
+        try:
+            assert [held_after(100), held_after(200)] == [1, 2]
+            assert held_after(237) == 1  # the prefix at 200 no longer fits beside it
+            assert held_after(238) == 0 and held_after(256) == 0
+            assert held_after(27, 27**2, lossy=True) == 1
+            assert len(builds) == 6
+        finally:
+            oracle._PREFIXES.clear()
 
     def test_run_without_room_builds_its_prefix_uncached(self, monkeypatch):
         # at cutoff 15 the four branch tensors take 216 000 B and the prefix
         # 54 000 B; a 250 000 B cap admits the run but not its prefix beside
         # it, and drops the prefix an earlier run left
         expected = simulate(CANON, cutoff=15, budget=1e-8).amplitudes
-        oracle._PREFIXES.cache_clear()
+        oracle._PREFIXES.clear()
+        builds = _calls(monkeypatch, "_squeeze_vacuum")
         oracle_qfi(CANON, cutoff=12, budget=1e-6)
         monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 250_000 / 2**30)
         for _ in range(2):
             assert np.array_equal(simulate(CANON, cutoff=15, budget=1e-8).amplitudes, expected)
-        info = oracle._PREFIXES.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (3, 0, 0)
+        assert (len(builds), len(oracle._PREFIXES)) == (3, 0)
         # oracle_qfi keeps its prefix only where a lossless run would: at
         # 100 000 B its state fits, but no run's four tensors do
         monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 100_000 / 2**30)
         oracle_qfi(CANON, cutoff=15, budget=1e-8)
-        assert oracle._PREFIXES.cache_info()[1:] == (4, 2, 0)
+        assert (len(builds), len(oracle._PREFIXES)) == (4, 0)
+
+
+# losses, and the largest cutoff their pass account admits under the 1 GiB
+# cap: lossless 16 * 4 c^3 bytes, one internal loss or external losses only
+# 16 * 5 c^4, both internal losses 16 * 4 c^5
+_LOSS_PATTERNS = dict(
+    lossless=({}, 256),
+    eta_d=(dict(eta_d=0.6), 60),
+    eta_c=(dict(eta_c=0.7), 60),
+    internal=(dict(eta_c=0.7, eta_d=0.6), 27),
+    external=(dict(eta_a=0.9, eta_b=0.8), 60),
+    five_losses=(dict(eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.5), 27),
+)
+
+
+def _pass_account(pattern: str, cutoff: int):
+    """The config of a loss pattern and the account of its pass at cutoff."""
+    etas, _ = _LOSS_PATTERNS[pattern]
+    cfg = _with_losses(build_config(alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25), **etas)
+    branches = cutoff ** (("eta_c" in etas) + ("eta_d" in etas))
+    return cfg, oracle._pass_bytes(cutoff, branches, not cfg.loss.is_lossless())
+
+
+class TestMemoryAccount:
+    # oracle._pass_bytes(cutoff, branches, lossy) sizes every simulate and
+    # numeric_slope pass: the bytes it holds at its peak beside the cached
+    # prefixes
+    @pytest.mark.parametrize("run", [simulate, numeric_slope])
+    @pytest.mark.parametrize("pattern", _LOSS_PATTERNS)
+    def test_warm_peak_within_account(self, run, pattern):
+        cutoff = 12
+        cfg, account = _pass_account(pattern, cutoff)
+        run(cfg, cutoff=cutoff, budget=1e-2)
+        held = sum(state.amplitudes.nbytes for state in oracle._PREFIXES.values())
+        tracemalloc.start()
+        try:
+            run(cfg, cutoff=cutoff, budget=1e-2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held == 16 * cutoff**3
+        assert peak <= 1.05 * (account + held)
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    def test_warm_lossless_slope_holds_four_tensors(self, monkeypatch, cached):
+        # state, tangent, and a gate's gather and matmul, T = 16 c^3 bytes
+        # each; the prefix or the Kerr output held through bs2 would make
+        # five
+        cutoff = 20
+        numeric_slope(CANON, cutoff=cutoff, budget=1e-6)
+        if not cached:  # room for the pass, but not for its prefix beside it
+            cap = oracle._pass_bytes(cutoff, 1, False) + 8 * cutoff**3
+            monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", cap / 2**30)
+            oracle._PREFIXES.clear()
+        tracemalloc.start()
+        try:
+            numeric_slope(CANON, cutoff=cutoff, budget=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * oracle._pass_bytes(cutoff, 1, False)
+
+    @pytest.mark.parametrize("pattern", _LOSS_PATTERNS)
+    def test_pass_limits(self, pattern):
+        # estimator only, then a refused pass above the limit, which raises
+        # before it allocates a single (cutoff,)*3 state
+        limit = _LOSS_PATTERNS[pattern][1]
+        cap = oracle._DENSITY_GIB_CAP * 2**30
+        assert _pass_account(pattern, limit)[1] <= cap
+        cfg, account = _pass_account(pattern, limit + 1)
+        assert account > cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^a run's branch tensors at cutoff {limit + 1} needs"):
+                numeric_slope(cfg, cutoff=limit + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (limit + 1) ** 3
 
 
 class TestVacuumSqueezer:
@@ -768,12 +871,12 @@ class TestVacuumSqueezer:
         squeezed = oracle._squeeze_vacuum(pump, cfg.nbs1.gain, cfg.nbs1.phase)
         assert np.max(np.abs(squeezed.amplitudes - ref.amplitudes)) <= 1e-15
         ref = apply_beam_splitter(ref, cfg.splitter.transmissivity, MODE_B, MODE_C)
-        oracle._PREFIXES.cache_clear()
-        state = oracle._entering_kerr(cfg, cutoff, 1e-2, oracle._prefix_room(cutoff, 1))
+        oracle._PREFIXES.clear()
+        state = oracle._entering_kerr(cfg, cutoff, 1e-2, oracle._pass_bytes(cutoff, 1, False))
         assert np.max(np.abs(state.amplitudes - ref.amplitudes)) <= 1e-15
 
     def test_over_large_gain_trips_nbs1(self):
-        oracle._PREFIXES.cache_clear()
+        oracle._PREFIXES.clear()
         with pytest.raises(TruncationError) as exc:
             simulate(_NBS1_TRIP, cutoff=10, budget=1e-6)
         assert str(exc.value) == (
@@ -792,7 +895,7 @@ class TestVacuumSqueezer:
             return w, v * (1 + 1e-7) if kind == "squeezer" else v, pairs
 
         monkeypatch.setattr(oracle, "_generator_eigenbasis", scaled)
-        oracle._PREFIXES.cache_clear()
+        oracle._PREFIXES.clear()
         with pytest.raises(TruncationError, match=r"^nbs1: norm/trace drifted by 4\.\d+e-07$"):
             simulate(CANON, cutoff=12, budget=1e-6)
 
@@ -1061,7 +1164,7 @@ class TestTwoModeDensity:
 
     def test_helpers_match_three_mode_reference(self):
         rho = simulate(self.LOSSY, cutoff=8, budget=5e-4)
-        branches = oracle._through_bs2(self.LOSSY, 8, 5e-4, tangent=False)[0]
+        branches = oracle._through_bs2(self.LOSSY, 8, 5e-4, tangent=False, account=0)[0]
         folded = FockState(branches.amplitudes.reshape(8, 8, -1), 8, modes=2)
         # the reference: the three-mode density with no loss or gate after bs2
         ref = to_density(branches)
@@ -1090,7 +1193,7 @@ class TestTwoModeDensity:
         # after bs2 made identities, the pass returns them as it built them
         p, dp = (
             s.amplitudes.reshape(64, -1)
-            for s in oracle._through_bs2(self.LOSSY, 8, 5e-4, tangent=True)
+            for s in oracle._through_bs2(self.LOSSY, 8, 5e-4, tangent=True, account=0)
         )
         monkeypatch.setattr(oracle, "apply_loss", lambda rho, *args: rho)
         monkeypatch.setattr(oracle, "apply_two_mode_squeezer", lambda state, *args: state)
