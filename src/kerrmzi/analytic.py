@@ -259,24 +259,14 @@ def golden_section_argmax(f, lo: float, hi: float, xtol: float = 1e-10) -> float
     search, to within xtol.
 
     Elementwise where f returns an array (a family of profiles) or the
-    bounds are arrays: each element takes the scalar search's steps and
-    stops when its own bracket is within xtol.
+    bounds are arrays: each element keeps its own bracket and stops when
+    that bracket is within xtol, so it ends on the bits a one-element
+    search of it ends on.  A 0-d search returns a float.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    if max(lo.ndim, hi.ndim, np.ndim(f1), np.ndim(f2)) == 0:
-        # the same steps on plain floats, without numpy's 0-d overhead
-        lo, hi, x1, x2, f1, f2 = map(float, (lo, hi, x1, x2, f1, f2))
-        while hi - lo > xtol:
-            if f1 < f2:
-                lo, x1, f1, x2 = x1, x2, f2, x1 + _INV_GOLDEN * (hi - x1)
-                f2 = float(f(x2))
-            else:
-                hi, x2, f2, x1 = x2, x1, f1, x2 - _INV_GOLDEN * (x2 - lo)
-                f1 = float(f(x1))
-        return 0.5 * (lo + hi)
     while (active := hi - lo > xtol).any():
         # keep [x1, hi] where right, else [lo, x2]; a finished element keeps both
         right = np.less(f1, f2)
@@ -312,8 +302,9 @@ def argmax_slope_transmissivity(n_alpha: float, g1: float, xtol: float = 1e-10) 
 
 def argmax_linear_slope_transmissivity(xtol: float = 1e-10) -> float:
     """Numeric argmax over T of the linear-only slope, which is maximal
-    where sqrt(T(1-T)) is, i.e. at T = 1/2."""
-    return golden_section_argmax(lambda t: np.sqrt(t * (1.0 - t)), 0.0, 1.0, xtol)
+    where sqrt(T(1-T)) is, i.e. at T = 1/2: the slope profile at
+    N_a = g1 = 0."""
+    return argmax_slope_transmissivity(0.0, 0.0, xtol)
 
 
 def qfi_nonlinear(n_alpha: float, n_g: float, splitter: SplitterParams) -> QfiBreakdown:

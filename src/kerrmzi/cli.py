@@ -48,7 +48,7 @@ def _write_manifest(out_path: str, command: str, digest: str) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(out_path)],
     }
-    sweep.write_atomic(out_path + ".manifest.json", [json.dumps(manifest, indent=2) + "\n"])
+    sweep.write_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _fail(message: str, code: int) -> int:
@@ -114,7 +114,7 @@ def cmd_report(args) -> int:
         record["beats_sql"] = report.delta_phi < report.sql
         payload = json.dumps(record, indent=2) + "\n"
     if args.out:
-        sweep.write_atomic(args.out, [payload])
+        sweep.write_atomic(args.out, payload)
         _write_manifest(args.out, "report", digest)
     sys.stdout.write(payload)
     return EXIT_OK
@@ -144,7 +144,7 @@ def cmd_verify(args) -> int:
         return _fail(str(exc), EXIT_INPUT_ERROR)
     lines = [json.dumps(r.to_dict()) for r in records]
     if args.out:
-        sweep.write_atomic(args.out, ["\n".join(lines) + "\n"])
+        sweep.write_atomic(args.out, "\n".join(lines) + "\n")
         _write_manifest(args.out, f"verify:{args.suite}", "none")
     failures = [r for r in records if not r.passed]
     for r in records:
@@ -175,7 +175,7 @@ def cmd_chi3(args) -> int:
     }
     payload = json.dumps(record, indent=2) + "\n"
     if args.out:
-        sweep.write_atomic(args.out, [payload])
+        sweep.write_atomic(args.out, payload)
         _write_manifest(args.out, "chi3", "none")
     sys.stdout.write(payload)
     return EXIT_OK

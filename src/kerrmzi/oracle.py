@@ -582,13 +582,24 @@ def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, acc
     return _cached_prefix(key, nbytes, account, build)
 
 
-def _through_bs2(config, cutoff: int, budget: float, tangent: bool, account: int):
-    """[state, tangent] after the second splitter, both pure: the internal
-    losses (eta_d on b, eta_c on c) split them into Kraus branches.  The
-    tangent, d/dphi_n of the state or None unless asked for, starts at the
-    Kerr stage; every later stage is linear in the state.  The cached
-    prefixes keep within the cap less the account of the pass."""
+def _readout_pair(config, cutoff: int, budget: float, tangent: bool):
+    """[state, tangent] at the readout, the one forward pass of simulate and
+    numeric_slope.  The tangent, d/dphi_n of the state or None unless asked
+    for, starts at the Kerr stage; every later stage is linear in the
+    state.  The internal losses (eta_d on b, eta_c on c) split both into
+    Kraus branches P, pure up to the second splitter.  Lossless, both stay
+    pure three-mode states.  Lossy, nothing after the second splitter
+    touches mode c, so it joins the branch axis of P there: the state
+    becomes rho_ab = P P^dag and the tangent X = dP P^dag, and the later
+    stages act on both.  They are linear and preserve Hermiticity, so X
+    carries half of d rho_ab = X + X^dag.  Refuses a pass whose account
+    (_pass_bytes) exceeds _DENSITY_GIB_CAP before anything is built; the
+    cached prefixes keep within the cap less that account."""
     loss = config.loss
+    lossy = not loss.is_lossless()
+    branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
+    account = _pass_bytes(cutoff, branches, lossy)
+    _refuse_above_cap(cutoff, account, "a run's branch tensors")
     pair = [_entering_kerr(config, cutoff, budget, account), None]
     _linear_stage(pair, apply_kerr, config.phase.linear, config.phase.nonlinear, MODE_B)
     if tangent:  # d/dphi_n of the Kerr output is i n_b^2 psi
@@ -600,24 +611,6 @@ def _through_bs2(config, cutoff: int, budget: float, tangent: bool, account: int
         pair, "bs2", budget, apply_beam_splitter,
         config.splitter.transmissivity, MODE_B, MODE_C,
     )
-    return pair
-
-
-def _readout_pair(config, cutoff: int, budget: float, tangent: bool):
-    """[state, tangent] at the readout, the one forward pass of simulate and
-    numeric_slope.  Lossless, both stay pure three-mode states.  Lossy,
-    nothing after the second splitter touches mode c, so it joins the
-    branch axis of the Kraus branches P there: the state becomes
-    rho_ab = P P^dag and the tangent X = dP P^dag, and the later stages act
-    on both.  They are linear and preserve Hermiticity, so X carries half
-    of d rho_ab = X + X^dag.  Refuses a pass whose account (_pass_bytes)
-    exceeds _DENSITY_GIB_CAP before anything is built."""
-    loss = config.loss
-    lossy = not loss.is_lossless()
-    branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
-    account = _pass_bytes(cutoff, branches, lossy)
-    _refuse_above_cap(cutoff, account, "a run's branch tensors")
-    pair = _through_bs2(config, cutoff, budget, tangent, account)
     if lossy:
         p = pair[0].amplitudes.reshape(cutoff**2, -1)
         p_dag = p.conj().T

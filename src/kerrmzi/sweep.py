@@ -167,16 +167,16 @@ class SweepResult:
     def csv_header(self) -> str:
         return ",".join(self.axis_names + _RESULT_COLUMNS)
 
-    def csv_lines(self):
-        yield self.csv_header()
+    def csv_text(self) -> str:
+        """The CSV file: the header and one line per row, each ending in a
+        newline."""
         numbers = [*self.axis_values, self.delta_phi, self.sql, self.qcrb]
         columns = [_format_column(c) for c in numbers]
         columns += [np.where(c, "1", "0").tolist() for c in (self.beats_sql, self.defined)]
-        for cells in zip(*columns):
-            yield ",".join(cells)
+        return "\n".join([self.csv_header(), *map(",".join, zip(*columns))]) + "\n"
 
     def write_csv(self, path) -> None:
-        write_atomic(path, (line + "\n" for line in self.csv_lines()))
+        write_atomic(path, self.csv_text())
 
     def column(self, name: str) -> np.ndarray:
         if name in self.axis_names:
@@ -193,15 +193,14 @@ def _format_column(column: np.ndarray) -> list:
     return text[where].tolist()
 
 
-def write_atomic(path, chunks) -> None:
-    """Write the strings of ``chunks`` to ``path`` through a temp file in
-    the same directory and ``os.replace``, so that ``path`` holds either
-    its old bytes or all of the new ones; a failed write leaves no temp
-    file behind."""
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same directory
+    and ``os.replace``, so that ``path`` holds either its old bytes or all
+    of the new ones; a failed write leaves no temp file behind."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.writelines(chunks)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):

@@ -129,8 +129,11 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
 
     Each randomized family is one evaluation of the closed forms on an
     array config (or array arguments) holding all of its draws; a check
-    records the worst error over the array.
+    records the worst error over the array.  The smallest family holds
+    draws // 10 of them, so draws below 10 are refused.
     """
+    if draws < 10:
+        raise ValueError(f"draws must be >= 10 so every randomized family has one (got {draws})")
     rng = np.random.default_rng(seed)
     records, record = _suite_records(mutate)
 
@@ -183,13 +186,14 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
     violation = np.where(below, (report.qcrb - report.delta_phi) / report.qcrb, 0.0)
     record("qcrb_bound", "randomized", 1.0 + _worst(violation), 1.0, 1e-12)
 
-    # closed-form optimal split ratio vs numeric argmax of the slope
-    n_alpha = rng.uniform(1e-3, 1e4, draws // 10)
-    g1 = rng.uniform(0.0, 5.0, draws // 10)
-    t_formula = analytic.optimal_transmissivity(n_alpha, g1)
+    # closed-form optimal split ratio vs numeric argmax of the slope; the
+    # appended cell N_a = g1 = 0 is the linear-phase slope sqrt(T(1-T))
+    n_alpha = np.append(rng.uniform(1e-3, 1e4, draws // 10), 0.0)
+    g1 = np.append(rng.uniform(0.0, 5.0, draws // 10), 0.0)
     t_numeric = analytic.argmax_slope_transmissivity(n_alpha, g1)
-    record("optimal_split_argmax", "randomized", 1.0 + _worst(np.abs(t_formula - t_numeric)),
-           1.0, 1e-4)
+    t_formula = analytic.optimal_transmissivity(n_alpha[:-1], g1[:-1])
+    record("optimal_split_argmax", "randomized",
+           1.0 + _worst(np.abs(t_formula - t_numeric[:-1])), 1.0, 1e-4)
 
     # balanced decomposition: g * (sum of terms) equals the slope
     count = draws // 4
@@ -212,8 +216,7 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
            1.0 + _worst(np.abs(dphi * np.sqrt(eta) / dphi_balance - 1.0)), 1.0, 1e-12)
 
     # the linear-phase slope peaks at T = 1/2
-    t_star = analytic.argmax_linear_slope_transmissivity(xtol=1e-9)
-    record("linear_argmax_half", "none", t_star, 0.5, 1e-6)
+    record("linear_argmax_half", "none", float(t_numeric[-1]), 0.5, 1e-6)
 
     # at every SQL loss threshold of paper-scale configs delta_phi = SQL
     worst = (-1.0, "none", 1.0, 1.0)

@@ -570,19 +570,25 @@ class TestArrayForms:
         _assert_same_bits(got, want)
         assert np.all(np.abs(got - peaks) <= 1e-9)
 
-    def test_golden_section_scalar_loop_matches_array_path(self):
-        # 0-d bounds and profile take the plain-float loop, one-element
-        # arrays the numpy one; both take the same steps
+    def test_golden_section_zero_d_search_is_one_cell(self):
+        # a 0-d search returns a float with the bits of the same search in a
+        # one-element array, and the linear-phase profile is the slope
+        # profile at N_a = g1 = 0
         def profile(t):
             return np.sqrt(t * (1.0 - t))
 
         for xtol in (1e-9, 1e-10, 1e-13):
-            scalar = analytic.argmax_linear_slope_transmissivity(xtol)
+            scalar = analytic.golden_section_argmax(profile, 0.0, 1.0, xtol)
             array = analytic.golden_section_argmax(profile, np.zeros(1), np.ones(1), xtol)
-            assert isinstance(scalar, float)
+            assert type(scalar) is float
             _assert_same_bits(array, [scalar])
+            linear = analytic.argmax_linear_slope_transmissivity(xtol)
+            assert type(linear) is float
+            zero_pump = analytic.argmax_slope_transmissivity(0.0, 0.0, xtol)
+            _assert_same_bits(np.array([linear]), [zero_pump])
         skewed = analytic.argmax_slope_transmissivity(3.0, 0.7)
         family = analytic.argmax_slope_transmissivity(np.array([3.0]), np.array([0.7]))
+        assert type(skewed) is float
         _assert_same_bits(family, [skewed])
 
     def test_balanced_terms(self):

@@ -55,6 +55,25 @@ def vacuum(cutoff=12):
     return coherent_product_state([0.0, 0.0, 0.0], cutoff)
 
 
+def _after_bs2(cfg, cutoff, budget, tangent=False):
+    """[P] or [P, dP]: the Kraus branch stack of the Fock pass after the
+    second splitter, and its d/dphi_n when tangent, rebuilt from the cached
+    prefix stage by stage, with no memory account."""
+    loss = cfg.loss
+    psi = oracle._entering_kerr(cfg, cutoff, budget, account=0)
+    psi = apply_kerr(psi, cfg.phase.linear, cfg.phase.nonlinear, MODE_B)
+    stacks = [psi]
+    if tangent:
+        n2_b = np.arange(cutoff, dtype=float)[:, None] ** 2
+        stacks.append(FockState(1j * n2_b * psi.amplitudes, cutoff))
+    out = []
+    for s in stacks:
+        s = oracle._kraus_branches(s, loss.eta_d, MODE_B)
+        s = oracle._kraus_branches(s, loss.eta_c, MODE_C)
+        out.append(apply_beam_splitter(s, cfg.splitter.transmissivity, MODE_B, MODE_C))
+    return out
+
+
 class TestPreparation:
     def test_vacuum_input(self):
         state = prepare_input(build_config(), cutoff=10)
@@ -261,7 +280,7 @@ class TestLossChannel:
         )
         # the mixed three-mode state after bs2, and the two-mode (a, b)
         # density a lossy simulate ends with
-        branches = oracle._through_bs2(lossy, 8, 5e-4, tangent=False, account=0)[0]
+        branches = _after_bs2(lossy, 8, 5e-4)[0]
         for rho in (to_density(branches), simulate(lossy, cutoff=8, budget=5e-4)):
             n = rho.modes
             for eta in (0.0, 0.35, 0.8):
@@ -472,7 +491,7 @@ class TestSimulate:
             eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.85,
         )
         loss = lossy.loss
-        ref = to_density(oracle._through_bs2(lossy, 8, 5e-4, tangent=False, account=0)[0])
+        ref = to_density(_after_bs2(lossy, 8, 5e-4)[0])
         ref = apply_loss(apply_loss(ref, loss.eta_a, MODE_A), loss.eta_b, MODE_B)
         nbs2 = oracle._squeezer_unitary(lossy.nbs2.gain, lossy.nbs2.phase, 8)
         ref = DensityOperator(oracle._sandwich(ref.tensor, nbs2, (0, 1), (3, 4)), 8)
@@ -1164,7 +1183,7 @@ class TestTwoModeDensity:
 
     def test_helpers_match_three_mode_reference(self):
         rho = simulate(self.LOSSY, cutoff=8, budget=5e-4)
-        branches = oracle._through_bs2(self.LOSSY, 8, 5e-4, tangent=False, account=0)[0]
+        branches = _after_bs2(self.LOSSY, 8, 5e-4)[0]
         folded = FockState(branches.amplitudes.reshape(8, 8, -1), 8, modes=2)
         # the reference: the three-mode density with no loss or gate after bs2
         ref = to_density(branches)
@@ -1193,7 +1212,7 @@ class TestTwoModeDensity:
         # after bs2 made identities, the pass returns them as it built them
         p, dp = (
             s.amplitudes.reshape(64, -1)
-            for s in oracle._through_bs2(self.LOSSY, 8, 5e-4, tangent=True, account=0)
+            for s in _after_bs2(self.LOSSY, 8, 5e-4, tangent=True)
         )
         monkeypatch.setattr(oracle, "apply_loss", lambda rho, *args: rho)
         monkeypatch.setattr(oracle, "apply_two_mode_squeezer", lambda state, *args: state)

@@ -1,10 +1,12 @@
+import errno
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
-from kerrmzi import analytic
+from kerrmzi import analytic, sweep
 from kerrmzi.config import build_config, field_errors
 from kerrmzi.sweep import (
     SWEEPABLE_PARAMETERS,
@@ -227,9 +229,11 @@ class TestRunSweep:
         want = [
             ",".join([format(v, ".17g")] * 4 + [str(int(v > 0))] * 2) for v in x.tolist()
         ]
-        assert list(result.csv_lines())[1:] == want
+        assert result.csv_text().splitlines()[1:] == want
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        # the write fails once the temp file exists: part-way through the
+        # text (a full disk), then at the rename
         spec = SweepSpec(
             base=FIG4_BASE,
             axes=(Axis.linspace("loss.eta_d", 0.1, 1.0, 7),),
@@ -237,16 +241,40 @@ class TestRunSweep:
         result = run_sweep(spec)
         path = tmp_path / "out.csv"
         path.write_bytes(b"old bytes\n")
+        at_failure = []
 
-        def lines_then_fail(self):
-            yield self.csv_header()
-            raise OSError("disk full")
+        def fail(code):
+            at_failure.append(sorted(p.name for p in tmp_path.iterdir()))
+            raise OSError(code, os.strerror(code))
 
-        monkeypatch.setattr(SweepResult, "csv_lines", lines_then_fail)
-        with pytest.raises(OSError, match="disk full"):
-            result.write_csv(path)
-        assert path.read_bytes() == b"old bytes\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        class FullDisk:
+            def __init__(self, name, mode):
+                self.fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:10])
+                self.fh.flush()
+                fail(errno.ENOSPC)
+
+        def replace_fails(src, dst):
+            fail(errno.EACCES)
+
+        for target, name, fake in ((sweep, "open", FullDisk), (os, "replace", replace_fails)):
+            with monkeypatch.context() as m:
+                m.setattr(target, name, fake, raising=False)
+                with pytest.raises(OSError) as info:
+                    result.write_csv(path)
+            assert info.value.filename == str(path)
+            assert path.read_bytes() == b"old bytes\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert [len(names) for names in at_failure] == [2, 2]
+        assert all(names[1].endswith(".tmp") for names in at_failure)
 
 
 # value ranges of the agreement grids; every lower end that can zero the

@@ -1,6 +1,6 @@
 import pytest
 
-from kerrmzi import oracle, verify
+from kerrmzi import analytic, oracle, verify
 from kerrmzi.config import build_config
 
 
@@ -68,6 +68,17 @@ class TestAnalyticSuite:
             "converged",
         ):
             assert key in rec
+
+    def test_linear_argmax_is_the_zero_pump_cell(self, analytic_records):
+        # read from the cell N_a = g1 = 0 of the optimal-split search
+        (rec,) = [r for r in analytic_records if r.check == "linear_argmax_half"]
+        assert rec.analytic.hex() == analytic.argmax_linear_slope_transmissivity().hex()
+
+    def test_too_few_draws_rejected(self):
+        # the optimal-split family holds draws // 10 random cells
+        with pytest.raises(ValueError, match="draws must be >= 10"):
+            verify.run_analytic_suite(draws=9)
+        assert all(r.passed for r in verify.run_analytic_suite(draws=10))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -137,7 +148,8 @@ class TestMutationControl:
         assert len(set(names)) == len(names)
 
     @pytest.mark.parametrize(
-        "check", ["qfi_reassembly", "linear_argmax_half", "sql_threshold_crossing"]
+        "check",
+        ["qfi_reassembly", "optimal_split_argmax", "linear_argmax_half", "sql_threshold_crossing"],
     )
     def test_mutated_analytic_check_fails(self, check):
         records = verify.run_analytic_suite(seed=1, draws=100, mutate=check)
