@@ -4,18 +4,21 @@ Slots are fixed: a = 0 (readout / correlation partner), b = 1 (carries the
 sensing arm between the two linear splitters), c = 2 (pump input).  Pure
 states are kept as a (C, C, C) amplitude tensor; the internal losses split
 one into pure Kraus branches, a (C, C, C, branches) stack.  After the
-second splitter a lossy run traces out mode c, which nothing later touches,
-and goes on with the two-mode density rho_ab, a (C,)*4 tensor; a density
-on n modes has ket axes 0..n-1 and bra axes n..2n-1.  simulate and
-numeric_slope share one forward pass: from the Kerr stage on, the
-derivative of the state with respect to the nonlinear phase rides beside
-it through every later stage, each linear in the state; numeric_slope
-also returns the state, so one pass yields the slope and the variance.
-Nothing before the Kerr stage depends on the phases, so that prefix is
-built once per (alpha, G1, theta1, T, cutoff, budget) and shared, read
-only, by simulate, numeric_slope and oracle_qfi.  One account,
-_pass_bytes, sizes a pass before it is run, and the cached prefixes keep
-within the cap less that account.
+second splitter a lossy simulate traces out mode c, which nothing later
+touches, and goes on with the two-mode density rho_ab, a (C,)*4 tensor; a
+density on n modes has ket axes 0..n-1 and bra axes n..2n-1.  simulate is
+the state path.  numeric_slope returns the slope, mean and variance of the
+readout quadrature from one pass: lossless, the derivative of the state
+with respect to the nonlinear phase rides beside it from the Kerr stage
+through the linear stages after it; lossy, the pass stops at the Kerr
+stage, where every later stage is a Gaussian channel that acts linearly on
+first and second moments, so the readout is pulled back to an operator on
+the pure post-Kerr state and read there.  Nothing before the Kerr stage
+depends on the phases, so that prefix is built once per (alpha, G1,
+theta1, T, cutoff, budget) and shared, read only, by simulate,
+numeric_slope and oracle_qfi.  One account, _pass_bytes, sizes a pass
+before it is run, and the cached prefixes keep within the cap less that
+account.
 
 Unitaries exponentiate the generator restricted to the truncated space: a
 strength times a unit generator diagonalized once per gate kind and cutoff,
@@ -55,11 +58,12 @@ MODE_A, MODE_B, MODE_C = 0, 1, 2
 _NORM_DRIFT_GUARD = 1e-9
 # Entries per gate and loss cache: simulate builds one squeezer gate (nbs2),
 # one splitter and up to three loss superoperators (eta_a, eta_b, eta_det;
-# the internal losses use uncached Kraus operators), so numeric_slope never
-# rebuilds a gate; the generator eigenbases take one entry per kind and
-# cutoff, so 4 for a cutoff and its double.  The prefix cache (_PREFIXES)
-# holds 2 states, for a cutoff and its double; a warm run applies only the
-# gates after the Kerr stage.
+# the internal losses use uncached Kraus operators); a lossless
+# numeric_slope builds the same splitter and squeezer, and a lossy one no
+# gate at all, so neither rebuilds a gate simulate built.  The generator
+# eigenbases take one entry per kind and cutoff, so 4 for a cutoff and its
+# double.  The prefix cache (_PREFIXES) holds 2 states, for a cutoff and its
+# double; a warm run applies only the stages after the Kerr stage.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates; also the cap
 # on a pure state coherent_product_state builds, and on what a simulate or
@@ -120,16 +124,14 @@ def _refuse_above_cap(cutoff: int, nbytes: int, what: str = "a density operator"
                          f"above the {_DENSITY_GIB_CAP} GiB cap; lower the cutoff")
 
 
-def to_density(state: FockState, adjoint: np.ndarray | None = None) -> DensityOperator:
+def to_density(state: FockState) -> DensityOperator:
     """sum_br |psi_br><psi_br| over the Kraus branches (|psi><psi| when
-    pure) as a (cutoff,)*(2 modes) tensor, one matmul P P^dag, with the
-    caller's P^dag as ``adjoint`` when it holds one; raises ValueError
-    before allocating when it would exceed _DENSITY_GIB_CAP."""
+    pure) as a (cutoff,)*(2 modes) tensor, one matmul P P^dag; raises
+    ValueError before allocating when it would exceed _DENSITY_GIB_CAP."""
     c, d = state.cutoff, state.cutoff**state.modes
     _refuse_above_cap(c, 16 * d * d)
     stack = state.amplitudes.reshape(d, -1)
-    adjoint = stack.conj().T if adjoint is None else adjoint
-    tensor = (stack @ adjoint).reshape((c,) * (2 * state.modes))
+    tensor = (stack @ stack.conj().T).reshape((c,) * (2 * state.modes))
     return DensityOperator(tensor=tensor, cutoff=c)
 
 
@@ -460,14 +462,6 @@ def _kraus_branches(state: FockState, eta: float, mode: int) -> FockState:
 # --- full pipeline -----------------------------------------------------------
 
 
-def _linear_stage(pair, apply, *args) -> None:
-    """Apply one stage, linear in the state, to a [state, tangent] pair in
-    place, so each old tensor is released before the next one is built."""
-    pair[0] = apply(pair[0], *args)
-    if pair[1] is not None:
-        pair[1] = apply(pair[1], *args)
-
-
 def _norm(state) -> float:
     """Norm of a pure state or branch stack; trace of a density, summed
     from its diagonal."""
@@ -486,11 +480,15 @@ def _top_weights(state) -> list:
 
 
 def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
-    """A unitary stage followed by the truncation check of its state: the
-    norm or trace must not drift across it, and no mode may hold more than
-    the budget on its top Fock level after it."""
+    """A unitary stage, applied in place to a [state, tangent] pair (the
+    tangent may be None) so each old tensor is released before the next one
+    is built, followed by the truncation check of its state: the norm or
+    trace must not drift across it, and no mode may hold more than the
+    budget on its top Fock level after it."""
     before = _norm(pair[0])
-    _linear_stage(pair, apply, *args)
+    pair[0] = apply(pair[0], *args)
+    if pair[1] is not None:
+        pair[1] = apply(pair[1], *args)
     drift = abs(_norm(pair[0]) - before)
     if drift > _NORM_DRIFT_GUARD:
         raise TruncationError(f"{stage}: norm/trace drifted by {drift:.3e}")
@@ -503,16 +501,20 @@ def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
 
 
 def _pass_bytes(cutoff: int, branches: int, lossy: bool) -> int:
-    """The memory account of a simulate or numeric_slope pass: the bytes it
-    holds at its peak beside the cached prefixes.  Up to bs2 that is four
-    branch stacks of 16 cutoff^3 branches bytes (state, tangent, and a
-    gate's gather and matmul).  A lossy pass then peaks at the fold, on the
-    stacks P, P^dag and dP beside rho_ab and X, and in the tail, on rho_ab,
-    X, a _sandwich's held ket half, its gather and its matmul: five
-    (cutoff,)*4 tensors, which bound the fold too.  Under the 1 GiB cap a
-    lossless pass fits up to cutoff 256 (237 with its prefix cached), one
-    with external or one internal loss up to 60, and one with both internal
-    losses up to 27."""
+    """The memory account of a simulate pass, or of a numeric_slope pass
+    with branches 1 and lossy False: the bytes it holds at its peak beside
+    the cached prefixes.  Up to bs2 that is four branch stacks of
+    16 cutoff^3 branches bytes (state, the tangent of a lossless
+    numeric_slope, and a gate's gather and matmul).  A lossy numeric_slope
+    stops at the Kerr stage and holds the same four (cutoff,)*3 tensors:
+    psi and the work tensors of its moment readout.  A lossy simulate then
+    peaks at the fold, on the stacks P and P^dag beside rho_ab, and in the
+    tail, on rho_ab, a _sandwich's held ket half, its gather and its
+    matmul: four (cutoff,)*4 tensors, which the account bounds by five.
+    Under the 1 GiB cap a lossless
+    pass and every numeric_slope fit up to cutoff 256 (237 with the prefix
+    cached), a simulate with external or one internal loss up to 60, and
+    one with both internal losses up to 27."""
     return 16 * max(4 * cutoff**3 * branches, 5 * cutoff**4 if lossy else 0)
 
 
@@ -582,51 +584,55 @@ def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, acc
     return _cached_prefix(key, nbytes, account, build)
 
 
+def _kerr_output(config, cutoff: int, budget: float, account: int) -> FockState:
+    """The pure state leaving the Kerr stage, the cached prefix times the
+    Kerr phase.  Refuses a pass whose account exceeds _DENSITY_GIB_CAP
+    before anything is built; the cached prefixes keep within the cap less
+    that account."""
+    _refuse_above_cap(cutoff, account, "a run's branch tensors")
+    prefix = _entering_kerr(config, cutoff, budget, account)
+    return apply_kerr(prefix, config.phase.linear, config.phase.nonlinear, MODE_B)
+
+
+def _kerr_tangent(psi: np.ndarray) -> np.ndarray:
+    """d/dphi_n of the Kerr output psi: i n_b^2 psi."""
+    n2_b = np.arange(psi.shape[MODE_B], dtype=float)[:, None] ** 2
+    return psi * (1j * n2_b)
+
+
 def _readout_pair(config, cutoff: int, budget: float, tangent: bool):
-    """[state, tangent] at the readout, the one forward pass of simulate and
-    numeric_slope.  The tangent, d/dphi_n of the state or None unless asked
-    for, starts at the Kerr stage; every later stage is linear in the
-    state.  The internal losses (eta_d on b, eta_c on c) split both into
-    Kraus branches P, pure up to the second splitter.  Lossless, both stay
-    pure three-mode states.  Lossy, nothing after the second splitter
-    touches mode c, so it joins the branch axis of P there: the state
-    becomes rho_ab = P P^dag and the tangent X = dP P^dag, and the later
-    stages act on both.  They are linear and preserve Hermiticity, so X
-    carries half of d rho_ab = X + X^dag.  Refuses a pass whose account
-    (_pass_bytes) exceeds _DENSITY_GIB_CAP before anything is built; the
-    cached prefixes keep within the cap less that account."""
+    """[state, tangent] at the readout: the Fock pass of simulate, and of a
+    lossless numeric_slope, which alone asks for the tangent.  The tangent,
+    d/dphi_n of the state or None, starts at the Kerr stage and rides
+    beside the state through bs2 and nbs2, both linear.  The internal
+    losses (eta_d on b, eta_c on c) split the state into Kraus branches P,
+    pure up to the second splitter.  Lossy, nothing after the second
+    splitter touches mode c, so it joins the branch axis of P there: the
+    state becomes rho_ab = P P^dag, and the later stages act on it."""
     loss = config.loss
     lossy = not loss.is_lossless()
     branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
-    account = _pass_bytes(cutoff, branches, lossy)
-    _refuse_above_cap(cutoff, account, "a run's branch tensors")
-    pair = [_entering_kerr(config, cutoff, budget, account), None]
-    _linear_stage(pair, apply_kerr, config.phase.linear, config.phase.nonlinear, MODE_B)
-    if tangent:  # d/dphi_n of the Kerr output is i n_b^2 psi
-        n2_b = np.arange(cutoff, dtype=float)[:, None] ** 2
-        pair[1] = FockState(1j * n2_b * pair[0].amplitudes, cutoff)
-    _linear_stage(pair, _kraus_branches, loss.eta_d, MODE_B)
-    _linear_stage(pair, _kraus_branches, loss.eta_c, MODE_C)
+    pair = [_kerr_output(config, cutoff, budget, _pass_bytes(cutoff, branches, lossy)), None]
+    if tangent:
+        pair[1] = FockState(_kerr_tangent(pair[0].amplitudes), cutoff)
+    pair[0] = _kraus_branches(pair[0], loss.eta_d, MODE_B)
+    pair[0] = _kraus_branches(pair[0], loss.eta_c, MODE_C)
     _checked_stage(
         pair, "bs2", budget, apply_beam_splitter,
         config.splitter.transmissivity, MODE_B, MODE_C,
     )
     if lossy:
-        p = pair[0].amplitudes.reshape(cutoff**2, -1)
-        p_dag = p.conj().T
-        pair[0] = to_density(FockState(p.reshape(cutoff, cutoff, -1), cutoff, modes=2), p_dag)
-        if tangent:
-            x = pair[1].amplitudes.reshape(cutoff**2, -1) @ p_dag
-            pair[1] = DensityOperator(x.reshape((cutoff,) * 4), cutoff)
-        del p, p_dag  # frees the branch stack, which the view held, and its adjoint
-        _linear_stage(pair, apply_loss, loss.eta_a, MODE_A)
-        _linear_stage(pair, apply_loss, loss.eta_b, MODE_B)
+        branch_stack = FockState(pair[0].amplitudes.reshape(cutoff, cutoff, -1), cutoff, modes=2)
+        pair[0] = to_density(branch_stack)
+        del branch_stack  # the view held the branch stack
+        pair[0] = apply_loss(pair[0], loss.eta_a, MODE_A)
+        pair[0] = apply_loss(pair[0], loss.eta_b, MODE_B)
     _checked_stage(
         pair, "nbs2", budget, apply_two_mode_squeezer,
         config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
     )
     if lossy:
-        _linear_stage(pair, apply_loss, loss.eta_det, MODE_A)
+        pair[0] = apply_loss(pair[0], loss.eta_det, MODE_A)
     return pair
 
 
@@ -642,8 +648,6 @@ def simulate(config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-
     splitter touches mode c, so a lossy run returns the (a, b) density
     Tr_c(P P^dag) = P' P'^dag, with c one more branch index of P'.  Tensors
     above _DENSITY_GIB_CAP raise ValueError before they are allocated.
-    numeric_slope runs this same forward pass, with a tangent beside the
-    state, and returns this state as its ``state``.
 
     Raises TruncationError naming the stage (prepare, nbs1, bs1, bs2 or nbs2)
     whose top-level occupancy exceeds the budget; from nbs2 on, mode c
@@ -653,32 +657,129 @@ def simulate(config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-
 
 
 class SlopeEstimate(NamedTuple):
-    """The slope and the readout state of its pass, simulate's result."""
+    """d<Y_a>/dphi_n, <Y_a> and Var(Y_a) at the readout, from one pass."""
 
     value: float
-    state: FockState | DensityOperator
+    mean: float
+    variance: float
+
+
+# Y_a = X + X^dag with X = -i a
+_READOUT = (-1j, 0j, 0j)
+
+
+def _readout_pullback(config):
+    """(u, noise): Y_a at the detector is X + X^dag, X = sum_k u_k a_k on
+    the modes leaving the Kerr stage, plus independent vacuum noise of
+    variance ``noise``.  Every stage after the Kerr element is a Gaussian
+    channel, so u is read back from the detector through eta_det, nbs2,
+    eta_b, eta_a, bs2, eta_c and eta_d: a gate a -> A a + B a^dag maps u
+    to A^T u + B^dag conj(u), and a loss of transmission eta on mode m
+    scales u_m by sqrt(eta) and adds (1 - eta) |u_m|^2 of vacuum noise."""
+    loss = config.loss
+    u = list(_READOUT)
+    noise = 0.0
+
+    def lose(eta, m):
+        nonlocal noise
+        noise += (1.0 - eta) * abs(u[m]) ** 2
+        u[m] *= math.sqrt(eta)
+
+    lose(loss.eta_det, MODE_A)
+    # nbs2: a -> G a + g e^{i theta} b^dag, b -> G b + g e^{i theta} a^dag
+    gain, theta = config.nbs2.gain, config.nbs2.phase
+    z = math.sqrt(gain * gain - 1.0) * complex(math.cos(theta), -math.sin(theta))
+    a, b = u[MODE_A], u[MODE_B]
+    u[MODE_A], u[MODE_B] = gain * a + z * b.conjugate(), gain * b + z * a.conjugate()
+    lose(loss.eta_b, MODE_B)
+    lose(loss.eta_a, MODE_A)
+    # bs2: (b, c) -> (sqrt(T) b + sqrt(R) c, sqrt(R) b - sqrt(T) c), A symmetric
+    st, sr = math.sqrt(config.splitter.transmissivity), math.sqrt(config.splitter.reflectivity)
+    b, c = u[MODE_B], u[MODE_C]
+    u[MODE_B], u[MODE_C] = st * b + sr * c, sr * b - st * c
+    lose(loss.eta_c, MODE_C)
+    lose(loss.eta_d, MODE_B)
+    return u, noise
+
+
+def _apply_readout(psi: np.ndarray, u) -> np.ndarray:
+    """(X + X^dag) psi for X = sum_k u_k a_k on a pure three-mode tensor:
+    for each mode with u_k != 0, a weighted shift down its axis (u_k a_k),
+    the first written straight into the new tensor, and one up
+    (conj(u_k) a_k^dag); zeros when u is."""
+    roots = np.sqrt(np.arange(1.0, psi.shape[0]))
+    out = None
+    for k, uk in enumerate(u):
+        if uk:
+            low = (slice(None),) * k + (slice(None, -1),)
+            high = (slice(None),) * k + (slice(1, None),)
+            weights = roots.reshape((-1,) + (1,) * (2 - k))
+            if out is None:
+                out = np.zeros_like(psi)
+                np.multiply(uk * weights, psi[high], out=out[low])
+            else:
+                out[low] += (uk * weights) * psi[high]
+            out[high] += (uk.conjugate() * weights) * psi[low]
+    return np.zeros_like(psi) if out is None else out
+
+
+# Elements per ufunc iteration buffer in the moment readout.  numpy gives
+# each broadcast or strided operand a buffer of up to 8192 elements, a
+# whole cutoff^3 tensor at desk cutoffs; the readout never casts, so small
+# buffers keep its peak to the tensors it names.
+_READOUT_BUFSIZE = 128
+
+
+def _moment_readout(psi: np.ndarray, u, noise: float, dpsi=None) -> SlopeEstimate:
+    """Slope, mean and variance of Y = X + X^dag plus vacuum noise of
+    variance ``noise``, X = sum_k u_k a_k, on the pure state psi with
+    phi_n-tangent dpsi (the Kerr tangent when None).  With y = Y psi,
+    <Y> = <psi|y> and the slope is 2 Re<dpsi|y>.  The variance is
+    2 Re<X^2> + 2 <X^dag X> + sum_k |u_k|^2 - <Y>^2 + noise, which uses
+    [X, X^dag] = sum_k |u_k|^2 of the untruncated modes; the truncated
+    a a^dag lacks cutoff on the top level, so that is
+    |y|^2 + cutoff sum_k |u_k|^2 p_k - <Y>^2 + noise, with p_k the top-level
+    weight of mode k.  Beside psi it holds y, one temporary and dpsi."""
+    old = np.setbufsize(_READOUT_BUFSIZE)
+    try:
+        y = _apply_readout(psi, u)
+        if dpsi is None:
+            dpsi = _kerr_tangent(psi)
+    finally:
+        np.setbufsize(old)
+    mean = np.vdot(psi, y).real
+    second = np.vdot(y, y).real
+    for k, uk in enumerate(u):
+        if uk:
+            top = psi.take(-1, axis=k)
+            second += psi.shape[0] * abs(uk) ** 2 * np.vdot(top, top).real
+    return SlopeEstimate(
+        float(2.0 * np.vdot(dpsi, y).real), float(mean), float(second - mean * mean + noise)
+    )
 
 
 def numeric_slope(
     config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-8
 ) -> SlopeEstimate:
     """Slope of <Y_a> with respect to the nonlinear phase at its configured
-    value, exact within the truncated space, and the state it was read on.
+    value, exact within the truncated space, and the mean and variance of
+    Y_a at the readout.
 
-    The derivative of the state rides beside it from the Kerr stage
-    through the forward pass of simulate, so there is no step size, and
-    the truncation checks and the ValueError of the memory cap are
-    simulate's own.  The slope is 2 Re Tr(Y_a C), with C the cross term of
-    the tangent and the state reduced to mode a: |dpsi><psi| when
-    lossless, the tangent X = dP P^dag when lossy.
+    There is no step size: the derivative of the state starts at the Kerr
+    stage as dpsi = i n_b^2 psi, and the readout is linear in it.
+    Lossless, psi and dpsi ride through bs2 and nbs2 with the truncation
+    checks of simulate, which raise the same messages, and Y_a is read on
+    the readout state.  Lossy, the pass stops at the Kerr stage: Y_a is
+    pulled back through the Gaussian tail (_readout_pullback) and read on
+    the pure psi in O(cutoff^3), with no Kraus branch and no density.  That
+    pass is sized like a lossless one, and nothing after the Kerr stage is
+    truncated.
     """
-    state, tangent = _readout_pair(config, cutoff, budget, tangent=True)
     if config.loss.is_lossless():
-        psi = state.amplitudes.reshape(cutoff, -1)
-        cross = tangent.amplitudes.reshape(cutoff, -1) @ psi.conj().T
-    else:
-        cross = reduced_density(tangent, MODE_A)
-    return SlopeEstimate(2.0 * float(np.trace(_quadrature_y(cutoff) @ cross).real), state)
+        state, tangent = _readout_pair(config, cutoff, budget, tangent=True)
+        return _moment_readout(state.amplitudes, _READOUT, 0.0, tangent.amplitudes)
+    psi = _kerr_output(config, cutoff, budget, _pass_bytes(cutoff, 1, False))
+    return _moment_readout(psi.amplitudes, *_readout_pullback(config))
 
 
 def oracle_qfi(

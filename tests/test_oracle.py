@@ -55,23 +55,15 @@ def vacuum(cutoff=12):
     return coherent_product_state([0.0, 0.0, 0.0], cutoff)
 
 
-def _after_bs2(cfg, cutoff, budget, tangent=False):
-    """[P] or [P, dP]: the Kraus branch stack of the Fock pass after the
-    second splitter, and its d/dphi_n when tangent, rebuilt from the cached
-    prefix stage by stage, with no memory account."""
+def _after_bs2(cfg, cutoff, budget):
+    """P: the Kraus branch stack of the Fock pass after the second splitter,
+    rebuilt from the cached prefix stage by stage, with no memory account."""
     loss = cfg.loss
     psi = oracle._entering_kerr(cfg, cutoff, budget, account=0)
     psi = apply_kerr(psi, cfg.phase.linear, cfg.phase.nonlinear, MODE_B)
-    stacks = [psi]
-    if tangent:
-        n2_b = np.arange(cutoff, dtype=float)[:, None] ** 2
-        stacks.append(FockState(1j * n2_b * psi.amplitudes, cutoff))
-    out = []
-    for s in stacks:
-        s = oracle._kraus_branches(s, loss.eta_d, MODE_B)
-        s = oracle._kraus_branches(s, loss.eta_c, MODE_C)
-        out.append(apply_beam_splitter(s, cfg.splitter.transmissivity, MODE_B, MODE_C))
-    return out
+    psi = oracle._kraus_branches(psi, loss.eta_d, MODE_B)
+    psi = oracle._kraus_branches(psi, loss.eta_c, MODE_C)
+    return apply_beam_splitter(psi, cfg.splitter.transmissivity, MODE_B, MODE_C)
 
 
 class TestPreparation:
@@ -280,7 +272,7 @@ class TestLossChannel:
         )
         # the mixed three-mode state after bs2, and the two-mode (a, b)
         # density a lossy simulate ends with
-        branches = _after_bs2(lossy, 8, 5e-4)[0]
+        branches = _after_bs2(lossy, 8, 5e-4)
         for rho in (to_density(branches), simulate(lossy, cutoff=8, budget=5e-4)):
             n = rho.modes
             for eta in (0.0, 0.35, 0.8):
@@ -491,7 +483,7 @@ class TestSimulate:
             eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.85,
         )
         loss = lossy.loss
-        ref = to_density(_after_bs2(lossy, 8, 5e-4)[0])
+        ref = to_density(_after_bs2(lossy, 8, 5e-4))
         ref = apply_loss(apply_loss(ref, loss.eta_a, MODE_A), loss.eta_b, MODE_B)
         nbs2 = oracle._squeezer_unitary(lossy.nbs2.gain, lossy.nbs2.phase, 8)
         ref = DensityOperator(oracle._sandwich(ref.tensor, nbs2, (0, 1), (3, 4)), 8)
@@ -603,9 +595,12 @@ class TestGateCaches:
         assert v.dtype == complex and v.nbytes == 16 * cutoffs[-1] ** 3
 
     def test_numeric_slope_builds_each_gate_once(self, monkeypatch):
-        # the internal losses (eta_c, eta_d) use Kraus operators, so only
-        # eta_a, eta_b and eta_det build a loss superoperator; the first
-        # squeezer meets vacuum and builds no gate, so only nbs2 does
+        # a lossy slope stops at the Kerr stage, so it builds only the
+        # prefix's splitter (bs1); simulate then builds nbs2, and only
+        # eta_a, eta_b and eta_det build a loss superoperator, since the
+        # internal losses (eta_c, eta_d) use Kraus operators and the first
+        # squeezer meets vacuum; after it, neither slope, lossy or
+        # lossless, builds a gate
         for cache in _CACHES:
             cache.cache_clear()
         oracle._PREFIXES.clear()
@@ -614,9 +609,18 @@ class TestGateCaches:
             alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25,
             eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.5,
         )
+
+        def built():
+            return [cache.cache_info().misses for cache in _CACHES] + [len(builds)]
+
         numeric_slope(cfg, cutoff=6, budget=1e-2)
-        misses = [cache.cache_info().misses for cache in _CACHES]
-        assert misses + [len(builds)] == [1, 1, 3, 1]
+        assert built() == [0, 1, 0, 1]
+        simulate(cfg, cutoff=6, budget=1e-2)
+        assert built() == [1, 1, 3, 1]
+        numeric_slope(cfg, cutoff=6, budget=1e-2)
+        numeric_slope(_with_losses(cfg, eta_a=1.0, eta_b=1.0, eta_c=1.0, eta_d=1.0, eta_det=1.0),
+                      cutoff=6, budget=1e-2)
+        assert built() == [1, 1, 3, 1]
 
 
 _FIVE_LOSS_ARGS = dict(
@@ -627,18 +631,16 @@ _FIVE_LOSSES = build_config(**_FIVE_LOSS_ARGS)
 
 
 class TestSlopeWorkCount:
-    # a warm slope reads its pure prefix from the cache and contracts twice
-    # (state and tangent) per gate after the Kerr stage; the central
-    # difference took 16.  A lossy slope forms no (cutoff,)*6 tensor: after
-    # bs2 it runs the two-mode density rho_ab and its tangent forward,
-    # 28 512 contracted elements at cutoff 6 (28 944 with the prefix's two
-    # applies, 36 756 by the adjoint readout pullback).
+    # a warm slope reads its pure prefix from the cache.  Lossless, it
+    # contracts twice (state and tangent) per gate after the Kerr stage;
+    # the central difference took 16.  Lossy, it stops at the Kerr stage,
+    # contracts nothing and forms no density.
     @pytest.mark.parametrize(
-        "cfg, cutoff, budget, measure, limit",
-        [(CANON, 12, 1e-6, len, 4), (_FIVE_LOSSES, 6, 1e-2, sum, 28_512)],
+        "cfg, cutoff, budget, limit",
+        [(CANON, 12, 1e-6, 4), (_FIVE_LOSSES, 6, 1e-2, 0)],
         ids=["lossless", "five-losses"],
     )
-    def test_contractions_per_warm_slope(self, monkeypatch, cfg, cutoff, budget, measure, limit):
+    def test_contractions_per_warm_slope(self, monkeypatch, cfg, cutoff, budget, limit):
         numeric_slope(cfg, cutoff=cutoff, budget=budget)
         sizes = []
         contract = oracle._apply_on_axes
@@ -657,14 +659,14 @@ class TestSlopeWorkCount:
         monkeypatch.setattr(oracle, "_apply_on_axes", counting)
         monkeypatch.setattr(oracle, "to_density", two_mode_density)
         numeric_slope(cfg, cutoff=cutoff, budget=budget)
-        assert measure(sizes) <= limit
-        assert max(sizes) < cutoff**6
-        assert len(densities) == (0 if cfg.loss.is_lossless() else 1)
+        assert len(sizes) <= limit
+        assert all(size < cutoff**6 for size in sizes)
+        assert densities == []
 
 
 def _outputs(cfg, cutoff, budget, cold):
-    """simulate's state, numeric_slope's value and state and, lossless,
-    oracle_qfi, each call on a cleared prefix cache when cold."""
+    """simulate's state, numeric_slope's estimate and, lossless, oracle_qfi,
+    each call on a cleared prefix cache when cold."""
     def call(run):
         if cold:
             oracle._PREFIXES.clear()
@@ -675,7 +677,7 @@ def _outputs(cfg, cutoff, budget, cold):
 
     slope = call(numeric_slope)
     qfi = call(oracle_qfi) if cfg.loss.is_lossless() else None
-    return tensor(call(simulate)), slope.value, tensor(slope.state), qfi
+    return tensor(call(simulate)), slope, qfi
 
 
 class TestPrefixCache:
@@ -698,9 +700,9 @@ class TestPrefixCache:
         builds = _calls(monkeypatch, "_squeeze_vacuum")
         warm = _outputs(cfg, cutoff, budget, cold=False)
         assert len(builds) == 1
-        state, value, slope_state, qfi = warm
-        assert np.array_equal(state, cold[0]) and np.array_equal(slope_state, cold[2])
-        assert value == cold[1] and qfi == cold[3]
+        state, slope, qfi = warm
+        assert np.array_equal(state, cold[0])
+        assert slope == cold[1] and qfi == cold[2]
 
     @pytest.mark.parametrize(
         "change, hit",
@@ -797,9 +799,11 @@ class TestPrefixCache:
         assert (len(builds), len(oracle._PREFIXES)) == (4, 0)
 
 
-# losses, and the largest cutoff their pass account admits under the 1 GiB
-# cap: lossless 16 * 4 c^3 bytes, one internal loss or external losses only
-# 16 * 5 c^4, both internal losses 16 * 4 c^5
+# losses, and the largest cutoff their simulate pass account admits under
+# the 1 GiB cap: lossless 16 * 4 c^3 bytes, one internal loss or external
+# losses only 16 * 5 c^4, both internal losses 16 * 4 c^5.  numeric_slope,
+# which stops at the Kerr stage when lossy, takes the lossless account for
+# every pattern.
 _LOSS_PATTERNS = dict(
     lossless=({}, 256),
     eta_d=(dict(eta_d=0.6), 60),
@@ -810,10 +814,13 @@ _LOSS_PATTERNS = dict(
 )
 
 
-def _pass_account(pattern: str, cutoff: int):
-    """The config of a loss pattern and the account of its pass at cutoff."""
+def _pass_account(pattern: str, cutoff: int, run=simulate):
+    """The config of a loss pattern and the account of its run's pass at
+    cutoff."""
     etas, _ = _LOSS_PATTERNS[pattern]
     cfg = _with_losses(build_config(alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25), **etas)
+    if run is numeric_slope:
+        return cfg, oracle._pass_bytes(cutoff, 1, False)
     branches = cutoff ** (("eta_c" in etas) + ("eta_d" in etas))
     return cfg, oracle._pass_bytes(cutoff, branches, not cfg.loss.is_lossless())
 
@@ -826,7 +833,7 @@ class TestMemoryAccount:
     @pytest.mark.parametrize("pattern", _LOSS_PATTERNS)
     def test_warm_peak_within_account(self, run, pattern):
         cutoff = 12
-        cfg, account = _pass_account(pattern, cutoff)
+        cfg, account = _pass_account(pattern, cutoff, run)
         run(cfg, cutoff=cutoff, budget=1e-2)
         held = sum(state.amplitudes.nbytes for state in oracle._PREFIXES.values())
         tracemalloc.start()
@@ -860,20 +867,21 @@ class TestMemoryAccount:
     @pytest.mark.parametrize("pattern", _LOSS_PATTERNS)
     def test_pass_limits(self, pattern):
         # estimator only, then a refused pass above the limit, which raises
-        # before it allocates a single (cutoff,)*3 state
-        limit = _LOSS_PATTERNS[pattern][1]
+        # before it allocates a single (cutoff,)*3 state: simulate at its
+        # pattern's limit, numeric_slope at the lossless 256
         cap = oracle._DENSITY_GIB_CAP * 2**30
-        assert _pass_account(pattern, limit)[1] <= cap
-        cfg, account = _pass_account(pattern, limit + 1)
-        assert account > cap
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"^a run's branch tensors at cutoff {limit + 1} needs"):
-                numeric_slope(cfg, cutoff=limit + 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * (limit + 1) ** 3
+        for run, limit in ((simulate, _LOSS_PATTERNS[pattern][1]), (numeric_slope, 256)):
+            assert _pass_account(pattern, limit, run)[1] <= cap
+            cfg, account = _pass_account(pattern, limit + 1, run)
+            assert account > cap
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"^a run's branch tensors at cutoff {limit + 1} needs"):
+                    run(cfg, cutoff=limit + 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * (limit + 1) ** 3
 
 
 class TestVacuumSqueezer:
@@ -955,12 +963,19 @@ class TestNumericSlope:
         ids=["lossless", "five-losses"],
     )
     def test_state_is_simulate_result(self, cfg, cutoff, budget):
-        value, state = numeric_slope(cfg, cutoff=cutoff, budget=budget)
+        # the mean and variance numeric_slope reads are those of simulate's
+        # state: lossless, its pass ends on that very state; lossy, it reads
+        # the moments of the post-Kerr state, 8.2e-16 from the density's
+        # variance here
+        est = numeric_slope(cfg, cutoff=cutoff, budget=budget)
         ref = simulate(cfg, cutoff=cutoff, budget=budget)
-        assert type(state) is type(ref) and state.modes == ref.modes
-        field = "amplitudes" if isinstance(ref, FockState) else "tensor"
-        assert np.array_equal(getattr(state, field), getattr(ref, field))
-        assert value != 0.0
+        if isinstance(ref, FockState):
+            state = oracle._readout_pair(cfg, cutoff, budget, tangent=True)[0]
+            assert np.array_equal(state.amplitudes, ref.amplitudes)
+        mean, variance = quadrature_stats(ref, MODE_A)
+        assert est.mean == pytest.approx(mean, rel=1e-13, abs=1e-15)
+        assert est.variance == pytest.approx(variance, rel=1e-13)
+        assert est.value != 0.0
 
     def test_matches_closed_form(self):
         est = numeric_slope(CANON, cutoff=15)
@@ -991,8 +1006,7 @@ class TestNumericSlope:
             shifted = dataclasses.replace(
                 cfg, phase=dataclasses.replace(cfg.phase, nonlinear=phi)
             )
-            state = simulate(shifted, cutoff=cutoff, budget=budget)
-            return quadrature_stats(state, MODE_A)[0]
+            return numeric_slope(shifted, cutoff=cutoff, budget=budget).mean
 
         central = (mean_y(base + delta) - mean_y(base - delta)) / (2 * delta)
         est = numeric_slope(cfg, cutoff=cutoff, budget=budget)
@@ -1016,19 +1030,90 @@ class TestNumericSlope:
     def test_truncation_names_same_stage_as_simulate(self, cfg, cutoff, budget, stage):
         with pytest.raises(TruncationError, match=stage) as sim:
             simulate(cfg, cutoff=cutoff, budget=budget)
+        if not cfg.loss.is_lossless() and stage in ("bs2", "nbs2"):
+            # a lossy slope stops at the Kerr stage, so it has no such stage
+            assert math.isfinite(numeric_slope(cfg, cutoff=cutoff, budget=budget).value)
+            return
         with pytest.raises(TruncationError) as slope:
             numeric_slope(cfg, cutoff=cutoff, budget=budget)
         assert str(slope.value) == str(sim.value)
 
-    @pytest.mark.parametrize("cutoff, budget", [(6, 5e-2), (8, 5e-4)])
-    def test_lossy_matches_density_tangent_reference(self, cutoff, budget):
-        est = numeric_slope(_LOSSY_PHI, cutoff=cutoff, budget=budget)
-        ref = _density_tangent_slope(_LOSSY_PHI, cutoff, budget)
-        assert est.value == pytest.approx(ref, rel=1e-12)
+    def test_lossy_moments_match_density_path(self):
+        # five losses: the post-Kerr moments against simulate's density at
+        # cutoff 16 (measured 1.4e-15 on the mean, 1.2e-14 on the
+        # variance), and the slope against the density tangent, which
+        # converges more slowly, at cutoff 12 (1.8e-9)
+        est = numeric_slope(_LOSSY_PHI, cutoff=16, budget=1e-5)
+        mean, variance = quadrature_stats(simulate(_LOSSY_PHI, cutoff=16, budget=1e-5), MODE_A)
+        assert est.mean == pytest.approx(mean, abs=1e-13)
+        assert est.variance == pytest.approx(variance, rel=1e-12)
+        assert est.value == pytest.approx(_density_tangent_slope(_LOSSY_PHI, 12, 1e-2), rel=1e-8)
+
+    def test_pullback_matches_fock_tail(self):
+        # lossless with every phase nonzero: the readout pulled back to the
+        # Kerr stage against the Fock pass through bs2 and nbs2, which
+        # truncates there (measured 3.7e-10 on the slope and 1.2e-11 on the
+        # variance at cutoff 20, 1.3e-15 on the slope at cutoff 40)
+        cfg = build_config(
+            alpha=0.8, theta_alpha=-0.4, g1=0.25, theta1=0.7, g2=0.4, theta2=2.1,
+            transmissivity=0.3, phi_l=0.3, phi_n=0.05,
+        )
+        psi = oracle._kerr_output(cfg, 20, 1e-6, oracle._pass_bytes(20, 1, False))
+        pulled = oracle._moment_readout(psi.amplitudes, *oracle._readout_pullback(cfg))
+        fock = numeric_slope(cfg, cutoff=20, budget=1e-6)
+        assert pulled.value == pytest.approx(fock.value, rel=1e-9)
+        assert pulled.mean == pytest.approx(fock.mean, abs=1e-11)
+        assert pulled.variance == pytest.approx(fock.variance, rel=1e-10)
+        assert pulled.value == pytest.approx(numeric_slope(cfg, cutoff=40, budget=1e-6).value, rel=1e-13)
+
+    def test_lossy_slope_at_paper_cutoff(self):
+        # both internal losses at cutoff 60, which simulate refuses: the
+        # moment pass holds four (cutoff,)*3 tensors and matches the closed
+        # forms (measured 5e-16)
+        cfg = _with_losses(CANON, eta_c=0.9, eta_d=0.9)
+        with pytest.raises(ValueError, match="at cutoff 60 needs"):
+            simulate(cfg, cutoff=60)
+        numeric_slope(cfg, cutoff=60)
+        tracemalloc.start()
+        try:
+            est = numeric_slope(cfg, cutoff=60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * oracle._pass_bytes(60, 1, False)
+        report = analytic.sensitivity(cfg)
+        assert abs(est.value) == pytest.approx(report.slope, rel=1e-12)
+        assert est.variance == pytest.approx(report.noise, rel=1e-12)
+
+    def test_lossy_slope_reads_past_nbs2(self):
+        # simulate refuses this lossy config at nbs2 (2.9e-5 on the top
+        # level); the moment pass has no stage after the Kerr element and
+        # matches the closed forms (measured 4.0e-11 and 1.8e-13)
+        cfg = _with_losses(_NBS2_TRIP, eta_a=0.95, eta_b=0.9, eta_c=0.9, eta_d=0.9)
+        with pytest.raises(TruncationError, match="^nbs2"):
+            simulate(cfg, cutoff=15, budget=1e-6)
+        est = numeric_slope(cfg, cutoff=15, budget=1e-6)
+        report = analytic.sensitivity(cfg)
+        assert abs(est.value) == pytest.approx(report.slope, rel=1e-9)
+        assert est.variance == pytest.approx(report.noise, rel=1e-9)
+
+    def test_moment_variance_uses_the_untruncated_commutator(self):
+        # on the Fock state |c-1, 2, c-1>, Var(X + X^dag) is
+        # sum_k |u_k|^2 (2 n_k + 1) in the full space; the truncated
+        # quadrature lacks the cutoff |u_k|^2 on each top-filled mode
+        c, n = 6, np.array([5, 2, 5])
+        u = (0.3 - 0.4j, 0.5j, -0.2 + 0j)
+        psi = np.zeros((c, c, c), dtype=complex)
+        psi[tuple(n)] = 1.0
+        est = oracle._moment_readout(psi, u, 0.25)
+        weights = np.abs(u) ** 2
+        assert est.mean == 0.0 and est.value == 0.0
+        assert est.variance == pytest.approx(weights @ (2 * n + 1) + 0.25, rel=1e-15)
 
     def test_lossy_peak_memory(self):
-        # the branch stacks hold cutoff^5 numbers each; the density tangent
-        # path peaked at four (cutoff,)*6 tensors
+        # a warm lossy slope holds the Kerr output and the work tensors of
+        # its readout, within the lossless account of four (cutoff,)*3
+        # tensors
         numeric_slope(_LOSSY_PHI, cutoff=8, budget=5e-4)
         tracemalloc.start()
         try:
@@ -1036,13 +1121,14 @@ class TestNumericSlope:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 8**6
+        assert peak <= 1.05 * oracle._pass_bytes(8, 1, False)
 
-    @pytest.mark.parametrize("run", [simulate, numeric_slope])
+    @pytest.mark.parametrize("run", [simulate])
     def test_lossy_cutoff_30_refused_before_allocation(self, run):
         # the density takes 16 * 30^6 B = 10.9 GiB, and the four branch
-        # tensors of the slope 4 * 16 * 30^5 B = 1.45 GiB; refused before
-        # even one pure state (16 * 30^3 B) is built
+        # tensors of simulate 4 * 16 * 30^5 B = 1.45 GiB; refused before
+        # even one pure state (16 * 30^3 B) is built.  numeric_slope runs
+        # there (test_lossy_slope_at_paper_cutoff)
         cfg = _with_losses(CANON, eta_c=0.9, eta_d=0.9)
         tracemalloc.start()
         try:
@@ -1071,7 +1157,7 @@ class TestNumericSlope:
         est = numeric_slope(cfg, cutoff=cutoff, budget=budget)
         report = analytic.sensitivity(cfg)
         assert abs(est.value) == pytest.approx(report.slope, rel=1e-6)
-        assert quadrature_stats(est.state, MODE_A)[1] == pytest.approx(report.noise, rel=1e-6)
+        assert est.variance == pytest.approx(report.noise, rel=1e-6)
 
     def test_zero_readout_gain_gives_zero(self):
         cfg = build_config(alpha=1.0, g1=0.3, g2=0.0, transmissivity=0.25)
@@ -1183,7 +1269,7 @@ class TestTwoModeDensity:
 
     def test_helpers_match_three_mode_reference(self):
         rho = simulate(self.LOSSY, cutoff=8, budget=5e-4)
-        branches = _after_bs2(self.LOSSY, 8, 5e-4)[0]
+        branches = _after_bs2(self.LOSSY, 8, 5e-4)
         folded = FockState(branches.amplitudes.reshape(8, 8, -1), 8, modes=2)
         # the reference: the three-mode density with no loss or gate after bs2
         ref = to_density(branches)
@@ -1206,19 +1292,6 @@ class TestTwoModeDensity:
         assert rho.trace == pytest.approx(1.0, abs=1e-10)
         assert rho.hermiticity_defect() < 1e-15
         assert rho.min_eigenvalue() > -1e-15
-
-    def test_shared_adjoint_keeps_rho_and_tangent(self, monkeypatch):
-        # rho_ab = P P^dag and X = dP P^dag share one P^dag; with the stages
-        # after bs2 made identities, the pass returns them as it built them
-        p, dp = (
-            s.amplitudes.reshape(64, -1)
-            for s in _after_bs2(self.LOSSY, 8, 5e-4, tangent=True)
-        )
-        monkeypatch.setattr(oracle, "apply_loss", lambda rho, *args: rho)
-        monkeypatch.setattr(oracle, "apply_two_mode_squeezer", lambda state, *args: state)
-        rho, x = oracle._readout_pair(self.LOSSY, 8, 5e-4, tangent=True)
-        assert np.array_equal(rho.matrix(), p @ p.conj().T)
-        assert np.array_equal(x.matrix(), dp @ p.conj().T)
 
     def test_folded_stack_is_not_a_three_mode_state(self):
         # a (c, c, c) tensor entangled across (b, c): folding c leaves

@@ -32,6 +32,7 @@ ORACLE_CHECKS = (
     "qfi_vs_polynomial",
     "lossy_slope_vs_closed_form",
     "lossy_noise_vs_closed_form",
+    "lossy_tail_vs_density",
     "arm_occupancy",
 )
 
@@ -105,26 +106,29 @@ class TestOracleSuite:
             alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25,
             eta_a=eta_a, eta_b=0.35, eta_c=1.0 - 1e-9, eta_d=1.0 - 1e-9,
         )
-        errors = verify._lossy_errors(cfg, verify._LOSSY_CUTOFF, verify._LOSSY_BUDGET)
+        errors, converged = verify._lossy_errors(cfg, verify._LOSSY_CUTOFF, verify._LOSSY_BUDGET)
         assert max(errors) <= verify._LOSSY_TOL
+        assert all(converged)
 
     def test_expected_checks_present(self, oracle_records):
         assert tuple(r.check for r in oracle_records) == ORACLE_CHECKS
 
     def test_one_forward_pass_per_configuration_and_cutoff(self, monkeypatch):
-        # the canonical slope and variance at the cutoff and its double, then
-        # each of the three lossy draws; reading the variance from a second
-        # simulate pass made ten
+        # the canonical slope and variance at the cutoff and its double, each
+        # of the three lossy draws at the lossy cutoff and its double, then
+        # simulate's density tail and the moment pass it is checked against;
+        # every pass starts from the state leaving the Kerr stage
         cutoffs = []
-        readout = oracle._readout_pair
+        kerr_output = oracle._kerr_output
 
         def counting(config, cutoff, *args, **kwargs):
             cutoffs.append(cutoff)
-            return readout(config, cutoff, *args, **kwargs)
+            return kerr_output(config, cutoff, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_readout_pair", counting)
+        monkeypatch.setattr(oracle, "_kerr_output", counting)
         verify.run_oracle_suite(seed=0)
-        assert cutoffs == [15, 30] + 3 * [verify._LOSSY_CUTOFF]
+        lossy = verify._LOSSY_CUTOFF
+        assert cutoffs == [15, 30] + 3 * [lossy, 2 * lossy] + [lossy, lossy]
 
 
 class TestMutationControl:
@@ -160,7 +164,7 @@ class TestMutationControl:
         "check",
         ["tmsv_occupancy", "bs_convention_m1", "bs_convention_m0", "loss_coherent_amplitude",
          "variance_vs_closed_form", "qfi_vs_polynomial", "lossy_slope_vs_closed_form",
-         "arm_occupancy"],
+         "lossy_tail_vs_density", "arm_occupancy"],
     )
     def test_mutated_oracle_check_fails(self, check):
         records = verify.run_oracle_suite(seed=1, cutoff=12, mutate=check)
