@@ -39,7 +39,11 @@ n_b + n_c, n_ket - n_bra), so they are stored cyclically packed: a real
 (C, C, C) stack of C x C matrices, one per row of index pairs with equal
 label mod C, applied by one gather, one batched real matmul on the complex
 rows seen as float pairs, and one scatter.  The loss channel's Kraus
-operators are real too, and contract through the same float view.
+operators are real too, and contract through the same float view.  Its
+K_k lowers ket and bra by the same k, so each packed entry of the loss
+superoperator is a single product of two amplitudes from the (C, C) Kraus
+table: which entries are nonzero, and where their factors sit, is cached
+per cutoff, and a new eta costs one gather and multiply.
 """
 
 from __future__ import annotations
@@ -56,14 +60,15 @@ from .config import InterferometerConfig
 
 MODE_A, MODE_B, MODE_C = 0, 1, 2
 _NORM_DRIFT_GUARD = 1e-9
-# Entries per gate and loss cache: simulate builds one squeezer gate (nbs2),
-# one splitter and up to three loss superoperators (eta_a, eta_b, eta_det;
-# the internal losses use uncached Kraus operators); a lossless
-# numeric_slope builds the same splitter and squeezer, and a lossy one no
-# gate at all, so neither rebuilds a gate simulate built.  The generator
-# eigenbases take one entry per kind and cutoff, so 4 for a cutoff and its
-# double.  The prefix cache (_PREFIXES) holds 2 states, for a cutoff and its
-# double; a warm run applies only the stages after the Kerr stage.
+# Entries per gate cache: simulate builds one squeezer gate (nbs2) and one
+# splitter; a lossless numeric_slope builds the same two, and a lossy one
+# no gate at all, so neither rebuilds a gate simulate built.  The loss
+# superoperators (eta_a, eta_b, eta_det) are rebuilt for every eta from
+# their structure, cached with one entry per cutoff; the internal losses
+# use Kraus operators.  The generator eigenbases take one entry per kind
+# and cutoff, so 4 for a cutoff and its double.  The prefix cache
+# (_PREFIXES) holds 2 states, for a cutoff and its double; a warm run
+# applies only the stages after the Kerr stage.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates; also the cap
 # on a pure state coherent_product_state builds, and on what a simulate or
@@ -223,30 +228,59 @@ def _beam_splitter_unitary(transmissivity: float, cutoff: int) -> _PackedGate:
 
 
 @lru_cache(maxsize=None)
-def _binomials(cutoff: int) -> np.ndarray:
-    """C(n, k) as floats, indexed [k, n]; zero for k > n."""
-    return np.array([[float(math.comb(n, k)) for n in range(cutoff)] for k in range(cutoff)])
+def _loss_terms(cutoff: int):
+    """C(n, k) as floats and the powers n - k (0 for k > n) and k of eta
+    and 1 - eta, each indexed [k, n]; C(n, k) is zero for k > n."""
+    k, n = np.indices((cutoff, cutoff))
+    binomials = np.array([[float(math.comb(n, k)) for n in range(cutoff)] for k in range(cutoff)])
+    return binomials, np.maximum(n - k, 0), k
+
+
+def _loss_amplitudes(eta: float, cutoff: int) -> np.ndarray:
+    """Amplitude table a[k, n] = sqrt(C(n,k) eta^{n-k} (1-eta)^k) of the
+    photon-loss Kraus operator K_k from |n> to |n-k>; zero for k > n."""
+    binomials, kept, lost = _loss_terms(cutoff)
+    return np.sqrt(binomials * eta**kept * (1.0 - eta) ** lost)
 
 
 def loss_kraus_operators(eta: float, cutoff: int) -> np.ndarray:
     """Photon-loss Kraus family as a real (cutoff,)*3 array: K_k = ops[k]
-    maps |n> to |n-k> with amplitude sqrt(C(n,k) eta^{n-k} (1-eta)^k)."""
+    maps |n> to |n-k> with amplitude a[k, n] (_loss_amplitudes)."""
     k, n = np.indices((cutoff, cutoff))
-    amps = np.sqrt(_binomials(cutoff) * eta ** np.maximum(n - k, 0) * (1.0 - eta) ** k)
     ops = np.zeros((cutoff,) * 3)
     # (n - k) % cutoff parks the zero amplitudes of k > n off the band
-    ops[k, (n - k) % cutoff, n] = amps
+    ops[k, (n - k) % cutoff, n] = _loss_amplitudes(eta, cutoff)
     return ops
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
+def _loss_entries(cutoff: int):
+    """(pairs, entries, ket, bra): the eta-independent structure of the
+    packed loss superoperator.  In packed row r, input pair q sits k levels
+    above output pair p on both sides, k = j_q - j_p = i_q - i_p >= 0, at
+    the flat stack indices ``entries``; there the entry is a[k, i_q]
+    a[k, j_q], whose flat indices into the amplitude table are ``ket`` and
+    ``bra``.  Every other entry is zero."""
+    pairs = _packed_pairs(cutoff, 1)
+    i, j = pairs
+    k = j[:, None, :] - j[:, :, None]
+    nonzero = (k >= 0) & (i[:, None, :] - i[:, :, None] == k)
+    r, _, q = np.nonzero(nonzero)
+    row = k[nonzero] * cutoff  # start of row k of the flat table
+    return pairs, np.flatnonzero(nonzero), row + i[r, q], row + j[r, q]
+
+
 def _loss_superoperator(eta: float, cutoff: int) -> _PackedGate:
     """sum_k K_k (x) K_k, the real K_k (x) conj(K_k), acting on the
     (ket, bra) index pair of one mode, packed by n_ket - n_bra, which it
-    conserves."""
-    pairs = _packed_pairs(cutoff, 1)
-    terms = ((1, k, k) for k in loss_kraus_operators(eta, cutoff))
-    return _PackedGate(_packed_kron_sum(terms, pairs), pairs)
+    conserves.  K_k lowers ket and bra by the same k, so each entry is one
+    product of amplitudes, a[k, n] a[k, n'] for input pair (n, n'),
+    gathered from the table at the cached entries of _loss_entries."""
+    pairs, entries, ket, bra = _loss_entries(cutoff)
+    amps = _loss_amplitudes(eta, cutoff).ravel()
+    stack = np.zeros((cutoff,) * 3)
+    stack.ravel()[entries] = amps[ket] * amps[bra]
+    return _PackedGate(stack, pairs)
 
 
 def kraus_completeness_defect(eta: float, cutoff: int) -> float:
@@ -510,12 +544,11 @@ def _pass_bytes(cutoff: int, branches: int, lossy: bool) -> int:
     psi and the work tensors of its moment readout.  A lossy simulate then
     peaks at the fold, on the stacks P and P^dag beside rho_ab, and in the
     tail, on rho_ab, a _sandwich's held ket half, its gather and its
-    matmul: four (cutoff,)*4 tensors, which the account bounds by five.
-    Under the 1 GiB cap a lossless
+    matmul: four (cutoff,)*4 tensors.  Under the 1 GiB cap a lossless
     pass and every numeric_slope fit up to cutoff 256 (237 with the prefix
-    cached), a simulate with external or one internal loss up to 60, and
+    cached), a simulate with external or one internal loss up to 64, and
     one with both internal losses up to 27."""
-    return 16 * max(4 * cutoff**3 * branches, 5 * cutoff**4 if lossy else 0)
+    return 16 * max(4 * cutoff**3 * branches, 4 * cutoff**4 if lossy else 0)
 
 
 # Read-only prefix states by key, oldest first: at most two, for a cutoff

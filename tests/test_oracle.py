@@ -295,6 +295,18 @@ class TestLossChannel:
             math.sqrt(3 * eta**2 * (1 - eta)), abs=1e-14
         )
 
+    @pytest.mark.parametrize("cutoff", [2, 3, 8, 15, 30])
+    def test_kraus_operators_pinned_to_formula(self, cutoff):
+        # the table sqrt(C(n,k) eta^{n-k} (1-eta)^k), evaluated in this
+        # order, placed at K_k[n - k, n]: bit for bit
+        k, n = np.indices((cutoff, cutoff))
+        binomials = np.array([[float(math.comb(m, j)) for m in range(cutoff)] for j in range(cutoff)])
+        for eta in (0.0, 1e-3, 0.37, 0.999, 1.0):
+            amps = np.sqrt(binomials * eta ** np.maximum(n - k, 0) * (1.0 - eta) ** k)
+            ref = np.zeros((cutoff,) * 3)
+            ref[k, (n - k) % cutoff, n] = amps
+            assert np.array_equal(loss_kraus_operators(eta, cutoff), ref), eta
+
 
 def _dense_expms(h, strengths):
     """exp(-i s h) for each strength s, from one eigendecomposition of the
@@ -354,12 +366,22 @@ class TestBlockedGates:
             u = _dense(oracle._beam_splitter_unitary(t, cutoff))
             _assert_gate_matches(u, flip * rot, cutoff, t)
 
-    @pytest.mark.parametrize("cutoff", [8, 10])
+    @pytest.mark.parametrize("cutoff", [2, 3, 8, 10, 15, 30])
     def test_loss_superoperator_matches_kron_sum(self, cutoff):
-        eta = 0.37
-        ref = sum(np.kron(k, k.conj()) for k in loss_kraus_operators(eta, cutoff))
-        superop = _dense(oracle._loss_superoperator(eta, cutoff))
-        assert np.max(np.abs(superop - ref)) <= 1e-15
+        # each entry is the one product of amplitudes that the packed sum of
+        # the c Kronecker products K_k (x) K_k adds to zeros, so the two are
+        # bit-identical; at small cutoffs the dense kron sum is too
+        pairs = oracle._packed_pairs(cutoff, 1)
+        for eta in (0.0, 1e-3, 0.37, 0.999):
+            kraus = loss_kraus_operators(eta, cutoff)
+            ref = oracle._packed_kron_sum(((1, k, k) for k in kraus), pairs)
+            superop = oracle._loss_superoperator(eta, cutoff)
+            assert superop.stack.dtype == np.float64 and superop.phase is None
+            assert np.array_equal(superop.stack, ref), eta
+            assert all(np.array_equal(p, q) for p, q in zip(superop.pairs, pairs))
+            if cutoff <= 10:
+                dense = sum(np.kron(k, k.conj()) for k in kraus)
+                assert np.array_equal(_dense(superop), dense), eta
 
     @pytest.mark.parametrize(
         "build, args",
@@ -515,10 +537,12 @@ class TestSimulate:
         )
 
 
+# the per-parameter gate caches and the per-cutoff loss structure; a loss
+# superoperator itself is rebuilt for every eta
 _CACHES = (
     oracle._squeezer_unitary,
     oracle._beam_splitter_unitary,
-    oracle._loss_superoperator,
+    oracle._loss_entries,
 )
 
 
@@ -538,6 +562,8 @@ def _calls(monkeypatch, name: str) -> list:
 
 class TestGateCaches:
     def test_caches_stay_bounded(self, monkeypatch):
+        # every run draws new gains, T and losses at a new cutoff, so every
+        # gate and the loss structure miss on every run
         for cache in _CACHES:
             cache.cache_clear()
         oracle._PREFIXES.clear()
@@ -550,7 +576,7 @@ class TestGateCaches:
                 transmissivity=0.2 + 0.5 * x, eta_a=0.9 - 0.1 * x, eta_b=0.8 - 0.1 * x,
                 eta_c=0.7 - 0.1 * x, eta_d=0.6 - 0.1 * x, eta_det=0.95 - 0.1 * x,
             )
-            simulate(cfg, cutoff=6, budget=1e-2)
+            simulate(cfg, cutoff=6 + i, budget=1e-2)
         for cache in _CACHES:
             info = cache.cache_info()
             assert info.misses > info.maxsize
@@ -576,7 +602,10 @@ class TestGateCaches:
         for k in range(10):
             oracle._squeezer_unitary(1.1 + 0.1 * k, 0.3 * k - 1.0, cutoff)
             oracle._beam_splitter_unitary(0.05 + 0.09 * k, cutoff)
+            # and a new eta only regathers the cached loss structure
+            oracle._loss_superoperator(0.1 * k, cutoff)
         assert len(calls) == 2
+        assert oracle._loss_entries.cache_info().misses == 1
 
     def test_eigenbasis_cache_stays_bounded(self):
         # one entry per (kind, cutoff); more cutoffs than it holds
@@ -597,30 +626,32 @@ class TestGateCaches:
     def test_numeric_slope_builds_each_gate_once(self, monkeypatch):
         # a lossy slope stops at the Kerr stage, so it builds only the
         # prefix's splitter (bs1); simulate then builds nbs2, and only
-        # eta_a, eta_b and eta_det build a loss superoperator, since the
-        # internal losses (eta_c, eta_d) use Kraus operators and the first
-        # squeezer meets vacuum; after it, neither slope, lossy or
-        # lossless, builds a gate
+        # eta_a, eta_b and eta_det build a loss superoperator, all three
+        # from one loss structure, since the internal losses (eta_c, eta_d)
+        # use Kraus operators and the first squeezer meets vacuum; after
+        # it, neither slope, lossy or lossless, builds a gate or a loss
+        # superoperator
         for cache in _CACHES:
             cache.cache_clear()
         oracle._PREFIXES.clear()
         builds = _calls(monkeypatch, "_squeeze_vacuum")
+        losses = _calls(monkeypatch, "_loss_superoperator")
         cfg = build_config(
             alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25,
             eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.5,
         )
 
         def built():
-            return [cache.cache_info().misses for cache in _CACHES] + [len(builds)]
+            return [cache.cache_info().misses for cache in _CACHES] + [len(losses), len(builds)]
 
         numeric_slope(cfg, cutoff=6, budget=1e-2)
-        assert built() == [0, 1, 0, 1]
+        assert built() == [0, 1, 0, 0, 1]
         simulate(cfg, cutoff=6, budget=1e-2)
-        assert built() == [1, 1, 3, 1]
+        assert built() == [1, 1, 1, 3, 1]
         numeric_slope(cfg, cutoff=6, budget=1e-2)
         numeric_slope(_with_losses(cfg, eta_a=1.0, eta_b=1.0, eta_c=1.0, eta_d=1.0, eta_det=1.0),
                       cutoff=6, budget=1e-2)
-        assert built() == [1, 1, 3, 1]
+        assert built() == [1, 1, 1, 3, 1]
 
 
 _FIVE_LOSS_ARGS = dict(
@@ -801,15 +832,15 @@ class TestPrefixCache:
 
 # losses, and the largest cutoff their simulate pass account admits under
 # the 1 GiB cap: lossless 16 * 4 c^3 bytes, one internal loss or external
-# losses only 16 * 5 c^4, both internal losses 16 * 4 c^5.  numeric_slope,
+# losses only 16 * 4 c^4, both internal losses 16 * 4 c^5.  numeric_slope,
 # which stops at the Kerr stage when lossy, takes the lossless account for
 # every pattern.
 _LOSS_PATTERNS = dict(
     lossless=({}, 256),
-    eta_d=(dict(eta_d=0.6), 60),
-    eta_c=(dict(eta_c=0.7), 60),
+    eta_d=(dict(eta_d=0.6), 64),
+    eta_c=(dict(eta_c=0.7), 64),
     internal=(dict(eta_c=0.7, eta_d=0.6), 27),
-    external=(dict(eta_a=0.9, eta_b=0.8), 60),
+    external=(dict(eta_a=0.9, eta_b=0.8), 64),
     five_losses=(dict(eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.5), 27),
 )
 
@@ -834,6 +865,7 @@ class TestMemoryAccount:
     def test_warm_peak_within_account(self, run, pattern):
         cutoff = 12
         cfg, account = _pass_account(pattern, cutoff, run)
+        oracle._PREFIXES.clear()  # no prefix an earlier test left behind
         run(cfg, cutoff=cutoff, budget=1e-2)
         held = sum(state.amplitudes.nbytes for state in oracle._PREFIXES.values())
         tracemalloc.start()
@@ -882,6 +914,14 @@ class TestMemoryAccount:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * (limit + 1) ** 3
+
+    def test_lossy_tail_account_admits_cutoff_64(self):
+        # estimator only: the tail's four (64,)*4 tensors are exactly the
+        # 1 GiB cap, with external losses only or one internal loss;
+        # test_pass_limits refuses simulate at cutoff 65 before it allocates
+        assert oracle._pass_bytes(64, 1, True) <= 2**30
+        assert oracle._pass_bytes(64, 64, True) <= 2**30
+        assert oracle._pass_bytes(65, 1, True) > 2**30
 
 
 class TestVacuumSqueezer:
