@@ -8,17 +8,17 @@ second splitter a lossy simulate traces out mode c, which nothing later
 touches, and goes on with the two-mode density rho_ab, a (C,)*4 tensor; a
 density on n modes has ket axes 0..n-1 and bra axes n..2n-1.  simulate is
 the state path.  numeric_slope returns the slope, mean and variance of the
-readout quadrature from one pass: lossless, the derivative of the state
-with respect to the nonlinear phase rides beside it from the Kerr stage
-through the linear stages after it; lossy, the pass stops at the Kerr
-stage, where every later stage is a Gaussian channel that acts linearly on
-first and second moments, so the readout is pulled back to an operator on
-the pure post-Kerr state and read there.  Nothing before the Kerr stage
-depends on the phases, so that prefix is built once per (alpha, G1,
-theta1, T, cutoff, budget) and shared, read only, by simulate,
-numeric_slope and oracle_qfi.  One account, _pass_bytes, sizes a pass
-before it is run, and the cached prefixes keep within the cap less that
-account.
+readout quadrature from one pass.  Every stage after the Kerr element is a
+Gaussian channel that acts linearly on first and second moments, so the
+readout is pulled back to an operator on the pure post-Kerr state, where
+the slope is one overlap: d/dphi_n of a mean is the mean of a commutator
+with n_b^2.  Lossless, the state then runs simulate's tail for the mean
+and variance; lossy, those are read at the Kerr stage too.  Nothing
+before the Kerr stage depends on the phases, so that prefix is built once
+per (alpha, G1, theta1, T, cutoff, budget) and shared, read only, by
+simulate, numeric_slope and oracle_qfi.  One account, _pass_bytes, sizes
+a pass before it is run, and the cached prefixes keep within the cap less
+that account.
 
 Unitaries exponentiate the generator restricted to the truncated space: a
 strength times a unit generator diagonalized once per gate kind and cutoff,
@@ -513,41 +513,41 @@ def _top_weights(state) -> list:
     return [joint.take(-1, axis=m).sum() for m in range(state.modes)]
 
 
-def _checked_stage(pair, stage: str, budget: float, apply, *args) -> None:
-    """A unitary stage, applied in place to a [state, tangent] pair (the
-    tangent may be None) so each old tensor is released before the next one
-    is built, followed by the truncation check of its state: the norm or
-    trace must not drift across it, and no mode may hold more than the
-    budget on its top Fock level after it."""
-    before = _norm(pair[0])
-    pair[0] = apply(pair[0], *args)
-    if pair[1] is not None:
-        pair[1] = apply(pair[1], *args)
-    drift = abs(_norm(pair[0]) - before)
+def _checked_stage(state, stage: str, budget: float, apply, *args):
+    """apply(state, *args), a unitary stage, followed by the truncation
+    check of the state it returns: the norm or trace must not drift across
+    it, and no mode may hold more than the budget on its top Fock level
+    after it.  The caller rebinds its one reference to the result, so each
+    old tensor is freed before the next stage builds another."""
+    before = _norm(state)
+    state = apply(state, *args)
+    drift = abs(_norm(state) - before)
     if drift > _NORM_DRIFT_GUARD:
         raise TruncationError(f"{stage}: norm/trace drifted by {drift:.3e}")
-    worst = max(_top_weights(pair[0]))
+    worst = max(_top_weights(state))
     if worst > budget:
         raise TruncationError(
             f"{stage}: top-Fock-level occupancy {worst:.3e} exceeds "
             f"truncation budget {budget:.3e}; increase the cutoff"
         )
+    return state
 
 
 def _pass_bytes(cutoff: int, branches: int, lossy: bool) -> int:
     """The memory account of a simulate pass, or of a numeric_slope pass
     with branches 1 and lossy False: the bytes it holds at its peak beside
     the cached prefixes.  Up to bs2 that is four branch stacks of
-    16 cutoff^3 branches bytes (state, the tangent of a lossless
-    numeric_slope, and a gate's gather and matmul).  A lossy numeric_slope
-    stops at the Kerr stage and holds the same four (cutoff,)*3 tensors:
-    psi and the work tensors of its moment readout.  A lossy simulate then
-    peaks at the fold, on the stacks P and P^dag beside rho_ab, and in the
-    tail, on rho_ab, a _sandwich's held ket half, its gather and its
-    matmul: four (cutoff,)*4 tensors.  Under the 1 GiB cap a lossless
-    pass and every numeric_slope fit up to cutoff 256 (237 with the prefix
-    cached), a simulate with external or one internal loss up to 64, and
-    one with both internal losses up to 27."""
+    16 cutoff^3 branches bytes: a gate holds three (state, gather and
+    matmul), and the fourth covers numpy's ufunc iteration buffers, up to
+    one (cutoff,)*3 tensor at desk cutoffs.  A lossy numeric_slope stops at
+    the Kerr stage and holds no more: psi and the work tensors of its
+    overlap and moment readout.  A lossy simulate then peaks at the fold,
+    on the stacks P and P^dag beside rho_ab, and in the tail, on rho_ab, a
+    _sandwich's held ket half, its gather and its matmul: four (cutoff,)*4
+    tensors.  Under the 1 GiB cap a lossless pass and every numeric_slope
+    fit up to cutoff 256 (237 with the prefix cached), a simulate with
+    external or one internal loss up to 64, and one with both internal
+    losses up to 27."""
     return 16 * max(4 * cutoff**3 * branches, 4 * cutoff**4 if lossy else 0)
 
 
@@ -602,13 +602,14 @@ def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, acc
     _refuse_above_cap(cutoff, nbytes, "a pure state")
 
     def build():
-        pair = [coherent_product_state([config.coherent.amplitude], cutoff, budget), None]
-        _checked_stage(pair, "nbs1", budget, _squeeze_vacuum, config.nbs1.gain, config.nbs1.phase)
-        _checked_stage(
-            pair, "bs1", budget, apply_beam_splitter,
+        state = coherent_product_state([config.coherent.amplitude], cutoff, budget)
+        state = _checked_stage(
+            state, "nbs1", budget, _squeeze_vacuum, config.nbs1.gain, config.nbs1.phase,
+        )
+        return _checked_stage(
+            state, "bs1", budget, apply_beam_splitter,
             config.splitter.transmissivity, MODE_B, MODE_C,
         )
-        return pair[0]
 
     key = (
         config.coherent.amplitude, config.nbs1.gain, config.nbs1.phase,
@@ -627,46 +628,37 @@ def _kerr_output(config, cutoff: int, budget: float, account: int) -> FockState:
     return apply_kerr(prefix, config.phase.linear, config.phase.nonlinear, MODE_B)
 
 
-def _kerr_tangent(psi: np.ndarray) -> np.ndarray:
-    """d/dphi_n of the Kerr output psi: i n_b^2 psi."""
-    n2_b = np.arange(psi.shape[MODE_B], dtype=float)[:, None] ** 2
-    return psi * (1j * n2_b)
-
-
-def _readout_pair(config, cutoff: int, budget: float, tangent: bool):
-    """[state, tangent] at the readout: the Fock pass of simulate, and of a
-    lossless numeric_slope, which alone asks for the tangent.  The tangent,
-    d/dphi_n of the state or None, starts at the Kerr stage and rides
-    beside the state through bs2 and nbs2, both linear.  The internal
-    losses (eta_d on b, eta_c on c) split the state into Kraus branches P,
-    pure up to the second splitter.  Lossy, nothing after the second
-    splitter touches mode c, so it joins the branch axis of P there: the
-    state becomes rho_ab = P P^dag, and the later stages act on it."""
+def _readout_pair(config, cutoff: int, budget: float, u=None):
+    """(state, slope): the readout state of the Fock pass of simulate, and
+    of a lossless numeric_slope, which alone passes the pulled-back readout
+    u and gets the slope read on the Kerr output (_kerr_slope) before the
+    tail replaces it; slope is None without u.  The internal losses (eta_d
+    on b, eta_c on c) split the state into Kraus branches P, pure up to the
+    second splitter.  Lossy, nothing after the second splitter touches mode
+    c, so it joins the branch axis of P there: the state becomes
+    rho_ab = P P^dag, and the later stages act on it."""
     loss = config.loss
     lossy = not loss.is_lossless()
     branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
-    pair = [_kerr_output(config, cutoff, budget, _pass_bytes(cutoff, branches, lossy)), None]
-    if tangent:
-        pair[1] = FockState(_kerr_tangent(pair[0].amplitudes), cutoff)
-    pair[0] = _kraus_branches(pair[0], loss.eta_d, MODE_B)
-    pair[0] = _kraus_branches(pair[0], loss.eta_c, MODE_C)
-    _checked_stage(
-        pair, "bs2", budget, apply_beam_splitter,
+    state = _kerr_output(config, cutoff, budget, _pass_bytes(cutoff, branches, lossy))
+    slope = None if u is None else _kerr_slope(state.amplitudes, u)
+    state = _kraus_branches(state, loss.eta_d, MODE_B)
+    state = _kraus_branches(state, loss.eta_c, MODE_C)
+    state = _checked_stage(
+        state, "bs2", budget, apply_beam_splitter,
         config.splitter.transmissivity, MODE_B, MODE_C,
     )
     if lossy:
-        branch_stack = FockState(pair[0].amplitudes.reshape(cutoff, cutoff, -1), cutoff, modes=2)
-        pair[0] = to_density(branch_stack)
-        del branch_stack  # the view held the branch stack
-        pair[0] = apply_loss(pair[0], loss.eta_a, MODE_A)
-        pair[0] = apply_loss(pair[0], loss.eta_b, MODE_B)
-    _checked_stage(
-        pair, "nbs2", budget, apply_two_mode_squeezer,
+        state = to_density(FockState(state.amplitudes.reshape(cutoff, cutoff, -1), cutoff, modes=2))
+        state = apply_loss(state, loss.eta_a, MODE_A)
+        state = apply_loss(state, loss.eta_b, MODE_B)
+    state = _checked_stage(
+        state, "nbs2", budget, apply_two_mode_squeezer,
         config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
     )
     if lossy:
-        pair[0] = apply_loss(pair[0], loss.eta_det, MODE_A)
-    return pair
+        state = apply_loss(state, loss.eta_det, MODE_A)
+    return state, slope
 
 
 def simulate(config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-8):
@@ -686,7 +678,7 @@ def simulate(config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-
     whose top-level occupancy exceeds the budget; from nbs2 on, mode c
     keeps the occupancy bs2 checked.
     """
-    return _readout_pair(config, cutoff, budget, tangent=False)[0]
+    return _readout_pair(config, cutoff, budget)[0]
 
 
 class SlopeEstimate(NamedTuple):
@@ -763,21 +755,30 @@ def _apply_readout(psi: np.ndarray, u) -> np.ndarray:
 _READOUT_BUFSIZE = 128
 
 
-def _moment_readout(psi: np.ndarray, u, noise: float, dpsi=None) -> SlopeEstimate:
-    """Slope, mean and variance of Y = X + X^dag plus vacuum noise of
-    variance ``noise``, X = sum_k u_k a_k, on the pure state psi with
-    phi_n-tangent dpsi (the Kerr tangent when None).  With y = Y psi,
-    <Y> = <psi|y> and the slope is 2 Re<dpsi|y>.  The variance is
-    2 Re<X^2> + 2 <X^dag X> + sum_k |u_k|^2 - <Y>^2 + noise, which uses
-    [X, X^dag] = sum_k |u_k|^2 of the untruncated modes; the truncated
-    a a^dag lacks cutoff on the top level, so that is
-    |y|^2 + cutoff sum_k |u_k|^2 p_k - <Y>^2 + noise, with p_k the top-level
-    weight of mode k.  Beside psi it holds y, one temporary and dpsi."""
+def _kerr_slope(psi: np.ndarray, u) -> float:
+    """d<Y>/dphi_n for Y = X + X^dag, X = sum_k u_k a_k, on the pure
+    post-Kerr state psi.  The phi_n-tangent is i n_b^2 psi, so the slope is
+    i<[Y, n_b^2]>; modes a and c commute with n_b^2, and
+    [a_b, n_b^2] = (2 n_b + 1) a_b holds exactly in the truncated space, so
+    it is -2 Im(u_b M) with M = <(2 n_b + 1) a_b>, one overlap of psi with
+    itself shifted down mode b."""
+    n = np.arange(psi.shape[MODE_B] - 1.0)
+    overlaps = np.einsum("anc,anc->n", psi[:, :-1].conj(), psi[:, 1:])
+    return float(-2.0 * (u[MODE_B] * (overlaps @ ((2.0 * n + 1.0) * np.sqrt(n + 1.0)))).imag)
+
+
+def _moment_readout(psi: np.ndarray, u, noise: float):
+    """(mean, variance) of Y = X + X^dag plus vacuum noise of variance
+    ``noise``, X = sum_k u_k a_k, on the pure state psi.  With y = Y psi,
+    <Y> = <psi|y>, and the variance is 2 Re<X^2> + 2 <X^dag X> +
+    sum_k |u_k|^2 - <Y>^2 + noise, which uses [X, X^dag] = sum_k |u_k|^2 of
+    the untruncated modes; the truncated a a^dag lacks cutoff on the top
+    level, so that is |y|^2 + cutoff sum_k |u_k|^2 p_k - <Y>^2 + noise, with
+    p_k the top-level weight of mode k.  Beside psi it holds y and one
+    temporary."""
     old = np.setbufsize(_READOUT_BUFSIZE)
     try:
         y = _apply_readout(psi, u)
-        if dpsi is None:
-            dpsi = _kerr_tangent(psi)
     finally:
         np.setbufsize(old)
     mean = np.vdot(psi, y).real
@@ -786,9 +787,7 @@ def _moment_readout(psi: np.ndarray, u, noise: float, dpsi=None) -> SlopeEstimat
         if uk:
             top = psi.take(-1, axis=k)
             second += psi.shape[0] * abs(uk) ** 2 * np.vdot(top, top).real
-    return SlopeEstimate(
-        float(2.0 * np.vdot(dpsi, y).real), float(mean), float(second - mean * mean + noise)
-    )
+    return float(mean), float(second - mean * mean + noise)
 
 
 def numeric_slope(
@@ -798,21 +797,21 @@ def numeric_slope(
     value, exact within the truncated space, and the mean and variance of
     Y_a at the readout.
 
-    There is no step size: the derivative of the state starts at the Kerr
-    stage as dpsi = i n_b^2 psi, and the readout is linear in it.
-    Lossless, psi and dpsi ride through bs2 and nbs2 with the truncation
-    checks of simulate, which raise the same messages, and Y_a is read on
-    the readout state.  Lossy, the pass stops at the Kerr stage: Y_a is
-    pulled back through the Gaussian tail (_readout_pullback) and read on
-    the pure psi in O(cutoff^3), with no Kraus branch and no density.  That
-    pass is sized like a lossless one, and nothing after the Kerr stage is
-    truncated.
+    There is no step size and no tangent state: Y_a is pulled back through
+    the Gaussian tail (_readout_pullback) to the pure post-Kerr state psi,
+    whose phi_n-derivative is i n_b^2 psi, and the slope is one O(cutoff^3)
+    overlap there (_kerr_slope).  Lossless, psi then runs simulate's tail,
+    with its truncation checks and messages, for the mean and variance of
+    the readout state.  Lossy, they are read on psi too, with no Kraus
+    branch and no density, and nothing after the Kerr stage is truncated.
+    Both passes are sized like a lossless simulate.
     """
+    u, noise = _readout_pullback(config)
     if config.loss.is_lossless():
-        state, tangent = _readout_pair(config, cutoff, budget, tangent=True)
-        return _moment_readout(state.amplitudes, _READOUT, 0.0, tangent.amplitudes)
-    psi = _kerr_output(config, cutoff, budget, _pass_bytes(cutoff, 1, False))
-    return _moment_readout(psi.amplitudes, *_readout_pullback(config))
+        state, slope = _readout_pair(config, cutoff, budget, u)
+        return SlopeEstimate(slope, *_moment_readout(state.amplitudes, _READOUT, 0.0))
+    psi = _kerr_output(config, cutoff, budget, _pass_bytes(cutoff, 1, False)).amplitudes
+    return SlopeEstimate(_kerr_slope(psi, u), *_moment_readout(psi, u, noise))
 
 
 def oracle_qfi(

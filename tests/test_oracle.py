@@ -662,17 +662,20 @@ _FIVE_LOSSES = build_config(**_FIVE_LOSS_ARGS)
 
 
 class TestSlopeWorkCount:
-    # a warm slope reads its pure prefix from the cache.  Lossless, it
-    # contracts twice (state and tangent) per gate after the Kerr stage;
-    # the central difference took 16.  Lossy, it stops at the Kerr stage,
-    # contracts nothing and forms no density.
+    # a warm slope reads its pure prefix from the cache and its slope from
+    # one overlap at the Kerr stage.  Lossless, only the state runs the tail,
+    # one contraction per gate, through the module-level gate functions that
+    # the benchmark tracer wraps; the central difference took 16.  Lossy, it
+    # stops at the Kerr stage, contracts nothing and forms no density.
     @pytest.mark.parametrize(
         "cfg, cutoff, budget, limit",
-        [(CANON, 12, 1e-6, 4), (_FIVE_LOSSES, 6, 1e-2, 0)],
+        [(CANON, 12, 1e-6, 2), (_FIVE_LOSSES, 6, 1e-2, 0)],
         ids=["lossless", "five-losses"],
     )
     def test_contractions_per_warm_slope(self, monkeypatch, cfg, cutoff, budget, limit):
         numeric_slope(cfg, cutoff=cutoff, budget=budget)
+        splitters = _calls(monkeypatch, "apply_beam_splitter")
+        squeezers = _calls(monkeypatch, "apply_two_mode_squeezer")
         sizes = []
         contract = oracle._apply_on_axes
 
@@ -693,6 +696,7 @@ class TestSlopeWorkCount:
         assert len(sizes) <= limit
         assert all(size < cutoff**6 for size in sizes)
         assert densities == []
+        assert len(splitters) == len(squeezers) == (1 if limit else 0)
 
 
 def _outputs(cfg, cutoff, budget, cold):
@@ -878,10 +882,9 @@ class TestMemoryAccount:
         assert peak <= 1.05 * (account + held)
 
     @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
-    def test_warm_lossless_slope_holds_four_tensors(self, monkeypatch, cached):
-        # state, tangent, and a gate's gather and matmul, T = 16 c^3 bytes
-        # each; the prefix or the Kerr output held through bs2 would make
-        # five
+    def test_warm_lossless_slope_holds_three_tensors(self, monkeypatch, cached):
+        # the state and a gate's gather and matmul, T = 16 c^3 bytes each;
+        # the prefix or the Kerr output held through bs2 would make four
         cutoff = 20
         numeric_slope(CANON, cutoff=cutoff, budget=1e-6)
         if not cached:  # room for the pass, but not for its prefix beside it
@@ -894,7 +897,7 @@ class TestMemoryAccount:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * oracle._pass_bytes(cutoff, 1, False)
+        assert peak <= 1.05 * 3 * 16 * cutoff**3
 
     @pytest.mark.parametrize("pattern", _LOSS_PATTERNS)
     def test_pass_limits(self, pattern):
@@ -1029,6 +1032,19 @@ def _padded_tangent_slope(cfg, cutoff, budget, readout_cutoff):
     return float(np.trace(-1j * (a - ad) @ reduced_density(drho, MODE_A)).real)
 
 
+def _fock_tangent_slope(cfg, cutoff, budget):
+    """2 Re<dpsi|Y_a psi> at the readout, with the lossless Kerr output and
+    its phi_n-tangent pushed through bs2 and nbs2 at the same cutoff."""
+    readout = []
+    for amps in _kerr_tangent(cfg, cutoff, budget):
+        state = apply_beam_splitter(FockState(amps, cutoff), cfg.splitter.transmissivity, MODE_B, MODE_C)
+        state = apply_two_mode_squeezer(state, cfg.nbs2.gain, cfg.nbs2.phase, MODE_A, MODE_B)
+        readout.append(state.amplitudes)
+    psi, dpsi = readout
+    a, ad = _ladder(cutoff)
+    return 2.0 * np.vdot(dpsi, np.tensordot(-1j * (a - ad), psi, axes=(1, 0))).real
+
+
 class TestNumericSlope:
     @pytest.mark.parametrize(
         "cfg, cutoff, budget",
@@ -1043,7 +1059,7 @@ class TestNumericSlope:
         est = numeric_slope(cfg, cutoff=cutoff, budget=budget)
         ref = simulate(cfg, cutoff=cutoff, budget=budget)
         if isinstance(ref, FockState):
-            state = oracle._readout_pair(cfg, cutoff, budget, tangent=True)[0]
+            state = oracle._readout_pair(cfg, cutoff, budget, oracle._readout_pullback(cfg)[0])[0]
             assert np.array_equal(state.amplitudes, ref.amplitudes)
         mean, variance = quadrature_stats(ref, MODE_A)
         assert est.mean == pytest.approx(mean, rel=1e-13, abs=1e-15)
@@ -1135,19 +1151,39 @@ class TestNumericSlope:
     def test_pullback_matches_fock_tail(self):
         # lossless with every phase nonzero: the readout pulled back to the
         # Kerr stage against the Fock pass through bs2 and nbs2, which
-        # truncates there (measured 3.7e-10 on the slope and 1.2e-11 on the
-        # variance at cutoff 20, 1.3e-15 on the slope at cutoff 40)
+        # truncates there; the slope against the tangent pushed through the
+        # same Fock tail (measured 3.7e-10 on the slope and 1.2e-11 on the
+        # variance at cutoff 20, 0 on the slope against the tail at 40)
         cfg = build_config(
             alpha=0.8, theta_alpha=-0.4, g1=0.25, theta1=0.7, g2=0.4, theta2=2.1,
             transmissivity=0.3, phi_l=0.3, phi_n=0.05,
         )
         psi = oracle._kerr_output(cfg, 20, 1e-6, oracle._pass_bytes(20, 1, False))
-        pulled = oracle._moment_readout(psi.amplitudes, *oracle._readout_pullback(cfg))
-        fock = numeric_slope(cfg, cutoff=20, budget=1e-6)
-        assert pulled.value == pytest.approx(fock.value, rel=1e-9)
-        assert pulled.mean == pytest.approx(fock.mean, abs=1e-11)
-        assert pulled.variance == pytest.approx(fock.variance, rel=1e-10)
-        assert pulled.value == pytest.approx(numeric_slope(cfg, cutoff=40, budget=1e-6).value, rel=1e-13)
+        mean, variance = oracle._moment_readout(psi.amplitudes, *oracle._readout_pullback(cfg))
+        est = numeric_slope(cfg, cutoff=20, budget=1e-6)
+        assert est.value == pytest.approx(_fock_tangent_slope(cfg, 20, 1e-6), rel=1e-9)
+        assert mean == pytest.approx(est.mean, abs=1e-11)
+        assert variance == pytest.approx(est.variance, rel=1e-10)
+        assert est.value == pytest.approx(_fock_tangent_slope(cfg, 40, 1e-6), rel=1e-13)
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 8, 15])
+    def test_kerr_slope_is_the_tangent_overlap(self, cutoff):
+        # 2 Re<i n_b^2 psi | Y psi> = i<[Y, n_b^2]> on random states whose
+        # top levels are filled, so the truncated commutator is exercised;
+        # u_b = 0 leaves only modes a and c, which commute with n_b^2.  The
+        # tangent sum cancels to 9e-5 of its terms at cutoff 15, where its
+        # float64 value is off by 1.4e-13, so it is taken in long double
+        # (measured 5.9e-15 from the overlap)
+        rng = np.random.default_rng(cutoff)
+        psi = rng.normal(size=(cutoff,) * 3) + 1j * rng.normal(size=(cutoff,) * 3)
+        wide = psi.astype(np.clongdouble)
+        dpsi = 1j * (np.arange(cutoff) ** 2)[None, :, None] * wide
+        for u in [(0.3 - 0.7j, -0.45 + 0.2j, 0.6 + 0.1j), (0.3 - 0.7j, 0j, 0.6 + 0.1j)]:
+            ref = float(2.0 * np.vdot(dpsi, oracle._apply_readout(wide, u)).real)
+            if u[MODE_B]:
+                assert oracle._kerr_slope(psi, u) == pytest.approx(ref, rel=1e-13)
+            else:
+                assert oracle._kerr_slope(psi, u) == 0.0
 
     def test_lossy_slope_at_paper_cutoff(self):
         # both internal losses at cutoff 60, which simulate refuses: the
@@ -1188,10 +1224,10 @@ class TestNumericSlope:
         u = (0.3 - 0.4j, 0.5j, -0.2 + 0j)
         psi = np.zeros((c, c, c), dtype=complex)
         psi[tuple(n)] = 1.0
-        est = oracle._moment_readout(psi, u, 0.25)
+        mean, variance = oracle._moment_readout(psi, u, 0.25)
         weights = np.abs(u) ** 2
-        assert est.mean == 0.0 and est.value == 0.0
-        assert est.variance == pytest.approx(weights @ (2 * n + 1) + 0.25, rel=1e-15)
+        assert mean == 0.0 and oracle._kerr_slope(psi, u) == 0.0
+        assert variance == pytest.approx(weights @ (2 * n + 1) + 0.25, rel=1e-15)
 
     def test_lossy_peak_memory(self):
         # a warm lossy slope holds the Kerr output and the work tensors of
