@@ -378,7 +378,8 @@ def _find_line(text: str, section: str, key: str) -> str:
 
 
 def _parse_sections(text: str, source: str) -> dict:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read raw: a '%' is part of a bad number, not interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:

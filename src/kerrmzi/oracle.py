@@ -2,8 +2,8 @@
 
 Slots are fixed: a = 0 (readout / correlation partner), b = 1 (carries the
 sensing arm between the two linear splitters), c = 2 (pump input).  Pure
-states are kept as a (C, C, C) amplitude tensor; the internal losses split
-one into pure Kraus branches, a (C, C, C, branches) stack.  After the
+states are kept as a (C, C, C) amplitude tensor; the residual internal
+loss splits one into pure Kraus branches, a (C,)*4 stack.  After the
 second splitter a lossy simulate traces out mode c, which nothing later
 touches, and goes on with the two-mode density rho_ab, a (C,)*4 tensor; a
 density on n modes has ket axes 0..n-1 and bra axes n..2n-1.  simulate is
@@ -479,18 +479,14 @@ def apply_loss(rho: DensityOperator, eta: float, mode: int) -> DensityOperator:
 
 
 def _kraus_branches(state: FockState, eta: float, mode: int) -> FockState:
-    """Photon loss on one mode of a pure state or branch stack, kept pure:
-    each branch psi_br becomes the branches K_k psi_br, the trailing branch
-    axis running over (k, br); identity at eta = 1."""
-    if eta == 1.0:
-        return state
+    """Photon loss of transmission eta on one mode of a pure three-mode
+    state, kept pure: the branches K_k psi along a trailing axis k."""
     c = state.cutoff
-    # rows (n', k), batched over the modes before this one, so k lands just
-    # ahead of the later modes and the old branch axis
+    # rows (n', k), batched over the modes before this one
     kraus = loss_kraus_operators(eta, c).swapaxes(0, 1).reshape(c * c, c)
     psi = np.ascontiguousarray(state.amplitudes, dtype=complex).reshape(c**mode, c, -1)
-    amps = _real_matmul(kraus, psi).reshape((c,) * (mode + 2) + state.amplitudes.shape[mode + 1 :])
-    return FockState(amplitudes=np.moveaxis(amps, mode + 1, 3).reshape(c, c, c, -1), cutoff=c)
+    amps = _real_matmul(kraus, psi).reshape(c**mode, c, c, -1)
+    return FockState(amplitudes=np.moveaxis(amps, 2, 3).reshape((c,) * 4), cutoff=c)
 
 
 # --- full pipeline -----------------------------------------------------------
@@ -533,22 +529,20 @@ def _checked_stage(state, stage: str, budget: float, apply, *args):
     return state
 
 
-def _pass_bytes(cutoff: int, branches: int, lossy: bool) -> int:
+def _pass_bytes(cutoff: int, lossy: bool) -> int:
     """The memory account of a simulate pass, or of a numeric_slope pass
-    with branches 1 and lossy False: the bytes it holds at its peak beside
-    the cached prefixes.  Up to bs2 that is four branch stacks of
-    16 cutoff^3 branches bytes: a gate holds three (state, gather and
-    matmul), and the fourth covers numpy's ufunc iteration buffers, up to
-    one (cutoff,)*3 tensor at desk cutoffs.  A lossy numeric_slope stops at
-    the Kerr stage and holds no more: psi and the work tensors of its
-    overlap and moment readout.  A lossy simulate then peaks at the fold,
-    on the stacks P and P^dag beside rho_ab, and in the tail, on rho_ab, a
-    _sandwich's held ket half, its gather and its matmul: four (cutoff,)*4
-    tensors.  Under the 1 GiB cap a lossless pass and every numeric_slope
-    fit up to cutoff 256 (237 with the prefix cached), a simulate with
-    external or one internal loss up to 64, and one with both internal
-    losses up to 27."""
-    return 16 * max(4 * cutoff**3 * branches, 4 * cutoff**4 if lossy else 0)
+    with lossy False: the bytes it holds at its peak beside the cached
+    prefixes.  Lossless, that is four (cutoff,)*3 states up to nbs2: a gate
+    holds three (state, gather and matmul), and the fourth covers numpy's
+    ufunc iteration buffers, up to one such tensor at desk cutoffs.  A lossy
+    numeric_slope stops at the Kerr stage and holds no more: psi and the
+    work tensors of its overlap and moment readout.  A lossy simulate holds
+    four (cutoff,)*4 tensors: at bs2 on the one Kraus axis of the branch
+    stack, at the fold on P and P^dag beside rho_ab, and in the tail on
+    rho_ab, a _sandwich's held ket half, its gather and its matmul.  Under
+    the 1 GiB cap a lossless pass and every numeric_slope fit up to cutoff
+    256 (237 with the prefix cached), and a lossy simulate up to 64."""
+    return 16 * 4 * cutoff ** (4 if lossy else 3)
 
 
 # Read-only prefix states by key, oldest first: at most two, for a cutoff
@@ -632,18 +626,22 @@ def _readout_pair(config, cutoff: int, budget: float, u=None):
     """(state, slope): the readout state of the Fock pass of simulate, and
     of a lossless numeric_slope, which alone passes the pulled-back readout
     u and gets the slope read on the Kerr output (_kerr_slope) before the
-    tail replaces it; slope is None without u.  The internal losses (eta_d
-    on b, eta_c on c) split the state into Kraus branches P, pure up to the
-    second splitter.  Lossy, nothing after the second splitter touches mode
-    c, so it joins the branch axis of P there: the state becomes
+    tail replaces it; slope is None without u.  Pure losses compose, so the
+    internal losses (eta_d on b, eta_c on c) are L_m on both modes,
+    m = max(eta_c, eta_d), after the residual min/m on the lower-eta mode.
+    L_m on both ports commutes with bs2 and vanishes on c under Tr_c, which
+    nothing after bs2 reads: only the residual splits the state into Kraus
+    branches P (none when eta_c = eta_d), and L_m joins eta_b on b.  Lossy,
+    c joins the branch axis of P after bs2: the state becomes
     rho_ab = P P^dag, and the later stages act on it."""
     loss = config.loss
     lossy = not loss.is_lossless()
-    branches = (cutoff if loss.eta_d < 1.0 else 1) * (cutoff if loss.eta_c < 1.0 else 1)
-    state = _kerr_output(config, cutoff, budget, _pass_bytes(cutoff, branches, lossy))
+    state = _kerr_output(config, cutoff, budget, _pass_bytes(cutoff, lossy))
     slope = None if u is None else _kerr_slope(state.amplitudes, u)
-    state = _kraus_branches(state, loss.eta_d, MODE_B)
-    state = _kraus_branches(state, loss.eta_c, MODE_C)
+    common = max(loss.eta_c, loss.eta_d)
+    if loss.eta_c != loss.eta_d:
+        lower = MODE_B if loss.eta_d < loss.eta_c else MODE_C
+        state = _kraus_branches(state, min(loss.eta_c, loss.eta_d) / common, lower)
     state = _checked_stage(
         state, "bs2", budget, apply_beam_splitter,
         config.splitter.transmissivity, MODE_B, MODE_C,
@@ -651,7 +649,7 @@ def _readout_pair(config, cutoff: int, budget: float, u=None):
     if lossy:
         state = to_density(FockState(state.amplitudes.reshape(cutoff, cutoff, -1), cutoff, modes=2))
         state = apply_loss(state, loss.eta_a, MODE_A)
-        state = apply_loss(state, loss.eta_b, MODE_B)
+        state = apply_loss(state, loss.eta_b * common, MODE_B)
     state = _checked_stage(
         state, "nbs2", budget, apply_two_mode_squeezer,
         config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
@@ -668,10 +666,11 @@ def simulate(config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-
     (b, c), Kerr phase on b, internal losses (eta_d on b, eta_c on c),
     second splitter on (b, c), external losses (eta_a on a, eta_b on b),
     readout squeezer on (a, b), detection loss (eta_det on a).  Lossless
-    configurations stay pure and return the three-mode state.  Internal
-    losses split the state into Kraus branches P.  Nothing after the second
-    splitter touches mode c, so a lossy run returns the (a, b) density
-    Tr_c(P P^dag) = P' P'^dag, with c one more branch index of P'.  Tensors
+    configurations stay pure and return the three-mode state.  Nothing
+    after the second splitter touches mode c, so a lossy run returns the
+    (a, b) density Tr_c(P P^dag) = P' P'^dag, with c one more branch index
+    of P', the Kraus branches of one residual internal loss (_readout_pair).
+    A lossy pass holds (cutoff,)*4 tensors and runs up to cutoff 64; tensors
     above _DENSITY_GIB_CAP raise ValueError before they are allocated.
 
     Raises TruncationError naming the stage (prepare, nbs1, bs1, bs2 or nbs2)
@@ -810,7 +809,7 @@ def numeric_slope(
     if config.loss.is_lossless():
         state, slope = _readout_pair(config, cutoff, budget, u)
         return SlopeEstimate(slope, *_moment_readout(state.amplitudes, _READOUT, 0.0))
-    psi = _kerr_output(config, cutoff, budget, _pass_bytes(cutoff, 1, False)).amplitudes
+    psi = _kerr_output(config, cutoff, budget, _pass_bytes(cutoff, False)).amplitudes
     return SlopeEstimate(_kerr_slope(psi, u), *_moment_readout(psi, u, noise))
 
 
@@ -829,7 +828,7 @@ def oracle_qfi(
             "(mixed-state Fisher information is out of scope)"
         )
     # kept only where a lossless run at this cutoff would keep it too
-    state = _entering_kerr(config, cutoff, budget, _pass_bytes(cutoff, 1, False))
+    state = _entering_kerr(config, cutoff, budget, _pass_bytes(cutoff, False))
     pops = mode_populations(state, MODE_B)
     n = np.arange(state.cutoff, dtype=float)
     m2 = float(np.dot(pops, n**2))

@@ -363,10 +363,10 @@ def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None)
             worst, worst_digest = rel, config_digest(cfg)
     record("qfi_vs_polynomial", worst_digest, 1.0 + worst, 1.0, 1e-4, cutoff=cutoff)
 
-    # lossy pipeline against the loss formulas (moment readout)
-    worst_s = worst_v = 0.0
-    converged_s = converged_v = True
-    worst_digest = ""
+    # lossy pipeline against the loss formulas (moment readout); each record
+    # names the config of its own worst error
+    worst = {"slope": (-math.inf, ""), "noise": (-math.inf, "")}
+    converged = {"slope": True, "noise": True}
     for _ in range(3):
         etas = rng.uniform(0.35, 1.0, size=4)
         cfg = build_config(
@@ -374,17 +374,14 @@ def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None)
             eta_a=float(etas[0]), eta_b=float(etas[1]),
             eta_c=float(etas[2]), eta_d=float(etas[3]),
         )
-        (s_rel, v_rel), (s_conv, v_conv) = _lossy_errors(cfg, _LOSSY_CUTOFF, _LOSSY_BUDGET)
-        if max(s_rel, v_rel) > max(worst_s, worst_v):
-            worst_digest = config_digest(cfg)
-        worst_s = max(worst_s, s_rel)
-        worst_v = max(worst_v, v_rel)
-        converged_s = converged_s and s_conv
-        converged_v = converged_v and v_conv
-    record("lossy_slope_vs_closed_form", worst_digest, 1.0 + worst_s,
-           1.0, _LOSSY_TOL, cutoff=_LOSSY_CUTOFF, converged=converged_s)
-    record("lossy_noise_vs_closed_form", worst_digest, 1.0 + worst_v,
-           1.0, _LOSSY_TOL, cutoff=_LOSSY_CUTOFF, converged=converged_v)
+        errors, flags = _lossy_errors(cfg, _LOSSY_CUTOFF, _LOSSY_BUDGET)
+        for name, rel, conv in zip(worst, errors, flags):
+            if rel > worst[name][0]:
+                worst[name] = (rel, config_digest(cfg))
+            converged[name] = converged[name] and conv
+    for name, (rel, digest) in worst.items():
+        record(f"lossy_{name}_vs_closed_form", digest, 1.0 + rel,
+               1.0, _LOSSY_TOL, cutoff=_LOSSY_CUTOFF, converged=converged[name])
 
     # the moment readout against the density tail of simulate, five losses
     # at generic phases

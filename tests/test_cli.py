@@ -77,6 +77,14 @@ class TestReport:
         assert main(["report", "--config", str(path)]) == 2
         assert "magnitude" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["5%", "%(x)s"])
+    def test_percent_in_value_exits_2_names_line(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[nbs1]\ngain = {value}\n")
+        assert main(["report", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"[nbs1] gain: not a number (got '{value}', line 2)" in err
+
     def test_out_of_range_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[splitter]\ntransmissivity = 1.2\n")

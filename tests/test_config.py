@@ -278,6 +278,25 @@ class TestConfigFile:
         with pytest.raises(ConfigFileError, match="magnitude.*not a number"):
             parse_config("[coherent]\nmagnitude = ten\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[coherent]\nmagnitude = 1.0\n[nbs1]\ngain = 5%\n",
+             "[nbs1] gain: not a number (got '5%', line 4)"),
+            ("[nbs1]\nphase = 0.0\ngain = %(x)s\n",
+             "[nbs1] gain: not a number (got '%(x)s', line 3)"),
+            ("[nbs1]\nphase = 1.5\ngain = %(phase)s\n",
+             "[nbs1] gain: not a number (got '%(phase)s', line 3)"),
+        ],
+        ids=["bare-percent", "unknown-reference", "known-reference"],
+    )
+    def test_percent_in_value_is_a_bad_number(self, text, message):
+        # values are read raw, so a '%' never reaches configparser's
+        # interpolation, which raised its own error when the items were read
+        with pytest.raises(ConfigFileError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"<string>: {message}"
+
     def test_syntax_error_cites_line(self):
         with pytest.raises(ConfigFileError, match="line"):
             parse_config("[coherent\nmagnitude = 1\n")

@@ -1,7 +1,7 @@
 import pytest
 
 from kerrmzi import analytic, oracle, verify
-from kerrmzi.config import build_config
+from kerrmzi.config import build_config, config_digest
 
 
 # every check of each suite, in record order
@@ -109,6 +109,23 @@ class TestOracleSuite:
         errors, converged = verify._lossy_errors(cfg, verify._LOSSY_CUTOFF, verify._LOSSY_BUDGET)
         assert max(errors) <= verify._LOSSY_TOL
         assert all(converged)
+
+    def test_lossy_records_name_their_own_worst_config(self, monkeypatch):
+        # the slope is worst on the first lossy draw, the noise on the
+        # second: each record carries the digest of its own worst config
+        errors = iter([(3e-9, 1e-9), (1e-9, 4e-9), (2e-9, 2e-9)])
+        digests = []
+
+        def fake(cfg, cutoff, budget):
+            digests.append(config_digest(cfg))
+            return next(errors), (True, True)
+
+        monkeypatch.setattr(verify, "_lossy_errors", fake)
+        records = {r.check: r for r in verify.run_oracle_suite(seed=0)}
+        assert len(set(digests)) == 3
+        slope, noise = records["lossy_slope_vs_closed_form"], records["lossy_noise_vs_closed_form"]
+        assert (slope.config_digest, slope.rel_err) == (digests[0], pytest.approx(3e-9))
+        assert (noise.config_digest, noise.rel_err) == (digests[1], pytest.approx(4e-9))
 
     def test_expected_checks_present(self, oracle_records):
         assert tuple(r.check for r in oracle_records) == ORACLE_CHECKS
