@@ -5,8 +5,9 @@ Commands: ``report`` (single-configuration sensitivity), ``sweep``
 simulator cross-check suites), ``chi3`` (susceptibility conversion).
 
 Exit codes are a contract: 0 success, 1 verification failure, 2 input
-error (bad input, an unreadable or unwritable path, or a Fock cutoff too
-small for the state; mapped in ``main``), 3 undefined result.  Every
+error (bad input, an unreadable, undecodable or unwritable path, a figure
+out of floating-point range, or a Fock cutoff too small for the state or
+too large for the memory cap; mapped in ``main``), 3 undefined result.  Every
 output file is written atomically (temp file plus ``os.replace``) and
 gets exactly one ``<name>.manifest.json`` companion recording command,
 config digest, tool version, and timestamp; the data files themselves
@@ -54,6 +55,17 @@ def _write_manifest(out_path: str, command: str, digest: str) -> None:
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _non_finite(record: dict):
+    """Name of the first figure of an output record that is not a finite
+    number, or None."""
+    bad = (k for k, v in record.items() if isinstance(v, float) and not math.isfinite(v))
+    return next(bad, None)
+
+
+def _out_of_range(figure: str) -> int:
+    return _fail(f"{figure} is out of floating-point range for this input", EXIT_INPUT_ERROR)
 
 
 # --- presets -----------------------------------------------------------------
@@ -106,11 +118,12 @@ def cmd_report(args) -> int:
     except analytic.UndefinedSensitivityError as exc:
         return _fail(str(exc), EXIT_UNDEFINED)
 
+    record = {"config_digest": digest, **report.to_dict(), "n_ps": config.n_ps}
+    if figure := _non_finite(record):
+        return _out_of_range(figure)
     if args.format == "csv":
         payload = report.csv_header() + "\n" + report.csv_row() + "\n"
     else:
-        record = {"config_digest": digest, **report.to_dict()}
-        record["n_ps"] = config.n_ps
         record["beats_sql"] = report.delta_phi < report.sql
         payload = json.dumps(record, indent=2) + "\n"
     if args.out:
@@ -165,14 +178,19 @@ def cmd_chi3(args) -> int:
     medium = load_medium(args.config)
     if args.delta_phi_n < 0 or not math.isfinite(args.delta_phi_n):
         return _fail("delta-phi-n must be finite and >= 0", EXIT_INPUT_ERROR)
-    delta_chi3 = analytic.chi3_uncertainty(medium, args.delta_phi_n)
-    # slope of the forward map phi_n(chi3); its inverse defines the bound
-    forward = analytic.chi3_phase(medium, 1.0)
-    record = {
-        "delta_phi_n": args.delta_phi_n,
-        "delta_chi3": delta_chi3,
-        "phi_n_per_chi3": forward,
-    }
+    record = {"delta_phi_n": args.delta_phi_n}
+    # phi_n_per_chi3 is the slope of the forward map phi_n(chi3); its
+    # inverse defines the bound
+    for figure, convert, value in (
+        ("delta_chi3", analytic.chi3_uncertainty, args.delta_phi_n),
+        ("phi_n_per_chi3", analytic.chi3_phase, 1.0),
+    ):
+        try:
+            record[figure] = convert(medium, value)
+        except (OverflowError, ZeroDivisionError):
+            return _out_of_range(figure)
+    if figure := _non_finite(record):
+        return _out_of_range(figure)
     payload = json.dumps(record, indent=2) + "\n"
     if args.out:
         sweep.write_atomic(args.out, payload)

@@ -415,9 +415,18 @@ def parse_config(text: str, source: str = "<string>") -> InterferometerConfig:
     return validate(InterferometerConfig(**sections))
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of a config file; undecodable bytes are a
+    ConfigFileError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigFileError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_config(path) -> InterferometerConfig:
-    with open(path, "r") as fh:
-        return parse_config(fh.read(), source=str(path))
+    return parse_config(_read_text(path), source=str(path))
 
 
 def parse_medium(text: str, source: str = "<string>") -> KerrMediumSpec:
@@ -433,5 +442,4 @@ def parse_medium(text: str, source: str = "<string>") -> KerrMediumSpec:
 
 
 def load_medium(path) -> KerrMediumSpec:
-    with open(path, "r") as fh:
-        return parse_medium(fh.read(), source=str(path))
+    return parse_medium(_read_text(path), source=str(path))

@@ -16,9 +16,10 @@ with n_b^2.  Lossless, the state then runs simulate's tail for the mean
 and variance; lossy, those are read at the Kerr stage too.  Nothing
 before the Kerr stage depends on the phases, so that prefix is built once
 per (alpha, G1, theta1, T, cutoff, budget) and shared, read only, by
-simulate, numeric_slope and oracle_qfi.  One account, _pass_bytes, sizes
-a pass before it is run, and the cached prefixes keep within the cap less
-that account.
+simulate, numeric_slope and oracle_qfi.  They enter the pass by one door,
+_entering_kerr, which checks the cutoff and budget, sizes the pass by one
+account (_pass_bytes) before it is run, and keeps the cached prefixes
+within the cap less that account.
 
 Unitaries exponentiate the generator restricted to the truncated space: a
 strength times a unit generator diagonalized once per gate kind and cutoff,
@@ -66,14 +67,15 @@ _NORM_DRIFT_GUARD = 1e-9
 # superoperators (eta_a, eta_b, eta_det) are rebuilt for every eta from
 # their structure, cached with one entry per cutoff; the internal losses
 # use Kraus operators.  The generator eigenbases take one entry per kind
-# and cutoff, so 4 for a cutoff and its double.  The prefix cache
+# and cutoff, so 4 for a cutoff and its double, and the ladder, quadrature
+# and binomial tables one per cutoff.  The prefix cache
 # (_PREFIXES) holds 2 states, for a cutoff and its double; a warm run
 # applies only the stages after the Kerr stage.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates; also the cap
-# on a pure state coherent_product_state builds, and on what a simulate or
-# numeric_slope pass holds at its peak (_pass_bytes) together with the
-# prefix states cached beside it.
+# on a pure state coherent_product_state builds, and on what a simulate,
+# numeric_slope or oracle_qfi pass holds at its peak (_pass_bytes) together
+# with the prefix states cached beside it.
 _DENSITY_GIB_CAP = 1
 
 
@@ -143,12 +145,12 @@ def to_density(state: FockState) -> DensityOperator:
 # --- single-mode building blocks -------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _annihilator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _quadrature_y(cutoff: int) -> np.ndarray:
     a = _annihilator(cutoff)
     return -1j * (a - a.conj().T)
@@ -227,7 +229,7 @@ def _beam_splitter_unitary(transmissivity: float, cutoff: int) -> _PackedGate:
     return rot._replace(stack=(-1.0) ** np.arange(cutoff)[:, None] * rot.stack)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _loss_terms(cutoff: int):
     """C(n, k) as floats and the powers n - k (0 for k > n) and k of eta
     and 1 - eta, each indexed [k, n]; C(n, k) is zero for k > n."""
@@ -530,46 +532,26 @@ def _checked_stage(state, stage: str, budget: float, apply, *args):
 
 
 def _pass_bytes(cutoff: int, lossy: bool) -> int:
-    """The memory account of a simulate pass, or of a numeric_slope pass
-    with lossy False: the bytes it holds at its peak beside the cached
-    prefixes.  Lossless, that is four (cutoff,)*3 states up to nbs2: a gate
-    holds three (state, gather and matmul), and the fourth covers numpy's
-    ufunc iteration buffers, up to one such tensor at desk cutoffs.  A lossy
-    numeric_slope stops at the Kerr stage and holds no more: psi and the
-    work tensors of its overlap and moment readout.  A lossy simulate holds
-    four (cutoff,)*4 tensors: at bs2 on the one Kraus axis of the branch
-    stack, at the fold on P and P^dag beside rho_ab, and in the tail on
-    rho_ab, a _sandwich's held ket half, its gather and its matmul.  Under
-    the 1 GiB cap a lossless pass and every numeric_slope fit up to cutoff
-    256 (237 with the prefix cached), and a lossy simulate up to 64."""
+    """The memory account of a simulate pass, or of a numeric_slope or
+    oracle_qfi pass with lossy False: the bytes it holds at its peak beside
+    the cached prefixes, which _entering_kerr, the one entry of every pass,
+    refuses above _DENSITY_GIB_CAP before it builds anything.  Lossless,
+    that is four (cutoff,)*3 states up to nbs2: a gate holds three (state,
+    gather and matmul), and the fourth covers numpy's ufunc iteration
+    buffers, up to one such tensor at desk cutoffs.  A lossy numeric_slope
+    stops at the Kerr stage and holds no more: psi and the work tensors of
+    its overlap and moment readout.  A lossy simulate holds four
+    (cutoff,)*4 tensors: at bs2 on the one Kraus axis of the branch stack,
+    at the fold on P and P^dag beside rho_ab, and in the tail on rho_ab, a
+    _sandwich's held ket half, its gather and its matmul.  Under the 1 GiB
+    cap a lossless pass, every numeric_slope and oracle_qfi fit up to
+    cutoff 256 (237 with the prefix cached), and a lossy simulate up to 64."""
     return 16 * 4 * cutoff ** (4 if lossy else 3)
 
 
 # Read-only prefix states by key, oldest first: at most two, for a cutoff
 # and its double.
 _PREFIXES: OrderedDict = OrderedDict()
-
-
-def _cached_prefix(key, nbytes: int, account: int, build) -> FockState:
-    """The prefix state of key, from _PREFIXES or from build(), of nbytes
-    bytes.  The cache keeps within the cap less the account of the pass
-    (_pass_bytes), reading the bytes it holds from its states: older states
-    go first to make room for this one, and one that does not fit is
-    returned without being kept.  A build that raises keeps nothing, so it
-    raises again on the next call."""
-    room = _DENSITY_GIB_CAP * 2**30 - account
-    state = _PREFIXES.pop(key, None)
-    while _PREFIXES and (
-        len(_PREFIXES) >= 2
-        or sum(s.amplitudes.nbytes for s in _PREFIXES.values()) + nbytes > room
-    ):
-        _PREFIXES.popitem(last=False)
-    if state is None:
-        state = build()
-        state.amplitudes.flags.writeable = False
-    if nbytes <= room:
-        _PREFIXES[key] = state
-    return state
 
 
 def _squeeze_vacuum(pump: FockState, gain: float, theta: float) -> FockState:
@@ -585,41 +567,45 @@ def _squeeze_vacuum(pump: FockState, gain: float, theta: float) -> FockState:
     return FockState(amplitudes=amps, cutoff=c)
 
 
-def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, account: int):
-    """Prepare, first squeezer on (a, b), first splitter on (b, c): the
-    phase-independent prefix of the interferometer, checked per stage;
-    prepare makes only the pump, the drift reference of _squeeze_vacuum.
-    The read-only state is cached on the parameters the prefix reads, within
-    the cap less the account of the pass (see _cached_prefix); the
-    pure-state cap is checked on every call, before the cache is read."""
-    nbytes = 16 * cutoff**3
-    _refuse_above_cap(cutoff, nbytes, "a pure state")
-
-    def build():
+def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, lossy: bool = False):
+    """The one way into the Fock pass of simulate, numeric_slope and
+    oracle_qfi: prepare, first squeezer on (a, b), first splitter on (b, c),
+    the phase-independent prefix, checked per stage; prepare makes only the
+    pump, the drift reference of _squeeze_vacuum.  Before the cache is read
+    it refuses a cutoff that is not an integer >= 2, a budget outside
+    (0, 1] and a pass whose account (_pass_bytes, lossy or not) exceeds
+    _DENSITY_GIB_CAP.  The read-only state is cached on the parameters the
+    prefix reads, in _PREFIXES within the cap less the account: older states
+    go first to make room for this one, and one that does not fit is
+    returned without being kept.  A build that raises keeps nothing."""
+    if not isinstance(cutoff, (int, np.integer)) or cutoff < 2:
+        raise ValueError(f"cutoff must be an integer >= 2 (got {cutoff!r})")
+    if not 0.0 < budget <= 1.0:
+        raise ValueError(f"truncation budget must lie in (0, 1] (got {budget!r})")
+    account = _pass_bytes(cutoff, lossy)
+    _refuse_above_cap(cutoff, account, "a run's branch tensors")
+    nbytes, room = 16 * cutoff**3, _DENSITY_GIB_CAP * 2**30 - account
+    key = (config.coherent.amplitude, config.nbs1.gain, config.nbs1.phase,
+           config.splitter.transmissivity, cutoff, budget)
+    state = _PREFIXES.pop(key, None)
+    while _PREFIXES and (
+        len(_PREFIXES) >= 2
+        or sum(s.amplitudes.nbytes for s in _PREFIXES.values()) + nbytes > room
+    ):
+        _PREFIXES.popitem(last=False)
+    if state is None:
         state = coherent_product_state([config.coherent.amplitude], cutoff, budget)
         state = _checked_stage(
             state, "nbs1", budget, _squeeze_vacuum, config.nbs1.gain, config.nbs1.phase,
         )
-        return _checked_stage(
+        state = _checked_stage(
             state, "bs1", budget, apply_beam_splitter,
             config.splitter.transmissivity, MODE_B, MODE_C,
         )
-
-    key = (
-        config.coherent.amplitude, config.nbs1.gain, config.nbs1.phase,
-        config.splitter.transmissivity, cutoff, budget,
-    )
-    return _cached_prefix(key, nbytes, account, build)
-
-
-def _kerr_output(config, cutoff: int, budget: float, account: int) -> FockState:
-    """The pure state leaving the Kerr stage, the cached prefix times the
-    Kerr phase.  Refuses a pass whose account exceeds _DENSITY_GIB_CAP
-    before anything is built; the cached prefixes keep within the cap less
-    that account."""
-    _refuse_above_cap(cutoff, account, "a run's branch tensors")
-    prefix = _entering_kerr(config, cutoff, budget, account)
-    return apply_kerr(prefix, config.phase.linear, config.phase.nonlinear, MODE_B)
+        state.amplitudes.flags.writeable = False
+    if nbytes <= room:
+        _PREFIXES[key] = state
+    return state
 
 
 def _readout_pair(config, cutoff: int, budget: float, u=None):
@@ -636,7 +622,8 @@ def _readout_pair(config, cutoff: int, budget: float, u=None):
     rho_ab = P P^dag, and the later stages act on it."""
     loss = config.loss
     lossy = not loss.is_lossless()
-    state = _kerr_output(config, cutoff, budget, _pass_bytes(cutoff, lossy))
+    state = _entering_kerr(config, cutoff, budget, lossy)
+    state = apply_kerr(state, config.phase.linear, config.phase.nonlinear, MODE_B)
     slope = None if u is None else _kerr_slope(state.amplitudes, u)
     common = max(loss.eta_c, loss.eta_d)
     if loss.eta_c != loss.eta_d:
@@ -809,7 +796,8 @@ def numeric_slope(
     if config.loss.is_lossless():
         state, slope = _readout_pair(config, cutoff, budget, u)
         return SlopeEstimate(slope, *_moment_readout(state.amplitudes, _READOUT, 0.0))
-    psi = _kerr_output(config, cutoff, budget, _pass_bytes(cutoff, False)).amplitudes
+    psi = _entering_kerr(config, cutoff, budget)
+    psi = apply_kerr(psi, config.phase.linear, config.phase.nonlinear, MODE_B).amplitudes
     return SlopeEstimate(_kerr_slope(psi, u), *_moment_readout(psi, u, noise))
 
 
@@ -820,15 +808,15 @@ def oracle_qfi(
     number, taken on the state entering the Kerr element.
 
     Only defined here for lossless configurations (the pure-state
-    variance form); lossy configurations are rejected.
+    variance form); lossy configurations are rejected.  Sized and refused
+    like a lossless pass (_entering_kerr).
     """
     if not config.loss.is_lossless():
         raise ValueError(
             "oracle_qfi supports lossless configurations only "
             "(mixed-state Fisher information is out of scope)"
         )
-    # kept only where a lossless run at this cutoff would keep it too
-    state = _entering_kerr(config, cutoff, budget, _pass_bytes(cutoff, False))
+    state = _entering_kerr(config, cutoff, budget)
     pops = mode_populations(state, MODE_B)
     n = np.arange(state.cutoff, dtype=float)
     m2 = float(np.dot(pops, n**2))

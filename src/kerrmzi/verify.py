@@ -417,11 +417,18 @@ def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None)
 def run_suite(name: str, seed: int = 0, cutoff: int = 15, mutate: str | None = None):
     """Run one of the named suites: 'analytic', 'oracle', or 'all'.
 
-    Raises ValueError for an unknown suite, and for a ``mutate`` name that
-    no check of the suite carries.
+    Raises ValueError for an unknown suite, for a ``mutate`` name that no
+    check of the suite carries, and, before any check runs, for an oracle
+    suite whose largest pass exceeds the oracle's memory cap: the loss
+    checks' two-mode density at the cutoff, which apply_loss holds four
+    times over like a lossy simulate pass, or the canonical slope at twice
+    the cutoff.
     """
     if name not in ("analytic", "oracle", "all"):
         raise ValueError(f"unknown suite '{name}' (expected analytic, oracle, or all)")
+    if name != "analytic":
+        largest = max(oracle._pass_bytes(cutoff, True), oracle._pass_bytes(2 * cutoff, False))
+        oracle._refuse_above_cap(cutoff, largest, "the oracle suite's largest pass")
     records = []
     if name in ("analytic", "all"):
         records += run_analytic_suite(seed=seed, mutate=mutate)

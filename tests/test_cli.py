@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import kerrmzi
-from kerrmzi import oracle
+from kerrmzi import oracle, verify
 from kerrmzi.cli import main
 
 GOOD_CONFIG = """
@@ -207,7 +207,8 @@ class TestVerify:
 
     def test_oversized_density_exits_2(self, tmp_path, capsys, monkeypatch):
         # a cap below the loss check's 0.77 MiB two-mode density at the
-        # default cutoff 15: refused before allocation, reported as bad input
+        # default cutoff 15: the suite's largest pass is refused before any
+        # check allocates, reported as bad input
         monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 1e-4)
         out = tmp_path / "records.jsonl"
         code = main(["verify", "--suite", "oracle", "--out", str(out)])
@@ -218,10 +219,32 @@ class TestVerify:
 
     def test_oversized_pure_state_exits_2(self, capsys, monkeypatch):
         # a cap below the 54 KB pure state at the default cutoff 15: the
-        # first check's state is refused before allocation, as bad input
+        # suite is sized, and refused as bad input, before its first check
         monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 4e-5)
         assert main(["verify", "--suite", "oracle"]) == 2
-        assert capsys.readouterr().err.startswith("error: a pure state at cutoff 15 needs")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the oracle suite's largest pass at cutoff 15 needs")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("suite", ["oracle", "all"])
+    def test_cutoff_above_64_exits_2_before_any_check(self, suite, capsys, monkeypatch):
+        # the largest pass is the loss checks' two-mode density, held four
+        # times over like a lossy simulate pass: exactly the 1 GiB cap at
+        # cutoff 64, beside the canonical slope's lossless pass at 128;
+        # 1.06 GiB at 65, refused before either suite runs
+        assert oracle._pass_bytes(64, True) == 2**30 > oracle._pass_bytes(128, False)
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "run_analytic_suite", no_suite)
+        monkeypatch.setattr(verify, "run_oracle_suite", no_suite)
+        assert main(["verify", "--suite", suite, "--cutoff", "65"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: the oracle suite's largest pass at cutoff 65 needs 1.06 GiB, above the 1 GiB cap"
+        )
+        assert captured.out == ""
 
     def test_unknown_suite_exits_2(self, capsys):
         # argparse would normally catch this; bypass to the handler level
@@ -258,6 +281,42 @@ class TestRunErrors:
         assert err.startswith("error:") and err.rstrip().endswith(f"'{out}'")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["report", "chi3"])
+    def test_undecodable_config_exits_2(self, command, tmp_path, capsys):
+        # a UTF-16 file with its byte-order mark ff fe
+        path = tmp_path / "utf16.ini"
+        text = GOOD_CONFIG if command == "report" else MEDIUM_CONFIG
+        path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+        extra = ["--delta-phi-n", "1e-6"] if command == "chi3" else []
+        assert main([command, "--config", str(path)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, text, figure",
+        [
+            ("report", GOOD_CONFIG.replace("magnitude = 10.0", "magnitude = 1e200"), "slope"),
+            ("chi3", MEDIUM_CONFIG.replace("n0 = 1.45", "n0 = 1e200"), "delta_chi3"),
+            ("chi3", "[medium]\nn0 = 1.45\nintensity = 1e-200\nwavenumber = 1e-200\n"
+                     "length = 1e-200\n", "delta_chi3"),
+            ("chi3", "[medium]\nn0 = 1.45\nintensity = 1e300\nwavenumber = 1e300\n"
+                     "length = 0.01\n", "phi_n_per_chi3"),
+        ],
+        ids=["huge-pump", "huge-n0", "tiny-medium", "huge-medium"],
+    )
+    def test_non_finite_figure_exits_2(self, command, text, figure, tmp_path, capsys):
+        # an overflow, a division by zero or an infinite figure is bad
+        # input: no number printed, no file written
+        path = tmp_path / "config.ini"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        extra = ["--delta-phi-n", "1e-6"] if command == "chi3" else []
+        assert main([command, "--config", str(path), "--out", str(out)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {figure} is out of floating-point range for this input\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_truncated_state_exits_2(self, tmp_path, capsys):
         out = tmp_path / "records.jsonl"

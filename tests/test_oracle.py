@@ -55,15 +55,21 @@ def vacuum(cutoff=12):
     return coherent_product_state([0.0, 0.0, 0.0], cutoff)
 
 
+def _kerr_output(cfg, cutoff, budget):
+    """The pure state leaving the Kerr stage: the prefix from the one entry
+    of the Fock pass times the Kerr phase."""
+    psi = oracle._entering_kerr(cfg, cutoff, budget)
+    return apply_kerr(psi, cfg.phase.linear, cfg.phase.nonlinear, MODE_B)
+
+
 def _after_bs2(cfg, cutoff, budget):
     """(P, m): the Kraus branch stack of the Fock pass after the second
-    splitter, rebuilt from the cached prefix stage by stage with no memory
-    account, and the common internal loss m = max(eta_c, eta_d) that the
-    pass moves past bs2; only the residual min/m on the lower-eta mode is
-    split into branches, and none when eta_c = eta_d."""
+    splitter, rebuilt from the cached prefix stage by stage, and the common
+    internal loss m = max(eta_c, eta_d) that the pass moves past bs2; only
+    the residual min/m on the lower-eta mode is split into branches, and
+    none when eta_c = eta_d."""
     loss = cfg.loss
-    psi = oracle._entering_kerr(cfg, cutoff, budget, account=0)
-    psi = apply_kerr(psi, cfg.phase.linear, cfg.phase.nonlinear, MODE_B)
+    psi = _kerr_output(cfg, cutoff, budget)
     common = max(loss.eta_c, loss.eta_d)
     if loss.eta_c != loss.eta_d:
         lower = MODE_B if loss.eta_d < loss.eta_c else MODE_C
@@ -568,7 +574,7 @@ class TestSimulate:
         # eta_c = eta_d = 0: nothing of the arms reaches bs2, so rho_ab is
         # the reduced state of a beside vacuum on b, then the later stages
         lossy = _with_losses(_LOSSY_PHI, eta_c=0.0, eta_d=0.0)
-        psi = oracle._kerr_output(lossy, 8, 5e-4, account=0).amplitudes
+        psi = _kerr_output(lossy, 8, 5e-4).amplitudes
         ref = np.zeros((8,) * 4, dtype=complex)
         ref[:, 0, :, 0] = np.einsum("abc,dbc->ad", psi, psi.conj())
         ref = apply_loss(DensityOperator(ref, 8), lossy.loss.eta_a, MODE_A)
@@ -593,7 +599,7 @@ class TestSimulate:
         psi[:, np.add.outer(np.arange(c), np.arange(c)) >= c] = 0.0
         psi /= np.linalg.norm(psi)
         cfg = _with_losses(_LOSSY_PHI, eta_c=eta_c, eta_d=eta_d)
-        monkeypatch.setattr(oracle, "_kerr_output", lambda *args: FockState(psi, c))
+        monkeypatch.setattr(oracle, "apply_kerr", lambda *args: FockState(psi, c))
         rho = simulate(cfg, cutoff=c, budget=1.0)
         loss = cfg.loss
         stack = _two_axis_branches(psi, eta_d, eta_c)
@@ -684,6 +690,20 @@ class TestGateCaches:
             assert info.misses > info.maxsize
             assert info.currsize <= info.maxsize
         assert len(builds) > 2 and len(oracle._PREFIXES) <= 2
+
+    def test_per_cutoff_tables_stay_bounded(self):
+        # the ladder, quadrature and binomial tables take one entry per
+        # cutoff; a scan over twice as many cutoffs as they hold keeps each
+        # within its bound
+        tables = (oracle._annihilator, oracle._quadrature_y, oracle._loss_terms)
+        for table in tables:
+            table.cache_clear()
+        for cutoff in range(2, 2 + 2 * oracle._CACHE_SIZE):
+            oracle._quadrature_y(cutoff)
+            oracle._loss_terms(cutoff)
+            assert [table.cache_info().currsize for table in tables] == (
+                [min(cutoff - 1, oracle._CACHE_SIZE)] * 3
+            )
 
     def test_new_gates_need_no_eigendecomposition(self, monkeypatch):
         # a new gain, phase or T only rescales the cached eigenphases
@@ -872,8 +892,8 @@ class TestPrefixCache:
         assert len(builds) == (1 if hit else 2)
 
     def test_cached_amplitudes_refuse_writes(self):
-        state = oracle._entering_kerr(CANON, 12, 1e-6, oracle._pass_bytes(12, False))
-        assert oracle._entering_kerr(CANON, 12, 1e-6, oracle._pass_bytes(12, False)) is state
+        state = oracle._entering_kerr(CANON, 12, 1e-6)
+        assert oracle._entering_kerr(CANON, 12, 1e-6) is state
         with pytest.raises(ValueError, match="read-only"):
             state.amplitudes[0, 0, 0] = 0.0
 
@@ -893,29 +913,38 @@ class TestPrefixCache:
         assert messages[0] == messages[1]
         assert (len(builds), len(oracle._PREFIXES)) == (2, 0)
 
-    def test_room_counts_the_held_prefix(self):
-        # estimator only: broadcast placeholders report the 16 c^3 bytes of
-        # a prefix and allocate none.  Lossless, a pass and one cached
-        # prefix fit the 1 GiB cap up to cutoff 237, the pass alone up to
-        # 256; lossy, a pass and its prefix fit up to cutoff 63, the pass
-        # alone up to 64
-        oracle._PREFIXES.clear()
-        builds = []
+    def test_room_counts_the_held_prefix(self, monkeypatch):
+        # the 1 GiB limits by the account's arithmetic: lossless, a pass and
+        # one cached prefix fit up to cutoff 237, and two prefixes (100, 200)
+        # fit beside a pass at 200 but not the one at 200 beside a pass at
+        # 237; the pass alone fits up to 256.  Lossy, a pass and its prefix
+        # fit up to cutoff 63, the pass alone up to 64
+        cap = oracle._DENSITY_GIB_CAP * 2**30
+
+        def fits(cutoff, lossy, *held):
+            prefixes = 16 * sum(c**3 for c in (cutoff, *held))
+            return oracle._pass_bytes(cutoff, lossy) + prefixes <= cap
+
+        assert fits(200, False, 100) and not fits(237, False, 200)
+        assert fits(237, False) and not fits(238, False) and oracle._pass_bytes(256, False) <= cap
+        assert fits(63, True) and not fits(64, True) and oracle._pass_bytes(64, True) <= cap
+        # the rule itself, on prefixes the entry builds at small cutoffs:
+        # under a cap that a lossless pass at 13 fills alone, the prefixes
+        # at 6 and 10 fit beside the pass at 10, only its own beside the
+        # pass at 12, and none beside the pass at 13; under one that a lossy
+        # pass at 7 fills alone, a lossy pass at 6 keeps its prefix
+        cfg = build_config(alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25)
 
         def held_after(cutoff, lossy=False):
-            placeholder = FockState(np.broadcast_to(np.complex128(0), (cutoff,) * 3), cutoff)
-            account = oracle._pass_bytes(cutoff, lossy)
-            oracle._cached_prefix((cutoff, lossy), 16 * cutoff**3, account,
-                                  lambda: builds.append(cutoff) or placeholder)
+            oracle._entering_kerr(cfg, cutoff, 1e-2, lossy)
             return len(oracle._PREFIXES)
 
+        oracle._PREFIXES.clear()
         try:
-            assert [held_after(100), held_after(200)] == [1, 2]
-            assert held_after(237) == 1  # the prefix at 200 no longer fits beside it
-            assert held_after(238) == 0 and held_after(256) == 0
-            assert held_after(63, lossy=True) == 1
-            assert held_after(64, lossy=True) == 0
-            assert len(builds) == 7
+            monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", oracle._pass_bytes(13, False) / 2**30)
+            assert [held_after(6), held_after(10), held_after(12), held_after(13)] == [1, 2, 1, 0]
+            monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", oracle._pass_bytes(7, True) / 2**30)
+            assert [held_after(6, lossy=True), held_after(7, lossy=True)] == [1, 0]
         finally:
             oracle._PREFIXES.clear()
 
@@ -931,18 +960,19 @@ class TestPrefixCache:
         for _ in range(2):
             assert np.array_equal(simulate(CANON, cutoff=15, budget=1e-8).amplitudes, expected)
         assert (len(builds), len(oracle._PREFIXES)) == (3, 0)
-        # oracle_qfi keeps its prefix only where a lossless run would: at
-        # 100 000 B its state fits, but no run's four tensors do
+        # oracle_qfi is sized like a lossless run: at 100 000 B its state
+        # would fit, but no run's four tensors do, so it builds nothing
         monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 100_000 / 2**30)
-        oracle_qfi(CANON, cutoff=15, budget=1e-8)
-        assert (len(builds), len(oracle._PREFIXES)) == (4, 0)
+        with pytest.raises(ValueError, match="^a run's branch tensors at cutoff 15 needs"):
+            oracle_qfi(CANON, cutoff=15, budget=1e-8)
+        assert (len(builds), len(oracle._PREFIXES)) == (3, 0)
 
 
 # losses, and the largest cutoff their simulate pass account admits under
 # the 1 GiB cap: lossless 16 * 4 c^3 bytes, every lossy pattern 16 * 4 c^4,
 # since the internal losses leave one Kraus axis.  numeric_slope, which
 # stops at the Kerr stage when lossy, takes the lossless account for every
-# pattern.
+# pattern, and so does oracle_qfi, which runs lossless configs only.
 _LOSS_PATTERNS = dict(
     lossless=({}, 256),
     eta_d=(dict(eta_d=0.6), 64),
@@ -1004,9 +1034,12 @@ class TestMemoryAccount:
     def test_pass_limits(self, pattern):
         # estimator only, then a refused pass above the limit, which raises
         # before it allocates a single (cutoff,)*3 state: simulate at its
-        # pattern's limit, numeric_slope at the lossless 256
+        # pattern's limit, numeric_slope and, lossless, oracle_qfi at 256
         cap = oracle._DENSITY_GIB_CAP * 2**30
-        for run, limit in ((simulate, _LOSS_PATTERNS[pattern][1]), (numeric_slope, 256)):
+        runs = [(simulate, _LOSS_PATTERNS[pattern][1]), (numeric_slope, 256)]
+        if pattern == "lossless":
+            runs.append((oracle_qfi, 256))
+        for run, limit in runs:
             assert _pass_account(pattern, limit, run)[1] <= cap
             cfg, account = _pass_account(pattern, limit + 1, run)
             assert account > cap
@@ -1043,7 +1076,7 @@ class TestVacuumSqueezer:
         assert np.max(np.abs(squeezed.amplitudes - ref.amplitudes)) <= 1e-15
         ref = apply_beam_splitter(ref, cfg.splitter.transmissivity, MODE_B, MODE_C)
         oracle._PREFIXES.clear()
-        state = oracle._entering_kerr(cfg, cutoff, 1e-2, oracle._pass_bytes(cutoff, False))
+        state = oracle._entering_kerr(cfg, cutoff, 1e-2)
         assert np.max(np.abs(state.amplitudes - ref.amplitudes)) <= 1e-15
 
     def test_over_large_gain_trips_nbs1(self):
@@ -1258,7 +1291,7 @@ class TestNumericSlope:
             alpha=0.8, theta_alpha=-0.4, g1=0.25, theta1=0.7, g2=0.4, theta2=2.1,
             transmissivity=0.3, phi_l=0.3, phi_n=0.05,
         )
-        psi = oracle._kerr_output(cfg, 20, 1e-6, oracle._pass_bytes(20, False))
+        psi = _kerr_output(cfg, 20, 1e-6)
         mean, variance = oracle._moment_readout(psi.amplitudes, *oracle._readout_pullback(cfg))
         est = numeric_slope(cfg, cutoff=20, budget=1e-6)
         assert est.value == pytest.approx(_fock_tangent_slope(cfg, 20, 1e-6), rel=1e-9)
@@ -1445,8 +1478,37 @@ class TestLosslessMemoryCap:
         with pytest.raises(ValueError) as exc:
             run(CANON, cutoff=15)
         assert str(exc.value).startswith("a run's branch tensors at cutoff 15 needs")
-        # the pure state alone still fits
-        assert oracle_qfi(CANON, cutoff=15) > 0.0
+        # the pure state alone would fit, but oracle_qfi enters by the same
+        # door and is sized like a lossless pass
+        with pytest.raises(ValueError, match="^a run's branch tensors at cutoff 15 needs"):
+            oracle_qfi(CANON, cutoff=15)
+
+
+# At budget 1e-6 the pump of alpha = 3 needs more than 5 levels (prepare
+# refuses it); a budget that turned the checks off would pass it.
+_ALPHA3 = build_config(alpha=3.0, g1=0.3, g2=0.6, transmissivity=0.25)
+
+
+class TestEntry:
+    # _entering_kerr is the one way into the Fock pass: every reader
+    # refuses a budget or cutoff it cannot honour before it builds anything
+    @pytest.mark.parametrize("run", [simulate, numeric_slope, oracle_qfi])
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1e-6, 2.0])
+    def test_budget_outside_unit_interval_refused(self, monkeypatch, run, budget):
+        builds = _calls(monkeypatch, "coherent_product_state")
+        with pytest.raises(ValueError, match=r"^truncation budget must lie in \(0, 1\]"):
+            run(_ALPHA3, cutoff=5, budget=budget)
+        assert builds == []
+        with pytest.raises(TruncationError, match="^prepare"):
+            run(_ALPHA3, cutoff=5, budget=1e-6)
+
+    @pytest.mark.parametrize("run", [simulate, numeric_slope, oracle_qfi])
+    @pytest.mark.parametrize("cutoff", [1, 3.5])
+    def test_cutoff_not_an_integer_above_one_refused(self, monkeypatch, run, cutoff):
+        builds = _calls(monkeypatch, "coherent_product_state")
+        with pytest.raises(ValueError, match=r"^cutoff must be an integer >= 2"):
+            run(CANON, cutoff=cutoff, budget=1e-2)
+        assert builds == []
 
 
 class TestReducedDensity:

@@ -131,21 +131,22 @@ class TestOracleSuite:
         assert tuple(r.check for r in oracle_records) == ORACLE_CHECKS
 
     def test_one_forward_pass_per_configuration_and_cutoff(self, monkeypatch):
-        # the canonical slope and variance at the cutoff and its double, each
-        # of the three lossy draws at the lossy cutoff and its double, then
-        # simulate's density tail and the moment pass it is checked against;
-        # every pass starts from the state leaving the Kerr stage
+        # the canonical slope and variance at the cutoff and its double, the
+        # six QFI draws at the cutoff, each of the three lossy draws at the
+        # lossy cutoff and its double, then simulate's density tail and the
+        # moment pass it is checked against; every pass enters by the one
+        # door to the Fock pass
         cutoffs = []
-        kerr_output = oracle._kerr_output
+        entry = oracle._entering_kerr
 
         def counting(config, cutoff, *args, **kwargs):
             cutoffs.append(cutoff)
-            return kerr_output(config, cutoff, *args, **kwargs)
+            return entry(config, cutoff, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_kerr_output", counting)
+        monkeypatch.setattr(oracle, "_entering_kerr", counting)
         verify.run_oracle_suite(seed=0)
         lossy = verify._LOSSY_CUTOFF
-        assert cutoffs == [15, 30] + 3 * [lossy, 2 * lossy] + [lossy, lossy]
+        assert cutoffs == [15, 30] + 6 * [15] + 3 * [lossy, 2 * lossy] + [lossy, lossy]
 
 
 class TestMutationControl:
