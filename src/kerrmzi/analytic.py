@@ -434,12 +434,14 @@ def evaluate(config: InterferometerConfig, repeats: int = 1) -> SensitivityRepor
     elsewhere delta_phi is inf and qcrb nan.  A vanishing N_ps or Fisher
     information gives an infinite sql or qcrb.
     """
-    eta = config.loss.eta_det
-    slope = lossy_slope_at_zero(config) * np.sqrt(eta)
-    noise = eta * lossy_noise_at_zero(config) + (1.0 - eta)
-    fisher = qfi_nonlinear(config.coherent.n_alpha, config.n_g, config.splitter).f
-    defined = slope > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflow or 0 * inf leaves an inf or nan cell, which the caller
+    # judges: a nan slope is undefined, and the CLI refuses the rest
+    with np.errstate(all="ignore"):
+        eta = config.loss.eta_det
+        slope = lossy_slope_at_zero(config) * np.sqrt(eta)
+        noise = eta * lossy_noise_at_zero(config) + (1.0 - eta)
+        fisher = qfi_nonlinear(config.coherent.n_alpha, config.n_g, config.splitter).f
+        defined = slope > 0.0
         delta_phi = np.where(defined, np.sqrt(noise) / slope, np.inf)
         bound = np.where(defined, _qcrb(fisher, repeats), np.nan)
         sql = _sql(config.n_ps)
@@ -459,7 +461,8 @@ def sensitivity(config: InterferometerConfig, repeats: int = 1) -> SensitivityRe
             "undefined sensitivity: homodyne slope is zero "
             "(g2 = 0, alpha = 0, eta_b*eta_d = 0, or cos(theta2 - theta_alpha) = 0)"
         )
-    terms = balanced_terms(config) if config.loss.is_lossless() else None
+    with np.errstate(all="ignore"):  # an overflowed term is inf, as in evaluate
+        terms = balanced_terms(config) if config.loss.is_lossless() else None
     return SensitivityReport(
         *(float(v) for v in report.to_dict().values()),
         *(map(float, terms) if terms else (None,) * 3),

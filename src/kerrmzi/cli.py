@@ -4,10 +4,14 @@ Commands: ``report`` (single-configuration sensitivity), ``sweep``
 (parameter grids / figure presets to CSV), ``verify`` (identity and
 simulator cross-check suites), ``chi3`` (susceptibility conversion).
 
-Exit codes are a contract: 0 success, 1 verification failure, 2 input
-error (bad input, an unreadable, undecodable or unwritable path, a figure
-out of floating-point range, or a Fock cutoff too small for the state or
-too large for the memory cap; mapped in ``main``), 3 undefined result.  Every
+Exit codes are a contract, and ``main`` alone maps a refusal to one: 0
+success, 1 verification failure, 2 input error (bad input, an unreadable,
+undecodable or unwritable path, a figure out of floating-point range, or a
+Fock cutoff too small for the state or too large for the memory cap), 3
+undefined result.  Every command prints and writes through ``_emit``: a
+figure of a defined result (delta_phi, sql and qcrb; the other figures
+too for ``report`` and ``chi3``) that is not finite, or a zero delta_phi,
+sql or qcrb, is an input error, and nothing is printed or written.  Every
 output file is written atomically (temp file plus ``os.replace``) and
 gets exactly one ``<name>.manifest.json`` companion recording command,
 config digest, tool version, and timestamp; the data files themselves
@@ -22,15 +26,10 @@ import math
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__, analytic, oracle, sweep, verify
-from .config import (
-    ConfigFileError,
-    InvalidConfigError,
-    build_config,
-    config_digest,
-    load_config,
-    load_medium,
-)
+from .config import build_config, config_digest, load_config, load_medium
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -41,31 +40,37 @@ GRID_POINTS_1D = 36
 GRID_POINTS_2D = 21
 
 
-def _write_manifest(out_path: str, command: str, digest: str) -> None:
-    manifest = {
-        "command": command,
-        "config_digest": digest,
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": [str(out_path)],
-    }
-    sweep.write_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+# figures positive by construction: a zero is an underflow or 1/inf
+_POSITIVE = ("delta_phi", "sql", "qcrb")
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _out_of_range(figures: dict):
+    """Name of the first figure with a cell that is not finite, or is zero
+    where the figure is positive by construction; None when all hold."""
+    for name, value in figures.items():
+        cells = np.asarray(value, dtype=float)
+        if not np.isfinite(cells).all() or (name in _POSITIVE and not cells.all()):
+            return name
+    return None
 
 
-def _non_finite(record: dict):
-    """Name of the first figure of an output record that is not a finite
-    number, or None."""
-    bad = (k for k, v in record.items() if isinstance(v, float) and not math.isfinite(v))
-    return next(bad, None)
-
-
-def _out_of_range(figure: str) -> int:
-    return _fail(f"{figure} is out of floating-point range for this input", EXIT_INPUT_ERROR)
+def _emit(text: str, out, command: str, digest: str, figures=None, shown=None) -> None:
+    """The one output path of every command: refuse a figure out of
+    floating-point range, write ``text`` atomically to ``out`` (if given)
+    beside its manifest, then print ``shown`` (default ``text``)."""
+    if figure := _out_of_range(figures or {}):
+        raise ValueError(f"{figure} is out of floating-point range for this input")
+    if out:
+        sweep.write_atomic(out, text)
+        manifest = {
+            "command": command,
+            "config_digest": digest,
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "outputs": [str(out)],
+        }
+        sweep.write_atomic(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    sys.stdout.write(text if shown is None else shown)
 
 
 # --- presets -----------------------------------------------------------------
@@ -110,26 +115,17 @@ def _build_spec(kind: str, base) -> "sweep.SweepSpec":
 
 def cmd_report(args) -> int:
     if args.repeats < 1:
-        return _fail(f"--repeats must be >= 1 (got {args.repeats})", EXIT_INPUT_ERROR)
+        raise ValueError(f"--repeats must be >= 1 (got {args.repeats})")
     config = load_config(args.config)
     digest = config_digest(config)
-    try:
-        report = analytic.sensitivity(config, repeats=args.repeats)
-    except analytic.UndefinedSensitivityError as exc:
-        return _fail(str(exc), EXIT_UNDEFINED)
-
-    record = {"config_digest": digest, **report.to_dict(), "n_ps": config.n_ps}
-    if figure := _non_finite(record):
-        return _out_of_range(figure)
+    report = analytic.sensitivity(config, repeats=args.repeats)
+    figures = {**report.to_dict(), "n_ps": config.n_ps}
     if args.format == "csv":
         payload = report.csv_header() + "\n" + report.csv_row() + "\n"
     else:
-        record["beats_sql"] = report.delta_phi < report.sql
+        record = {"config_digest": digest, **figures, "beats_sql": report.delta_phi < report.sql}
         payload = json.dumps(record, indent=2) + "\n"
-    if args.out:
-        sweep.write_atomic(args.out, payload)
-        _write_manifest(args.out, "report", digest)
-    sys.stdout.write(payload)
+    _emit(payload, args.out, "report", digest, figures)
     return EXIT_OK
 
 
@@ -137,38 +133,28 @@ def cmd_sweep(args) -> int:
     base = load_config(args.config) if args.config else None
     kind = PRESETS.get(args.preset) if args.preset else args.kind
     if kind is None:
-        return _fail("either --preset or --kind is required", EXIT_INPUT_ERROR)
+        raise ValueError("either --preset or --kind is required")
     spec = _build_spec(kind, base)
     result = sweep.run_sweep(spec)
     out = args.out or "sweep.csv"
-    result.write_csv(out)
-    digest = config_digest(spec.base)
-    _write_manifest(out, f"sweep:{kind}", digest)
-    print(f"wrote {out} ({len(result)} rows)")
+    # undefined rows keep their inf delta_phi and nan qcrb
+    defined = result.defined
+    figures = {"delta_phi": result.delta_phi[defined], "sql": result.sql, "qcrb": result.qcrb[defined]}
+    _emit(result.csv_text(), out, f"sweep:{kind}", config_digest(spec.base), figures,
+          f"wrote {out} ({len(result)} rows)\n")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        records = verify.run_suite(
-            args.suite, seed=args.seed, cutoff=args.cutoff, mutate=args.mutate
-        )
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
-    lines = [json.dumps(r.to_dict()) for r in records]
-    if args.out:
-        sweep.write_atomic(args.out, "\n".join(lines) + "\n")
-        _write_manifest(args.out, f"verify:{args.suite}", "none")
-    failures = [r for r in records if not r.passed]
-    for r in records:
-        status = "pass" if r.passed else "FAIL"
-        print(f"{status}  {r.check}  rel_err={r.rel_err:.3e}  tol={r.tol:.1e}")
+    records = verify.run_suite(args.suite, seed=args.seed, cutoff=args.cutoff, mutate=args.mutate)
+    shown = "".join(f"{'pass' if r.passed else 'FAIL'}  {r.check}  rel_err={r.rel_err:.3e}  "
+                    f"tol={r.tol:.1e}\n" for r in records)
+    _emit("".join(json.dumps(r.to_dict()) + "\n" for r in records), args.out,
+          f"verify:{args.suite}", "none", shown=shown)
+    failures = [r.check for r in records if not r.passed]
     if failures:
-        print(
-            f"{len(failures)} of {len(records)} checks failed: "
-            + ", ".join(r.check for r in failures),
-            file=sys.stderr,
-        )
+        print(f"{len(failures)} of {len(records)} checks failed: " + ", ".join(failures),
+              file=sys.stderr)
         return EXIT_CHECK_FAILED
     print(f"all {len(records)} checks passed")
     return EXIT_OK
@@ -177,7 +163,7 @@ def cmd_verify(args) -> int:
 def cmd_chi3(args) -> int:
     medium = load_medium(args.config)
     if args.delta_phi_n < 0 or not math.isfinite(args.delta_phi_n):
-        return _fail("delta-phi-n must be finite and >= 0", EXIT_INPUT_ERROR)
+        raise ValueError("delta-phi-n must be finite and >= 0")
     record = {"delta_phi_n": args.delta_phi_n}
     # phi_n_per_chi3 is the slope of the forward map phi_n(chi3); its
     # inverse defines the bound
@@ -188,14 +174,9 @@ def cmd_chi3(args) -> int:
         try:
             record[figure] = convert(medium, value)
         except (OverflowError, ZeroDivisionError):
-            return _out_of_range(figure)
-    if figure := _non_finite(record):
-        return _out_of_range(figure)
-    payload = json.dumps(record, indent=2) + "\n"
-    if args.out:
-        sweep.write_atomic(args.out, payload)
-        _write_manifest(args.out, "chi3", "none")
-    sys.stdout.write(payload)
+            # Python-float arithmetic raises where numpy would give inf
+            record[figure] = math.inf
+    _emit(json.dumps(record, indent=2) + "\n", args.out, "chi3", "none", record)
     return EXIT_OK
 
 
@@ -244,14 +225,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place a refusal becomes an exit code."""
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigFileError, InvalidConfigError, sweep.SweepSpecError,
-        OSError, oracle.TruncationError,
-    ) as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    except analytic.UndefinedSensitivityError as exc:
+        error, code = exc, EXIT_UNDEFINED
+    except (ValueError, OSError, oracle.TruncationError) as exc:
+        error, code = exc, EXIT_INPUT_ERROR
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -124,6 +124,15 @@ class DensityOperator:
         return float(np.linalg.eigvalsh(self.matrix())[0])
 
 
+def _refuse_bad_entry(cutoff: int, budget: float) -> None:
+    """The cutoff and budget rule of every state builder: a cutoff that is
+    not an integer >= 2 or a budget outside (0, 1] is a ValueError."""
+    if not isinstance(cutoff, (int, np.integer)) or cutoff < 2:
+        raise ValueError(f"cutoff must be an integer >= 2 (got {cutoff!r})")
+    if not 0.0 < budget <= 1.0:
+        raise ValueError(f"truncation budget must lie in (0, 1] (got {budget!r})")
+
+
 def _refuse_above_cap(cutoff: int, nbytes: int, what: str = "a density operator") -> None:
     gib = nbytes / 2**30
     if gib > _DENSITY_GIB_CAP:
@@ -396,10 +405,10 @@ def quadrature_stats(state, mode: int):
 
 def coherent_product_state(amplitudes, cutoff: int, budget: float = 1e-8) -> FockState:
     """Product of coherent states, one complex amplitude per slot; the
-    state has as many modes as there are slots.  Raises ValueError before
-    allocating a state above _DENSITY_GIB_CAP."""
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2 (got {cutoff})")
+    state has as many modes as there are slots.  Raises ValueError for a
+    cutoff or budget _refuse_bad_entry refuses, and before allocating a
+    state above _DENSITY_GIB_CAP."""
+    _refuse_bad_entry(cutoff, budget)
     n = np.arange(cutoff)
     logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff)))))
     vecs = []
@@ -572,18 +581,16 @@ def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, los
     oracle_qfi: prepare, first squeezer on (a, b), first splitter on (b, c),
     the phase-independent prefix, checked per stage; prepare makes only the
     pump, the drift reference of _squeeze_vacuum.  Before the cache is read
-    it refuses a cutoff that is not an integer >= 2, a budget outside
-    (0, 1] and a pass whose account (_pass_bytes, lossy or not) exceeds
-    _DENSITY_GIB_CAP.  The read-only state is cached on the parameters the
-    prefix reads, in _PREFIXES within the cap less the account: older states
-    go first to make room for this one, and one that does not fit is
-    returned without being kept.  A build that raises keeps nothing."""
-    if not isinstance(cutoff, (int, np.integer)) or cutoff < 2:
-        raise ValueError(f"cutoff must be an integer >= 2 (got {cutoff!r})")
-    if not 0.0 < budget <= 1.0:
-        raise ValueError(f"truncation budget must lie in (0, 1] (got {budget!r})")
+    it refuses a cutoff and budget _refuse_bad_entry refuses and a pass
+    whose account (_pass_bytes, lossy or not) exceeds _DENSITY_GIB_CAP,
+    naming the pass it sized.  The read-only state is cached on the
+    parameters the prefix reads, in _PREFIXES within the cap less the
+    account: older states go first to make room for this one, and one that
+    does not fit is returned without being kept.  A build that raises keeps
+    nothing."""
+    _refuse_bad_entry(cutoff, budget)
     account = _pass_bytes(cutoff, lossy)
-    _refuse_above_cap(cutoff, account, "a run's branch tensors")
+    _refuse_above_cap(cutoff, account, f"a {'lossy' if lossy else 'lossless'} pass")
     nbytes, room = 16 * cutoff**3, _DENSITY_GIB_CAP * 2**30 - account
     key = (config.coherent.amplitude, config.nbs1.gain, config.nbs1.phase,
            config.splitter.transmissivity, cutoff, budget)

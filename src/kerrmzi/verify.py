@@ -419,14 +419,15 @@ def run_suite(name: str, seed: int = 0, cutoff: int = 15, mutate: str | None = N
 
     Raises ValueError for an unknown suite, for a ``mutate`` name that no
     check of the suite carries, and, before any check runs, for an oracle
-    suite whose largest pass exceeds the oracle's memory cap: the loss
-    checks' two-mode density at the cutoff, which apply_loss holds four
-    times over like a lossy simulate pass, or the canonical slope at twice
-    the cutoff.
+    suite at a cutoff the oracle's entry refuses or whose largest pass
+    exceeds the oracle's memory cap: the loss checks' two-mode density at
+    the cutoff, which apply_loss holds four times over like a lossy
+    simulate pass, or the canonical slope at twice the cutoff.
     """
     if name not in ("analytic", "oracle", "all"):
         raise ValueError(f"unknown suite '{name}' (expected analytic, oracle, or all)")
     if name != "analytic":
+        oracle._refuse_bad_entry(cutoff, _BUDGET)
         largest = max(oracle._pass_bytes(cutoff, True), oracle._pass_bytes(2 * cutoff, False))
         oracle._refuse_above_cap(cutoff, largest, "the oracle suite's largest pass")
     records = []

@@ -246,6 +246,20 @@ class TestVerify:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("suite", ["oracle", "all"])
+    def test_cutoff_below_2_exits_2_before_any_check(self, suite, capsys, monkeypatch):
+        # the oracle entry's cutoff rule, applied before the analytic suite
+        # of "all" spends its time
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "run_analytic_suite", no_suite)
+        monkeypatch.setattr(verify, "run_oracle_suite", no_suite)
+        assert main(["verify", "--suite", suite, "--cutoff", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cutoff must be an integer >= 2 (got 1)\n"
+        assert captured.out == ""
+
     def test_unknown_suite_exits_2(self, capsys):
         # argparse would normally catch this; bypass to the handler level
         from kerrmzi import verify as v

@@ -963,7 +963,7 @@ class TestPrefixCache:
         # oracle_qfi is sized like a lossless run: at 100 000 B its state
         # would fit, but no run's four tensors do, so it builds nothing
         monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", 100_000 / 2**30)
-        with pytest.raises(ValueError, match="^a run's branch tensors at cutoff 15 needs"):
+        with pytest.raises(ValueError, match="^a lossless pass at cutoff 15 needs"):
             oracle_qfi(CANON, cutoff=15, budget=1e-8)
         assert (len(builds), len(oracle._PREFIXES)) == (3, 0)
 
@@ -1043,9 +1043,10 @@ class TestMemoryAccount:
             assert _pass_account(pattern, limit, run)[1] <= cap
             cfg, account = _pass_account(pattern, limit + 1, run)
             assert account > cap
+            kind = "lossy" if run is simulate and pattern != "lossless" else "lossless"
             tracemalloc.start()
             try:
-                with pytest.raises(ValueError, match=f"^a run's branch tensors at cutoff {limit + 1} needs"):
+                with pytest.raises(ValueError, match=f"^a {kind} pass at cutoff {limit + 1} needs"):
                     run(cfg, cutoff=limit + 1)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -1477,10 +1478,10 @@ class TestLosslessMemoryCap:
         monkeypatch.setattr(oracle, "_DENSITY_GIB_CAP", self.BELOW_BRANCHES_GIB)
         with pytest.raises(ValueError) as exc:
             run(CANON, cutoff=15)
-        assert str(exc.value).startswith("a run's branch tensors at cutoff 15 needs")
+        assert str(exc.value).startswith("a lossless pass at cutoff 15 needs")
         # the pure state alone would fit, but oracle_qfi enters by the same
         # door and is sized like a lossless pass
-        with pytest.raises(ValueError, match="^a run's branch tensors at cutoff 15 needs"):
+        with pytest.raises(ValueError, match="^a lossless pass at cutoff 15 needs"):
             oracle_qfi(CANON, cutoff=15)
 
 
@@ -1509,6 +1510,21 @@ class TestEntry:
         with pytest.raises(ValueError, match=r"^cutoff must be an integer >= 2"):
             run(CANON, cutoff=cutoff, budget=1e-2)
         assert builds == []
+
+    @pytest.mark.parametrize(
+        "cutoff, budget, match",
+        [(5, math.nan, r"^truncation budget must lie in \(0, 1\]"),
+         (5, 2.0, r"^truncation budget must lie in \(0, 1\]"),
+         (4.0, 1e-2, r"^cutoff must be an integer >= 2"),
+         (1, 1e-2, r"^cutoff must be an integer >= 2")],
+    )
+    def test_state_builders_share_the_entry_rule(self, cutoff, budget, match):
+        # a NaN budget turned the clipped-weight check off, and a float
+        # cutoff reached numpy's TypeError
+        with pytest.raises(ValueError, match=match):
+            coherent_product_state([0.0, 3.0], cutoff, budget)
+        with pytest.raises(ValueError, match=match):
+            prepare_input(_ALPHA3, cutoff, budget)
 
 
 class TestReducedDensity:
