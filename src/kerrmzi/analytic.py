@@ -469,23 +469,27 @@ def sensitivity(config: InterferometerConfig, repeats: int = 1) -> SensitivityRe
     )
 
 
+def _index_scale(medium: KerrMediumSpec):
+    """4 n0^2 eps0 c, the medium's factor in every chi3 conversion, as a
+    numpy float64: under the callers' errstate an overflow is inf and a
+    division by zero inf or nan, as in evaluate, where Python floats raise."""
+    return 4.0 * np.float64(medium.n0) ** 2 * medium.epsilon0 * medium.c
+
+
 def nonlinear_index(medium: KerrMediumSpec, chi3: float) -> float:
     """Intensity-dependent refractive-index coefficient n2 = 3 chi3 /
     (4 n0^2 eps0 c), so that n = n0 + n2 <I>."""
-    return 3.0 * chi3 / (4.0 * medium.n0**2 * medium.epsilon0 * medium.c)
+    with np.errstate(all="ignore"):
+        return float(3.0 * chi3 / _index_scale(medium))
 
 
 def chi3_phase(medium: KerrMediumSpec, chi3: float) -> float:
     """Nonlinear phase produced by a third-order susceptibility:
     phi_n = 3 chi3 <I> k L / (4 n0^2 eps0 c)."""
-    return (
-        3.0
-        * chi3
-        * medium.intensity
-        * medium.wavenumber
-        * medium.length
-        / (4.0 * medium.n0**2 * medium.epsilon0 * medium.c)
-    )
+    with np.errstate(all="ignore"):
+        return float(
+            3.0 * chi3 * medium.intensity * medium.wavenumber * medium.length / _index_scale(medium)
+        )
 
 
 def chi3_uncertainty(medium: KerrMediumSpec, delta_phi_n: float) -> float:
@@ -494,11 +498,8 @@ def chi3_uncertainty(medium: KerrMediumSpec, delta_phi_n: float) -> float:
     4 n0^2 eps0 c / (3 <I> k L) * delta_phi_n."""
     if delta_phi_n < 0:
         raise ValueError(f"delta_phi_n must be >= 0 (got {delta_phi_n})")
-    return (
-        4.0
-        * medium.n0**2
-        * medium.epsilon0
-        * medium.c
-        / (3.0 * medium.intensity * medium.wavenumber * medium.length)
-        * delta_phi_n
-    )
+    with np.errstate(all="ignore"):
+        return float(
+            _index_scale(medium) / (3.0 * medium.intensity * medium.wavenumber * medium.length)
+            * delta_phi_n
+        )

@@ -137,8 +137,11 @@ def cmd_sweep(args) -> int:
     spec = _build_spec(kind, base)
     result = sweep.run_sweep(spec)
     out = args.out or "sweep.csv"
-    # undefined rows keep their inf delta_phi and nan qcrb
+    # undefined rows keep their inf delta_phi and nan qcrb; with no row
+    # defined the sweep is undefined, like a report
     defined = result.defined
+    if not defined.any():
+        raise analytic.UndefinedSensitivityError("undefined sensitivity: zero slope in every row")
     figures = {"delta_phi": result.delta_phi[defined], "sql": result.sql, "qcrb": result.qcrb[defined]}
     _emit(result.csv_text(), out, f"sweep:{kind}", config_digest(spec.base), figures,
           f"wrote {out} ({len(result)} rows)\n")
@@ -164,18 +167,13 @@ def cmd_chi3(args) -> int:
     medium = load_medium(args.config)
     if args.delta_phi_n < 0 or not math.isfinite(args.delta_phi_n):
         raise ValueError("delta-phi-n must be finite and >= 0")
-    record = {"delta_phi_n": args.delta_phi_n}
     # phi_n_per_chi3 is the slope of the forward map phi_n(chi3); its
     # inverse defines the bound
-    for figure, convert, value in (
-        ("delta_chi3", analytic.chi3_uncertainty, args.delta_phi_n),
-        ("phi_n_per_chi3", analytic.chi3_phase, 1.0),
-    ):
-        try:
-            record[figure] = convert(medium, value)
-        except (OverflowError, ZeroDivisionError):
-            # Python-float arithmetic raises where numpy would give inf
-            record[figure] = math.inf
+    record = {
+        "delta_phi_n": args.delta_phi_n,
+        "delta_chi3": analytic.chi3_uncertainty(medium, args.delta_phi_n),
+        "phi_n_per_chi3": analytic.chi3_phase(medium, 1.0),
+    }
     _emit(json.dumps(record, indent=2) + "\n", args.out, "chi3", "none", record)
     return EXIT_OK
 

@@ -24,8 +24,8 @@ within the cap less that account.
 Unitaries exponentiate the generator restricted to the truncated space: a
 strength times a unit generator diagonalized once per gate kind and cutoff,
 the gate Re(v E v^dag) one real matmul on the cached eigenvectors v; the
-first squeezer meets vacuum, so the prefix takes one column of it.  Both
-generators, a^dag b^dag - a b and b^dag c - b c^dag, are real and
+first squeezer meets vacuum, whose image the prefix writes in closed form.
+Both generators, a^dag b^dag - a b and b^dag c - b c^dag, are real and
 antisymmetric, so the squeezer at theta = 0 and the splitter are real
 orthogonal; the squeezer's theta is the diagonal phase D = e^{i theta n_a}
 around its real gate, D S0 D^dag.  A principal submatrix of an
@@ -63,14 +63,14 @@ MODE_A, MODE_B, MODE_C = 0, 1, 2
 _NORM_DRIFT_GUARD = 1e-9
 # Entries per gate cache: simulate builds one squeezer gate (nbs2) and one
 # splitter; a lossless numeric_slope builds the same two, and a lossy one
-# no gate at all, so neither rebuilds a gate simulate built.  The loss
-# superoperators (eta_a, eta_b, eta_det) are rebuilt for every eta from
-# their structure, cached with one entry per cutoff; the internal losses
-# use Kraus operators.  The generator eigenbases take one entry per kind
-# and cutoff, so 4 for a cutoff and its double, and the ladder, quadrature
-# and binomial tables one per cutoff.  The prefix cache
-# (_PREFIXES) holds 2 states, for a cutoff and its double; a warm run
-# applies only the stages after the Kerr stage.
+# none after the prefix, so neither rebuilds a gate simulate built.  The
+# loss superoperators (eta_a, eta_b, eta_det) are rebuilt for every eta
+# from their structure, cached with one entry per cutoff; the internal
+# losses use Kraus operators.  The generator eigenbases take one entry per
+# kind and cutoff, 4 for a cutoff and its double, of which a prefix reads
+# the splitter's alone; the ladder, quadrature and binomial tables take one
+# per cutoff.  The prefix cache (_PREFIXES) holds 2 states, for a cutoff
+# and its double; a warm run applies only the stages after the Kerr stage.
 _CACHE_SIZE = 5
 # Largest density tensor, in GiB, that to_density allocates; also the cap
 # on a pure state coherent_product_state builds, and on what a simulate,
@@ -564,15 +564,13 @@ _PREFIXES: OrderedDict = OrderedDict()
 
 
 def _squeeze_vacuum(pump: FockState, gain: float, theta: float) -> FockState:
-    """The first squeezer on vacuum a and b beside the one-mode pump: vacuum
-    is pair 0 of packed row 0 (n_a = n_b), so psi[n, n, :] = e^{i theta n}
-    s_n pump with s = Re(v0 E v0^dag)[:, 0], O(cutoff^2), no gate stack."""
+    """The first squeezer on vacuum a and b beside the one-mode pump, no gate:
+    the squeezed vacuum psi[n, n, :] = s_n pump, s_n = e^{i theta n} (g/G)^n,
+    g/G = tanh(arccosh G), normalized over n < cutoff; O(cutoff^2)."""
     c, n = pump.cutoff, np.arange(pump.cutoff)
-    w, v, _ = _generator_eigenbasis("squeezer", c)
-    rotated = v[0] * np.exp(-1j * math.acosh(gain) * w[0])
-    column = np.exp(1j * theta * n) * (rotated.view(np.float64) @ v[0, 0].view(np.float64))
+    column = np.exp(1j * theta * n) * math.tanh(math.acosh(gain)) ** n
     amps = np.zeros((c,) * 3, dtype=complex)
-    amps[n, n] = column[:, None] * pump.amplitudes
+    amps[n, n] = (column / np.linalg.norm(column))[:, None] * pump.amplitudes
     return FockState(amplitudes=amps, cutoff=c)
 
 

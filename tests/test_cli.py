@@ -162,6 +162,19 @@ class TestSweep:
         manifest = json.loads((tmp_path / "kind.csv.manifest.json").read_text())
         assert manifest["config_digest"] == digest
 
+    def test_zero_photon_base_exits_3(self, tmp_path, capsys):
+        # N_ps = 0: no row has a slope, and the SQL is truly infinite, so
+        # the sweep is undefined like report on the same file, not a figure
+        # out of range; nothing is written
+        path = tmp_path / "dark.ini"
+        path.write_text("[coherent]\nmagnitude = 0\n")
+        out = tmp_path / "split.csv"
+        assert main(["report", "--config", str(path)]) == 3
+        assert main(["sweep", "--kind", "split", "--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.endswith("error: undefined sensitivity: zero slope in every row\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == [path]
+
     def test_missing_kind_and_preset_exits_2(self, capsys):
         assert main(["sweep"]) == 2
 

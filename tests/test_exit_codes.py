@@ -1,7 +1,8 @@
 """The exit-code contract of the command line as a property.
 
 Whatever config text and arguments it is given, ``cli.main`` exits 0, 2
-or 3 (verify's 1 means "checks failed", and no draw here runs a check).
+or 3 (verify's 1 means "checks failed": the drawn analytic suites pass,
+and no draw mutates a check that exists).
 It raises no traceback and no warning, prints finite JSON figures only,
 writes a sweep only when every SQL cell and every delta_phi and qcrb cell
 of a defined row is finite and positive, and writes no file when it
@@ -93,9 +94,15 @@ ARGV = st.one_of(
           _one_of((), *(("--kind", k) for k in _SWEEP_KINDS), *(("--preset", p) for p in PRESETS))),
     _argv(_one_of(("chi3", "--config", CONFIG, "--delta-phi-n")),
           st.sampled_from(VALUES).map(lambda v: [v]), _OUT),
-    # only argv refused before any check runs: a cutoff below 2 or above 64
+    # the oracle only on argv refused before any check runs: a cutoff below
+    # 2 or above 64
     _argv(_one_of(("verify",)), _one_of(("--suite", "oracle"), ("--suite", "all")),
           _one_of(("--cutoff", "1"), ("--cutoff", "65"), ("--cutoff", "300")), _OUT),
+    # the analytic suite at any seed, passing, or refused for a mutation
+    # that names no check
+    _argv(_one_of(("verify", "--suite", "analytic", "--seed")),
+          st.integers(0, 2**32 - 1).map(lambda seed: [str(seed)]),
+          _one_of((), ("--mutate", "bogus")), _OUT),
 )
 
 
@@ -134,6 +141,8 @@ MAGNITUDE_1E104 = b"[coherent]\nmagnitude = 1e104\n[nbs1]\ngain = 2.236067977499
 BALANCED = b"[nbs1]\ngain = 2\n[nbs2]\ngain = 2\nphase = 3.141592653589793\n[coherent]\nmagnitude = 10\n"
 REPORT = ["report", "--config", CONFIG]
 SPLIT = ["sweep", "--config", CONFIG, "--out", OUT, "--kind", "split"]
+MEDIUM_FILE = b"[medium]\nn0 = 1.45\nintensity = 1e12\nwavenumber = 7.85e6\nlength = 0.01\n"
+CHI3 = ["chi3", "--config", CONFIG, "--out", OUT, "--delta-phi-n"]
 
 
 @settings(max_examples=150)
@@ -148,6 +157,14 @@ SPLIT = ["sweep", "--config", CONFIG, "--out", OUT, "--kind", "split"]
 # 49 defined rows with delta_phi = sql = qcrb = 0, then with delta_phi nan
 @example(ini=b"[coherent]\nmagnitude = 1e154\n[nbs2]\ngain = 2\n", template=SPLIT)
 @example(ini=b"[coherent]\nmagnitude = 10\n[nbs1]\ngain = 1e200\n[nbs2]\ngain = 2\n", template=SPLIT)
+# no photon: no row defined and an infinite SQL, so undefined, not out of
+# range
+@example(ini=b"[coherent]\nmagnitude = 0\n", template=SPLIT)
+# a valid medium, so that chi3 succeeds, at phase uncertainties from 0 to 10
+@example(ini=MEDIUM_FILE, template=CHI3 + ["0"])
+@example(ini=MEDIUM_FILE, template=CHI3 + ["1e-300"])
+@example(ini=MEDIUM_FILE, template=CHI3 + ["1e-6"])
+@example(ini=MEDIUM_FILE, template=CHI3 + ["10"])
 def test_every_input_exits_0_2_or_3(ini, template):
     with tempfile.TemporaryDirectory() as tmp:
         config, outdir = Path(tmp) / "config.ini", Path(tmp) / "out"
@@ -163,6 +180,10 @@ def test_every_input_exits_0_2_or_3(ini, template):
             assert stdout == "" and list(outdir.iterdir()) == [], (code, stdout)
         elif argv[0] == "sweep":
             _check_sweep(out)
+        elif argv[0] == "verify":
+            assert stdout.endswith(" checks passed\n"), stdout
+            for line in out.read_text().splitlines() if out.exists() else ():
+                _finite_json(line)
         elif argv[0] == "chi3" or "csv" not in argv:
             _finite_json(stdout)
         else:

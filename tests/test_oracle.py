@@ -39,8 +39,8 @@ CANON = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25)
 # weight on the top Fock level of one splitter output.
 _BS1_TRIP = build_config(alpha=0.8, g1=0.5, g2=0.0, transmissivity=0.25)
 _BS2_TRIP = build_config(alpha=0.8, g1=0.5, g2=0.0, transmissivity=0.1, phi_l=3.14)
-# At cutoff 10 and budget 1e-6 the first squeezer alone parks 2.28e-3 on
-# the top Fock level of modes a and b.
+# At cutoff 10 and budget 1e-6 the first squeezer alone parks 9.78e-4 on
+# the top Fock level of modes a and b, the squeezed vacuum's weight there.
 _NBS1_TRIP = build_config(alpha=0.5, g1=1.0, g2=0.0, transmissivity=0.25)
 # At cutoff 15 and budget 1e-6 the uncancelled readout squeezer parks
 # 2.5e-5 on the top level at nbs2.
@@ -1062,13 +1062,32 @@ class TestMemoryAccount:
         assert oracle._pass_bytes(65, True) > 2**30
 
 
+_VACUUM_SQUEEZED = build_config(alpha=0.8, theta_alpha=0.7, g1=0.25, theta1=1.1, transmissivity=0.3)
+
+
 class TestVacuumSqueezer:
     # slots a and b enter the first squeezer in vacuum, so the prefix builds
-    # its output from one column of the gate; the full gate applied to the
-    # three-mode input is the reference
-    @pytest.mark.parametrize("cutoff", [7, 8, 15, 30])
+    # its output from the closed form of the two-mode squeezed vacuum; the
+    # full gate applied to the three-mode input is the reference
+    @pytest.mark.parametrize("cutoff", [6, 7, 8, 15])
+    def test_vacuum_matches_wide_gate(self, cutoff):
+        # the gate at three times the cutoff, restricted to the box and
+        # renormalized (measured <= 2.3e-16); the gate at the cutoff itself
+        # parks extra weight on its top levels (7.6e-6 at cutoff 7)
+        cfg = _VACUUM_SQUEEZED
+        wide = apply_two_mode_squeezer(
+            prepare_input(cfg, 3 * cutoff, 1e-2), cfg.nbs1.gain, cfg.nbs1.phase, MODE_A, MODE_B
+        )
+        ref = wide.amplitudes[:cutoff, :cutoff, :cutoff]
+        pump = coherent_product_state([cfg.coherent.amplitude], cutoff, 1e-2)
+        squeezed = oracle._squeeze_vacuum(pump, cfg.nbs1.gain, cfg.nbs1.phase)
+        assert np.max(np.abs(squeezed.amplitudes - ref / np.linalg.norm(ref))) <= 1e-15
+
+    @pytest.mark.parametrize("cutoff", [30])
     def test_prefix_matches_full_gate(self, cutoff):
-        cfg = build_config(alpha=0.8, theta_alpha=0.7, g1=0.25, theta1=1.1, transmissivity=0.3)
+        # at cutoff 30 the gate path, prepare_input and the two gates, holds
+        # no weight near its top levels and meets the entry's prefix
+        cfg = _VACUUM_SQUEEZED
         ref = apply_two_mode_squeezer(
             prepare_input(cfg, cutoff, 1e-2), cfg.nbs1.gain, cfg.nbs1.phase, MODE_A, MODE_B
         )
@@ -1085,24 +1104,45 @@ class TestVacuumSqueezer:
         with pytest.raises(TruncationError) as exc:
             simulate(_NBS1_TRIP, cutoff=10, budget=1e-6)
         assert str(exc.value) == (
-            "nbs1: top-Fock-level occupancy 2.282e-03 exceeds truncation "
+            "nbs1: top-Fock-level occupancy 9.775e-04 exceeds truncation "
             "budget 1.000e-06; increase the cutoff"
         )
 
     def test_norm_drift_is_checked(self, monkeypatch):
-        # squeezer eigenvectors scaled by 1 + 1e-7 scale the state's norm
-        # by about 1 + 4e-7, far above the drift guard and far below the
-        # top-level budget
+        # squeezer eigenvectors scaled by 1 + 1e-7 scale the readout
+        # squeezer's output norm by about 1 + 4e-7, far above the drift
+        # guard and far below the top-level budget; the corrupt gates are
+        # dropped from the caches when the test ends
         basis = oracle._generator_eigenbasis
 
         def scaled(kind, cutoff):
             w, v, pairs = basis(kind, cutoff)
             return w, v * (1 + 1e-7) if kind == "squeezer" else v, pairs
 
+        gates = (oracle._squeezer_unitary, oracle._beam_splitter_unitary)
         monkeypatch.setattr(oracle, "_generator_eigenbasis", scaled)
-        oracle._PREFIXES.clear()
-        with pytest.raises(TruncationError, match=r"^nbs1: norm/trace drifted by 4\.\d+e-07$"):
-            simulate(CANON, cutoff=12, budget=1e-6)
+        for cache in gates:
+            cache.cache_clear()
+        try:
+            with pytest.raises(TruncationError, match=r"^nbs2: norm/trace drifted by 4\.\d+e-07$"):
+                simulate(CANON, cutoff=12, budget=1e-6)
+        finally:
+            for cache in gates:
+                cache.cache_clear()
+
+    def test_prefix_builds_no_squeezer_eigenbasis(self, monkeypatch):
+        # the vacuum squeezer reads no eigenbasis, so a cold lossy slope and
+        # a cold QFI diagonalize the splitter generator (bs1) alone: one
+        # eigendecomposition each
+        basis = oracle._generator_eigenbasis
+        kinds = _calls(monkeypatch, "_generator_eigenbasis")
+        for run, cfg in ((numeric_slope, _LOSSY_PHI), (oracle_qfi, CANON)):
+            for cache in (basis, *_CACHES):
+                cache.cache_clear()
+            oracle._PREFIXES.clear()
+            run(cfg, cutoff=9, budget=1e-2)
+            assert basis.cache_info().misses == 1
+        assert {args[0] for args in kinds} == {"splitter"}
 
 
 _LOSSY_PHI = build_config(
@@ -1112,11 +1152,9 @@ _LOSSY_PHI = build_config(
 
 
 def _kerr_tangent(cfg, cutoff, budget):
-    """The Kerr output psi and its phi_n-tangent dpsi = i n_b^2 psi."""
-    state = prepare_input(cfg, cutoff, budget)
-    state = apply_two_mode_squeezer(state, cfg.nbs1.gain, cfg.nbs1.phase, MODE_A, MODE_B)
-    state = apply_beam_splitter(state, cfg.splitter.transmissivity, MODE_B, MODE_C)
-    psi = apply_kerr(state, cfg.phase.linear, cfg.phase.nonlinear, MODE_B).amplitudes
+    """The Kerr output psi of the pass's own prefix and its phi_n-tangent
+    dpsi = i n_b^2 psi."""
+    psi = _kerr_output(cfg, cutoff, budget).amplitudes
     return psi, 1j * (np.arange(cutoff) ** 2)[None, :, None] * psi
 
 
