@@ -131,9 +131,7 @@ def cmd_report(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = load_config(args.config) if args.config else None
-    kind = PRESETS.get(args.preset) if args.preset else args.kind
-    if kind is None:
-        raise ValueError("either --preset or --kind is required")
+    kind = PRESETS[args.preset] if args.preset else args.kind
     spec = _build_spec(kind, base)
     result = sweep.run_sweep(spec)
     out = args.out or "sweep.csv"
@@ -196,8 +194,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("sweep", help="grid sweep to CSV")
-    p.add_argument("--kind", choices=tuple(_SWEEP_KINDS))
-    p.add_argument("--preset", choices=tuple(PRESETS))
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--kind", choices=tuple(_SWEEP_KINDS))
+    grid.add_argument("--preset", choices=tuple(PRESETS))
     p.add_argument("--config", help="override the preset base configuration")
     p.add_argument("--out", help="output CSV path (default sweep.csv)")
     p.set_defaults(func=cmd_sweep)

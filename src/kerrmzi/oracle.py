@@ -16,10 +16,11 @@ with n_b^2.  Lossless, the state then runs simulate's tail for the mean
 and variance; lossy, those are read at the Kerr stage too.  Nothing
 before the Kerr stage depends on the phases, so that prefix is built once
 per (alpha, G1, theta1, T, cutoff, budget) and shared, read only, by
-simulate, numeric_slope and oracle_qfi.  They enter the pass by one door,
-_entering_kerr, which checks the cutoff and budget, sizes the pass by one
-account (_pass_bytes) before it is run, and keeps the cached prefixes
-within the cap less that account.
+simulate, numeric_slope and oracle_qfi; at the operating point phi = 0
+the Kerr stage is the identity, and a pass reads the prefix itself.  They
+enter the pass by one door, _entering_kerr, which checks the cutoff and
+budget, sizes the pass by one account (_pass_bytes) before it is run, and
+keeps the cached prefixes within the cap less that account.
 
 Unitaries exponentiate the generator restricted to the truncated space: a
 strength times a unit generator diagonalized once per gate kind and cutoff,
@@ -32,8 +33,10 @@ around its real gate, D S0 D^dag.  A principal submatrix of an
 antisymmetric generator is again antisymmetric, so these gates are exactly
 unitary and truncation shows up as population parked near the cutoff, not
 as norm loss; the top Fock level's occupancy is the leakage monitor, with
-a norm/trace drift guard for numerical accidents.  A pure state reads
-both, and its mode populations, from its amplitudes, without |psi|^2.
+a guard for numerical accidents: the norm or trace of each checked
+stage's output, read once, must lie within 1e-9 of 1, and NaN fails.  A
+pure state reads both, and its mode populations, from its amplitudes,
+without |psi|^2.
 
 Each two-mode gate and the loss channel conserve a label (n_a - n_b,
 n_b + n_c, n_ket - n_bra), so they are stored cyclically packed: a real
@@ -49,6 +52,7 @@ per cutoff, and a new eta costs one gather and multiply.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -131,6 +135,14 @@ def _refuse_bad_entry(cutoff: int, budget: float) -> None:
         raise ValueError(f"cutoff must be an integer >= 2 (got {cutoff!r})")
     if not 0.0 < budget <= 1.0:
         raise ValueError(f"truncation budget must lie in (0, 1] (got {budget!r})")
+
+
+def _refuse_non_finite(what: str, *values) -> None:
+    """A NaN or infinite parameter is a ValueError, raised before any
+    arithmetic reads it: a NaN passes every range check written as a
+    comparison, and a gate built from it would stay in its cache."""
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"{what} must be finite (got {', '.join(map(repr, values))})")
 
 
 def _refuse_above_cap(cutoff: int, nbytes: int, what: str = "a density operator") -> None:
@@ -406,9 +418,10 @@ def quadrature_stats(state, mode: int):
 def coherent_product_state(amplitudes, cutoff: int, budget: float = 1e-8) -> FockState:
     """Product of coherent states, one complex amplitude per slot; the
     state has as many modes as there are slots.  Raises ValueError for a
-    cutoff or budget _refuse_bad_entry refuses, and before allocating a
-    state above _DENSITY_GIB_CAP."""
+    cutoff or budget _refuse_bad_entry refuses, for a non-finite amplitude,
+    and before allocating a state above _DENSITY_GIB_CAP."""
     _refuse_bad_entry(cutoff, budget)
+    _refuse_non_finite("coherent amplitudes", *amplitudes)
     n = np.arange(cutoff)
     logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff)))))
     vecs = []
@@ -444,6 +457,7 @@ def prepare_input(
 def apply_two_mode_squeezer(state, gain: float, theta: float, mode_i: int, mode_j: int):
     """Two-mode squeezer sending a -> G a + g e^{i theta} bdag on the pair
     (mode_i, mode_j)."""
+    _refuse_non_finite("squeezer gain and phase", gain, theta)
     if gain < 1.0:
         raise ValueError(f"squeezer gain must be >= 1 (got {gain})")
     u = _squeezer_unitary(gain, theta, state.cutoff)
@@ -461,11 +475,16 @@ def apply_beam_splitter(state, transmissivity: float, mode_i: int, mode_j: int):
 
 def apply_kerr(state: FockState, phi_l: float, phi_n: float, mode: int) -> FockState:
     """Diagonal phase e^{i(phi_l n + phi_n n^2)} on one mode of a pure state
-    or branch stack, of any mode count; exactly norm preserving.  The
-    pipeline's Kerr stage always meets a pure state, so a density is
-    refused."""
+    or branch stack, of any mode count; exactly norm preserving.  At
+    phi_l = phi_n = 0, the operating point, it is the identity and returns
+    its input, so a pass hands the cached read-only prefix straight to the
+    next stage.  The pipeline's Kerr stage always meets a pure state, so a
+    density is refused, and so is a non-finite phase."""
     if not isinstance(state, FockState):
         raise TypeError("apply_kerr acts on a pure FockState; the Kerr stage meets no density")
+    _refuse_non_finite("Kerr phases", phi_l, phi_n)
+    if phi_l == 0.0 and phi_n == 0.0:
+        return state
     c = state.cutoff
     n = np.arange(c)
     phases = np.exp(1j * (phi_l * n + phi_n * n.astype(float) ** 2))
@@ -522,17 +541,20 @@ def _top_weights(state) -> list:
 
 def _checked_stage(state, stage: str, budget: float, apply, *args):
     """apply(state, *args), a unitary stage, followed by the truncation
-    check of the state it returns: the norm or trace must not drift across
-    it, and no mode may hold more than the budget on its top Fock level
-    after it.  The caller rebinds its one reference to the result, so each
-    old tensor is freed before the next stage builds another."""
-    before = _norm(state)
+    check of the state it returns, read once: its norm or trace must lie
+    within _NORM_DRIFT_GUARD of 1, and no mode may hold more than the
+    budget on its top Fock level.  Every state a pass hands it has norm 1:
+    the prefix is normalized, the gates are exactly unitary, the Kraus
+    branches complete and the losses trace preserving on the box.  Both
+    comparisons fail on NaN, so a NaN made inside a pass raises.  The
+    caller rebinds its one reference to the result, so each old tensor is
+    freed before the next stage builds another."""
     state = apply(state, *args)
-    drift = abs(_norm(state) - before)
-    if drift > _NORM_DRIFT_GUARD:
+    drift = abs(_norm(state) - 1.0)
+    if not drift <= _NORM_DRIFT_GUARD:
         raise TruncationError(f"{stage}: norm/trace drifted by {drift:.3e}")
     worst = max(_top_weights(state))
-    if worst > budget:
+    if not worst <= budget:
         raise TruncationError(
             f"{stage}: top-Fock-level occupancy {worst:.3e} exceeds "
             f"truncation budget {budget:.3e}; increase the cutoff"
@@ -578,7 +600,7 @@ def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, los
     """The one way into the Fock pass of simulate, numeric_slope and
     oracle_qfi: prepare, first squeezer on (a, b), first splitter on (b, c),
     the phase-independent prefix, checked per stage; prepare makes only the
-    pump, the drift reference of _squeeze_vacuum.  Before the cache is read
+    pump, which _squeeze_vacuum reads.  Before the cache is read
     it refuses a cutoff and budget _refuse_bad_entry refuses and a pass
     whose account (_pass_bytes, lossy or not) exceeds _DENSITY_GIB_CAP,
     naming the pass it sized.  The read-only state is cached on the
@@ -666,8 +688,9 @@ def simulate(config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-
     above _DENSITY_GIB_CAP raise ValueError before they are allocated.
 
     Raises TruncationError naming the stage (prepare, nbs1, bs1, bs2 or nbs2)
-    whose top-level occupancy exceeds the budget; from nbs2 on, mode c
-    keeps the occupancy bs2 checked.
+    whose top-level occupancy exceeds the budget, or whose norm or trace
+    drifts from 1 or is NaN; from nbs2 on, mode c keeps the occupancy bs2
+    checked.
     """
     return _readout_pair(config, cutoff, budget)[0]
 

@@ -176,7 +176,21 @@ class TestSweep:
         assert captured.out == "" and list(tmp_path.iterdir()) == [path]
 
     def test_missing_kind_and_preset_exits_2(self, capsys):
-        assert main(["sweep"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep"])
+        assert exc.value.code == 2
+        assert "one of the arguments --kind --preset is required" in capsys.readouterr().err
+
+    def test_kind_and_preset_together_exit_2(self, tmp_path, capsys):
+        # a preset names its kind, so a second kind is refused by argparse
+        # before any sweep runs, and nothing is written
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig2", "--kind", "split", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --kind: not allowed with argument --preset" in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

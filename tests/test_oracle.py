@@ -132,6 +132,13 @@ class TestPreparation:
         state = coherent_product_state([0.0, 0.0, 0.5j], cutoff=12)
         assert mean_amplitude(state, MODE_C) == pytest.approx(0.5j, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, math.nan)])
+    def test_non_finite_amplitude_refused(self, alpha):
+        # a NaN clipped weight passed the budget check, and the state came
+        # back with a NaN norm and a numpy division warning
+        with pytest.raises(ValueError, match="^coherent amplitudes must be finite"):
+            coherent_product_state([0.0, alpha], cutoff=10)
+
 
 class TestTwoModeSqueezer:
     def test_unit_gain_is_identity(self):
@@ -158,8 +165,20 @@ class TestTwoModeSqueezer:
         assert mean_amplitude(out, MODE_B) == pytest.approx(expect_b, abs=1e-6)
 
     def test_gain_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^squeezer gain must be >= 1 \(got 0.9\)$"):
             apply_two_mode_squeezer(vacuum(), 0.9, 0.0, MODE_A, MODE_B)
+
+    @pytest.mark.parametrize(
+        "gain, theta", [(math.nan, 0.0), (math.inf, 0.0), (1.5, math.nan)],
+        ids=["nan-gain", "inf-gain", "nan-phase"],
+    )
+    def test_non_finite_gain_or_phase_refused_uncached(self, gain, theta):
+        # a NaN gain passed the gain >= 1 check and left a NaN gate in the
+        # cache
+        oracle._squeezer_unitary.cache_clear()
+        with pytest.raises(ValueError, match="^squeezer gain and phase must be finite"):
+            apply_two_mode_squeezer(vacuum(), gain, theta, MODE_A, MODE_B)
+        assert oracle._squeezer_unitary.cache_info().currsize == 0
 
 
 class TestBeamSplitter:
@@ -214,6 +233,19 @@ class TestKerr:
         state = coherent_product_state([0.0, 0.4, 0.0], cutoff=10)
         out = apply_kerr(state, 0.0, 0.0, MODE_B)
         assert np.array_equal(out.amplitudes, state.amplitudes)
+
+    @pytest.mark.parametrize("shape", [(7, 7, 7), (7, 7, 7, 5)], ids=["pure", "branch-stack"])
+    def test_zero_phase_returns_its_input(self, shape):
+        # at the operating point the Kerr stage copies nothing
+        amps = np.ones(shape, dtype=complex)
+        amps.flags.writeable = False
+        state = FockState(amps, 7)
+        assert apply_kerr(state, 0.0, 0.0, MODE_B) is state
+
+    @pytest.mark.parametrize("phi_l, phi_n", [(math.nan, 0.0), (0.0, math.inf), (0.1, math.nan)])
+    def test_non_finite_phase_refused(self, phi_l, phi_n):
+        with pytest.raises(ValueError, match="^Kerr phases must be finite"):
+            apply_kerr(vacuum(8), phi_l, phi_n, MODE_B)
 
     def test_single_photon_phase(self):
         state = vacuum(8)
@@ -776,10 +808,8 @@ class TestGateCaches:
         assert built() == [1, 1, 1, 3, 1]
 
 
-_FIVE_LOSS_ARGS = dict(
-    alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25,
-    eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.5,
-)
+_FIVE_LOSS_ETAS = dict(eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.5)
+_FIVE_LOSS_ARGS = dict(alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25, **_FIVE_LOSS_ETAS)
 _FIVE_LOSSES = build_config(**_FIVE_LOSS_ARGS)
 
 
@@ -819,6 +849,14 @@ class TestSlopeWorkCount:
         assert all(size < cutoff**6 for size in sizes)
         assert densities == []
         assert len(splitters) == len(squeezers) == (1 if limit else 0)
+
+    def test_one_norm_read_per_checked_stage(self, monkeypatch):
+        # a warm lossless slope checks bs2 and nbs2, and each check reads
+        # the norm of the state it returns, not that of its input as well
+        numeric_slope(CANON, cutoff=12, budget=1e-6)
+        reads = _calls(monkeypatch, "_norm")
+        numeric_slope(CANON, cutoff=12, budget=1e-6)
+        assert len(reads) == 2
 
 
 def _outputs(cfg, cutoff, budget, cold):
@@ -890,6 +928,38 @@ class TestPrefixCache:
         simulate(_FIVE_LOSSES, cutoff=6, budget=1e-2)
         simulate(build_config(**args), **run)
         assert len(builds) == (1 if hit else 2)
+
+    @pytest.mark.parametrize("cutoff", [8, 12, 20])
+    @pytest.mark.parametrize(
+        "cfg", [CANON, _with_losses(CANON, **_FIVE_LOSS_ETAS), _with_losses(CANON, eta_d=0.8)],
+        ids=["lossless", "five-losses", "one-internal-loss"],
+    )
+    def test_zero_phase_outputs_match_explicit_unit_phases(self, monkeypatch, cfg, cutoff):
+        # at phi = 0 the Kerr stage hands on the cached prefix itself; the
+        # reference multiplies it by the unit phases e^{i 0}, and every
+        # output agrees bit for bit
+        def unit_phase_kerr(state, phi_l, phi_n, mode):
+            n = np.arange(state.cutoff)
+            shape = [1] * state.amplitudes.ndim
+            shape[mode] = state.cutoff
+            phases = np.exp(1j * (phi_l * n + phi_n * n.astype(float) ** 2)).reshape(shape)
+            return FockState(state.amplitudes * phases, state.cutoff, state.modes)
+
+        free = _outputs(cfg, cutoff, 1e-2, cold=False)
+        monkeypatch.setattr(oracle, "apply_kerr", unit_phase_kerr)
+        ref = _outputs(cfg, cutoff, 1e-2, cold=False)
+        assert free[0].tobytes() == ref[0].tobytes()
+        assert np.array(free[1]).tobytes() == np.array(ref[1]).tobytes()
+        assert free[2] == ref[2]
+
+    @pytest.mark.parametrize("cfg", [CANON, _FIVE_LOSSES], ids=["lossless", "five-losses"])
+    def test_passes_leave_the_prefix_untouched(self, cfg):
+        prefix = oracle._entering_kerr(cfg, 12, 1e-2)
+        before = prefix.amplitudes.tobytes()
+        _outputs(cfg, 12, 1e-2, cold=False)
+        assert oracle._entering_kerr(cfg, 12, 1e-2) is prefix
+        assert prefix.amplitudes.tobytes() == before
+        assert not prefix.amplitudes.flags.writeable
 
     def test_cached_amplitudes_refuse_writes(self):
         state = oracle._entering_kerr(CANON, 12, 1e-6)
@@ -1126,6 +1196,31 @@ class TestVacuumSqueezer:
         try:
             with pytest.raises(TruncationError, match=r"^nbs2: norm/trace drifted by 4\.\d+e-07$"):
                 simulate(CANON, cutoff=12, budget=1e-6)
+        finally:
+            for cache in gates:
+                cache.cache_clear()
+
+    def test_nan_inside_a_pass_is_checked(self, monkeypatch):
+        # one NaN entry in the squeezer eigenvectors makes a NaN readout
+        # squeezer; its output's norm is NaN, which the drift guard refuses
+        # where a plain "drift > guard" let the NaN state through
+        basis = oracle._generator_eigenbasis
+
+        def corrupted(kind, cutoff):
+            w, v, pairs = basis(kind, cutoff)
+            if kind == "squeezer":
+                v = v.copy()
+                v[0, 0, 0] = np.nan
+            return w, v, pairs
+
+        gates = (oracle._squeezer_unitary, oracle._beam_splitter_unitary)
+        monkeypatch.setattr(oracle, "_generator_eigenbasis", corrupted)
+        for cache in gates:
+            cache.cache_clear()
+        try:
+            for run in (simulate, numeric_slope):
+                with pytest.raises(TruncationError, match=r"^nbs2: norm/trace drifted by nan$"):
+                    run(CANON, cutoff=12, budget=1e-6)
         finally:
             for cache in gates:
                 cache.cache_clear()
