@@ -67,4 +67,5 @@ from .sweep import (
     find_sql_threshold,
     run_sweep,
     set_parameter,
+    sql_thresholds,
 )

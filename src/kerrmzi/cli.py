@@ -21,6 +21,7 @@ carry no timestamps so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -176,7 +177,10 @@ def cmd_chi3(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="kerrmzi",
         description=(

@@ -430,7 +430,11 @@ def coherent_product_state(amplitudes, cutoff: int, budget: float = 1e-8) -> Foc
             vec = np.zeros(cutoff, dtype=complex)
             vec[0] = 1.0
         else:
-            vec = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(complex(alpha)) - logfact / 2.0)
+            try:
+                n_alpha = abs(alpha) ** 2
+            except OverflowError:  # past the float range: a zero vector, clipped weight 1
+                n_alpha = math.inf
+            vec = np.exp(-n_alpha / 2.0 + n * np.log(complex(alpha)) - logfact / 2.0)
         # the unnormalized vector lacks exactly the weight clipped at the cutoff
         tail = 1.0 - np.vdot(vec, vec).real
         if tail > budget:

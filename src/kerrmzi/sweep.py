@@ -6,12 +6,14 @@ simulator never runs inside a grid.  A sweep is one call of
 row-major grid.  Results are columns, serialized to CSV with 17
 significant digits so byte-identical reruns are guaranteed.  An SQL
 loss threshold is the root of a quadratic in sqrt(eta), fitted to one
-three-point ``analytic.evaluate`` call.
+three-point ``analytic.evaluate`` call; ``sql_thresholds`` fits every
+loss axis of an array config in one call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -244,6 +246,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 THRESHOLD_AXES = tuple(f"loss.eta_{k}" for k in ("a", "b", "c", "d", "det")) + ("eta_ab",)
 _NO_ADVANTAGE = "no crossing: sensitivity does not beat the SQL even without loss"
 _NO_CROSSING = "no crossing: sensitivity stays below the SQL over the whole scan"
+# eta = s^2 at the samples s = 0, 1/2, 1 of the quadratic fit
+_ETA_SAMPLES = np.array([0.0, 0.25, 1.0])
+# _SETS[name][i]: THRESHOLD_AXES[i] sets the loss field ``name``
+_SETS = {
+    name: np.array([
+        axis == f"loss.{name}" or (axis == "eta_ab" and name in ("eta_a", "eta_b"))
+        for axis in THRESHOLD_AXES
+    ])
+    for name in ("eta_a", "eta_b", "eta_c", "eta_d", "eta_det")
+}
 
 
 @dataclass(frozen=True)
@@ -270,32 +282,80 @@ def find_sql_threshold(config: InterferometerConfig, loss_parameter: str) -> Thr
     With s = sqrt(eta), f(s) = noise - SQL^2 slope^2 is a quadratic in s
     on each of ``THRESHOLD_AXES`` (slope^2 is proportional to
     eta_b eta_d eta_det; the noise has only eta and sqrt(eta) terms), so
-    one ``analytic.evaluate`` call at s = 0, 1/2, 1 fixes it.  delta_phi <
-    SQL exactly where f < 0, and eta* is the square of f's largest root in
-    (0, 1).  Other parameters raise SweepSpecError.
+    one ``analytic.evaluate`` call at s = 0, 1/2, 1 on a scalar config
+    fixes it.  delta_phi < SQL exactly where f < 0, and eta* is the square
+    of f's largest root in (0, 1), from the root kernel ``sql_thresholds``
+    shares, so both give the same bits.  Other parameters raise
+    SweepSpecError.
     """
     if loss_parameter not in THRESHOLD_AXES:
         raise SweepSpecError(
             f"no SQL threshold on '{loss_parameter}'; loss axes: {', '.join(THRESHOLD_AXES)}"
         )
     sql = analytic.sql_nonlinear(config.n_ps)
-    s = np.array([0.0, 0.5, 1.0])
-    out = analytic.evaluate(set_parameter(config, loss_parameter, s * s))
+    out = analytic.evaluate(set_parameter(config, loss_parameter, _ETA_SAMPLES))
     f0, fh, f1 = (out.noise - sql * sql * out.slope * out.slope).tolist()
     if f1 >= 0:
         return ThresholdResult(loss_parameter, None, sql, _NO_ADVANTAGE)
+    eta_star = _crossing_eta(f0, fh, f1).item()
+    if math.isnan(eta_star):
+        return ThresholdResult(loss_parameter, None, sql, _NO_CROSSING)
+    return ThresholdResult(loss_parameter, eta_star, sql)
+
+
+def sql_thresholds(config: InterferometerConfig) -> np.ndarray:
+    """eta* on every ``THRESHOLD_AXES`` axis at once, elementwise over a
+    config whose fields may be broadcastable arrays of shape S.
+
+    Returns an array of shape (6,) + S: row i holds the thresholds on
+    ``THRESHOLD_AXES[i]``, nan where ``find_sql_threshold`` finds no
+    crossing, and each found cell has the bits of that scalar call.  The
+    samples of every axis and cell are one ``analytic.evaluate`` call on a
+    (6, 3) + S stack.
+    """
+    walk = _FIELD_WALK[InterferometerConfig]
+    ndim = max(np.ndim(getattr(getattr(config, part), key)) for part, key, _ in walk)
+    samples = _ETA_SAMPLES.reshape((1, 3) + (1,) * ndim)
+    out = analytic.evaluate(on_threshold_axes(config, samples))
+    f0, fh, f1 = np.moveaxis(out.noise - out.sql * out.sql * out.slope * out.slope, 1, 0)
+    return _crossing_eta(f0, fh, f1)
+
+
+def on_threshold_axes(config: InterferometerConfig, values) -> InterferometerConfig:
+    """``config`` with row ``values[i]`` set on ``THRESHOLD_AXES[i]`` as
+    ``set_parameter`` sets it, for all six rows at once."""
+    values = np.asarray(values, dtype=float)
+    rows = (len(THRESHOLD_AXES),) + (1,) * (values.ndim - 1)
+    loss = {
+        name: np.where(_SETS[name].reshape(rows), values, getattr(config.loss, name))
+        for name in _SETS
+    }
+    return dataclasses.replace(config, loss=dataclasses.replace(config.loss, **loss))
+
+
+def _crossing_eta(f0, fh, f1) -> np.ndarray:
+    """The square of the largest root in (0, 1) of the quadratic through
+    (0, f0), (1/2, fh), (1, f1), elementwise; nan where f1 >= 0 or no root
+    lies in (0, 1).
+
+    The roots are q / a and f0 / q with q = -(b + sign(b) sqrt(disc)) / 2,
+    so neither cancels.  The square root and the square are Python float
+    powers, cell by cell: on some libm ``pow`` rounds differently from
+    np.sqrt and x * x, and a threshold keeps the bits of the scalar
+    search's Python arithmetic.
+    """
     # f(s) = f0 + b s + a s^2 through the three samples
     a, b = 2.0 * (f1 + f0) - 4.0 * fh, 4.0 * fh - f1 - 3.0 * f0
-    roots = [r for r in _quadratic_roots(a, b, f0) if 0.0 < r < 1.0]
-    if not roots:
-        return ThresholdResult(loss_parameter, None, sql, _NO_CROSSING)
-    return ThresholdResult(loss_parameter, max(roots) ** 2, sql)
+    with np.errstate(all="ignore"):
+        disc = b * b - 4.0 * a * f0
+        root = _float_pow(np.where(disc >= 0, disc, np.nan), 0.5)
+        q = -0.5 * np.where(b >= 0, b + root, b - root)
+        # a zero denominator gives inf or nan, which the interval drops
+        r1, r2 = (np.where((0.0 < r) & (r < 1.0), r, np.nan) for r in (q / a, f0 / q))
+    s = np.where(f1 >= 0, np.nan, np.fmax(r1, r2))
+    return _float_pow(s, 2)
 
 
-def _quadratic_roots(a: float, b: float, c: float) -> list:
-    """Real roots of a x^2 + b x + c, each computed without cancellation."""
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        return []
-    q = -0.5 * (b + disc**0.5 if b >= 0 else b - disc**0.5)
-    return [num / den for num, den in ((q, a), (c, q)) if den != 0]
+def _float_pow(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p with each cell a Python float; nan stays nan."""
+    return np.asarray(x.astype(object) ** p, dtype=float)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import kerrmzi
-from kerrmzi import oracle, verify
+from kerrmzi import cli, oracle, verify
 from kerrmzi.cli import main
 
 GOOD_CONFIG = """
@@ -408,6 +408,31 @@ class TestChi3:
         path = tmp_path / "medium.ini"
         path.write_text(MEDIUM_CONFIG)
         assert main(["chi3", "--config", str(path), "--delta-phi-n", "-1.0"]) == 2
+
+
+class TestParserReuse:
+    def _run(self, argv, capsys):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_one_parser_over_several_calls(self, config_file, tmp_path, capsys):
+        report = ["report", "--config", str(config_file)]
+        csv = tmp_path / "split.csv"
+        split = ["sweep", "--kind", "split", "--out", str(csv)]
+        cli.make_parser.cache_clear()
+        first = self._run(report, capsys)
+        # argparse refuses both --kind and --preset with exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kind", "split", "--preset", "fig2"])
+        assert exc.value.code == 2
+        second = self._run(split, capsys), csv.read_bytes()
+        assert cli.make_parser.cache_info().misses == 1
+        # the same outputs from a fresh parser
+        cli.make_parser.cache_clear()
+        assert self._run(report, capsys) == first
+        cli.make_parser.cache_clear()
+        csv.unlink()
+        assert (self._run(split, capsys), csv.read_bytes()) == second
 
 
 class TestModuleEntryPoint:

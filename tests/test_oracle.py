@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,10 @@ def _three_mode_reference(cfg, cutoff, budget):
     return np.einsum("abcdec->abde", ref.tensor)
 
 
+def _canon_with_alpha(alpha):
+    return build_config(alpha=alpha, g1=0.3, g2=0.6, transmissivity=0.25)
+
+
 class TestPreparation:
     def test_vacuum_input(self):
         state = prepare_input(build_config(), cutoff=10)
@@ -138,6 +143,20 @@ class TestPreparation:
         # back with a NaN norm and a numpy division warning
         with pytest.raises(ValueError, match="^coherent amplitudes must be finite"):
             coherent_product_state([0.0, alpha], cutoff=10)
+
+    @pytest.mark.parametrize("alpha", [1e155, 1e200])
+    @pytest.mark.parametrize("run", [
+        lambda alpha: coherent_product_state([0.0, alpha], cutoff=10),
+        lambda alpha: simulate(_canon_with_alpha(alpha), cutoff=10),
+        lambda alpha: numeric_slope(_canon_with_alpha(alpha), cutoff=10),
+        lambda alpha: oracle_qfi(_canon_with_alpha(alpha), cutoff=10),
+    ], ids=["coherent_product_state", "simulate", "numeric_slope", "oracle_qfi"])
+    def test_amplitude_whose_square_overflows_is_clipped(self, run, alpha):
+        # |alpha|^2 past the float range raised a bare OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match=r"^prepare: .*clipped weight 1\.000e\+00"):
+                run(alpha)
 
 
 class TestTwoModeSqueezer:

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import math
 import os
@@ -16,10 +17,12 @@ from kerrmzi.sweep import (
     SweepSpec,
     SweepSpecError,
     find_sql_threshold,
+    on_threshold_axes,
     run_sweep,
     set_parameter,
+    sql_thresholds,
 )
-from kerrmzi.verify import _random_paper_config
+from kerrmzi.verify import _random_paper_config, _random_small_config, _stacked
 
 FIG4_BASE = build_config(alpha=10.0, g1=2.0, g2=4.0, transmissivity=0.25)
 
@@ -407,3 +410,116 @@ class TestFindSqlThreshold:
     def test_only_loss_axes_accepted(self, name):
         with pytest.raises(SweepSpecError, match="loss axes: loss.eta_a, .*eta_ab"):
             find_sql_threshold(FIG4_BASE, name)
+
+
+def _quadratic_roots(a: float, b: float, c: float) -> list:
+    """Real roots of a x^2 + b x + c, each computed without cancellation."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0:
+        return []
+    q = -0.5 * (b + disc**0.5 if b >= 0 else b - disc**0.5)
+    return [num / den for num, den in ((q, a), (c, q)) if den != 0]
+
+
+def _reference_threshold(config, name):
+    """(eta*, reason) of the scalar search in Python float arithmetic."""
+    sql = analytic.sql_nonlinear(config.n_ps)
+    s = np.array([0.0, 0.5, 1.0])
+    out = analytic.evaluate(set_parameter(config, name, s * s))
+    f0, fh, f1 = (out.noise - sql * sql * out.slope * out.slope).tolist()
+    if f1 >= 0:
+        return None, sweep._NO_ADVANTAGE
+    a, b = 2.0 * (f1 + f0) - 4.0 * fh, 4.0 * fh - f1 - 3.0 * f0
+    roots = [r for r in _quadratic_roots(a, b, f0) if 0.0 < r < 1.0]
+    if not roots:
+        return None, sweep._NO_CROSSING
+    return max(roots) ** 2, ""
+
+
+def _seeded_configs(seed: int, count: int) -> list:
+    """Paper-scale and desk-scale configs, alternating."""
+    rng = np.random.default_rng(seed)
+    return [(_random_small_config if i % 2 else _random_paper_config)(rng) for i in range(count)]
+
+
+def _bits(eta):
+    return None if eta is None or math.isnan(eta) else float(eta).hex()
+
+
+class TestThresholdReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_search_equals_python_roots(self, seed):
+        reasons = set()
+        for cfg in _seeded_configs(seed, 40):
+            for name in THRESHOLD_AXES:
+                result = find_sql_threshold(cfg, name)
+                eta, reason = _reference_threshold(cfg, name)
+                assert (_bits(result.eta_star), result.reason) == (_bits(eta), reason)
+                assert result.sql == analytic.sql_nonlinear(cfg.n_ps)
+                reasons.add(reason)
+        # a found crossing and both no-crossing reasons
+        assert reasons == {"", sweep._NO_ADVANTAGE, sweep._NO_CROSSING}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_thresholds_equal_scalar_searches(self, seed):
+        configs = _seeded_configs(seed, 60)
+        eta = sql_thresholds(_stacked(configs))
+        assert eta.shape == (len(THRESHOLD_AXES), len(configs))
+        for i, cfg in enumerate(configs):
+            for j, name in enumerate(THRESHOLD_AXES):
+                assert _bits(eta[j, i]) == _bits(find_sql_threshold(cfg, name).eta_star)
+
+    def test_root_kernel_equals_python_roots(self):
+        # random samples around a sign change of f, most with a root in (0, 1)
+        rng = np.random.default_rng(0)
+        f0, fh, f1 = rng.uniform(-1.0, 1.0, (3, 20000)) * np.array([[1.0], [1.0], [3.0]])
+        eta = sweep._crossing_eta(f0, fh, f1)
+        found = 0
+        for i, (x0, xh, x1) in enumerate(zip(f0.tolist(), fh.tolist(), f1.tolist())):
+            a, b = 2.0 * (x1 + x0) - 4.0 * xh, 4.0 * xh - x1 - 3.0 * x0
+            roots = [r for r in _quadratic_roots(a, b, x0) if 0.0 < r < 1.0]
+            want = max(roots) ** 2 if roots and x1 < 0 else None
+            assert _bits(eta[i]) == _bits(want)
+            found += want is not None
+        assert found > 5000
+
+    def test_shapes(self):
+        assert sql_thresholds(FIG4_BASE).shape == (6,)
+        assert [_bits(e) for e in sql_thresholds(FIG4_BASE)] == [
+            _bits(find_sql_threshold(FIG4_BASE, name).eta_star) for name in THRESHOLD_AXES
+        ]
+        # a (2, 3) grid over g2 and alpha
+        grid = set_parameter(FIG4_BASE, "nbs2.gain", np.array([[3.0], [5.0]]))
+        grid = set_parameter(grid, "coherent.magnitude", np.array([6.0, 8.0, 10.0]))
+        eta = sql_thresholds(grid)
+        assert eta.shape == (6, 2, 3)
+        for k, g2 in enumerate((3.0, 5.0)):
+            for m, alpha in enumerate((6.0, 8.0, 10.0)):
+                cell = set_parameter(set_parameter(FIG4_BASE, "nbs2.gain", g2),
+                                     "coherent.magnitude", alpha)
+                assert [_bits(e) for e in eta[:, k, m]] == [
+                    _bits(find_sql_threshold(cell, name).eta_star) for name in THRESHOLD_AXES
+                ]
+
+    def test_no_crossing_cells_are_nan(self):
+        weak = build_config(alpha=10.0, g1=2.0, g2=0.5, transmissivity=0.25)
+        assert np.isnan(sql_thresholds(weak)).all()
+        always = build_config(alpha=0.86, g1=0.3, g2=5.0, transmissivity=0.13)
+        assert np.isnan(sql_thresholds(always)[THRESHOLD_AXES.index("loss.eta_a")])
+
+    def test_on_threshold_axes_sets_each_row_like_set_parameter(self):
+        values = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        stacked = on_threshold_axes(FIG4_BASE, values)
+        for i, name in enumerate(THRESHOLD_AXES):
+            row = set_parameter(FIG4_BASE, name, values[i]).loss
+            assert [getattr(stacked.loss, f.name)[i] for f in dataclasses.fields(row)] == [
+                getattr(row, f.name) for f in dataclasses.fields(row)
+            ]
+
+    def test_one_evaluate_call(self, monkeypatch):
+        calls = []
+        real = analytic.evaluate
+        monkeypatch.setattr(analytic, "evaluate", lambda cfg: calls.append(cfg) or real(cfg))
+        sql_thresholds(_stacked(_seeded_configs(0, 10)))
+        assert len(calls) == 1
+        assert np.broadcast(*(getattr(calls[0].loss, f) for f in sweep._SETS)).shape == (6, 3, 10)

@@ -1,6 +1,9 @@
+import collections
+
+import numpy as np
 import pytest
 
-from kerrmzi import analytic, oracle, verify
+from kerrmzi import analytic, oracle, sweep, verify
 from kerrmzi.config import build_config, config_digest
 
 
@@ -204,3 +207,89 @@ class TestMutationControl:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="no_such_check"):
             verify.run_suite("analytic", mutate="no_such_check")
+
+
+def _reference_crossing(state, count: int):
+    """The sql_threshold_crossing record's (digest, analytic, oracle) as a
+    loop over ``count`` scalar paper-scale configs drawn from a generator
+    in ``state``, with a scalar threshold search and a scalar sensitivity
+    on each loss axis."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    worst = (-1.0, "none", 1.0, 1.0)
+    for _ in range(count):
+        g1 = rng.uniform(1.5, 2.5)
+        cfg = build_config(
+            alpha=rng.uniform(8.0, 12.0), g1=g1, g2=g1 * rng.uniform(1.0, 2.0),
+            transmissivity=rng.uniform(0.2, 0.3),
+        )
+        for name in sweep.THRESHOLD_AXES:
+            th = sweep.find_sql_threshold(cfg, name)
+            if th.found:
+                probe = sweep.set_parameter(cfg, name, th.eta_star)
+                dphi = analytic.sensitivity(probe).delta_phi
+                rel = abs(dphi - th.sql) / max(dphi, th.sql)
+                if rel > worst[0]:
+                    worst = (rel, config_digest(probe), dphi, th.sql)
+    return worst[1:]
+
+
+def _record_bits(rec):
+    return (rec.config_digest, rec.analytic.hex(), rec.oracle.hex(), rec.rel_err.hex(),
+            rec.passed)
+
+
+class TestThresholdCrossing:
+    @pytest.mark.parametrize("draws", [100, 400, 2000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_record_equals_the_scalar_loop(self, monkeypatch, seed, draws):
+        # the generator's state where the family starts drawing
+        states = []
+        real = verify._random_paper_config
+
+        def drawing(rng):
+            states.append(rng.bit_generator.state)
+            return real(rng)
+
+        monkeypatch.setattr(verify, "_random_paper_config", drawing)
+        (rec,) = [r for r in verify.run_analytic_suite(seed=seed, draws=draws)
+                  if r.check == "sql_threshold_crossing"]
+        assert len(states) == max(1, draws // 200)
+        records, record = verify._suite_records(None)
+        record("sql_threshold_crossing", *_reference_crossing(states[0], len(states)), 1e-12)
+        assert rec.config_digest != "none"
+        assert _record_bits(rec) == _record_bits(records[0])
+
+    def test_no_crossing_records_none(self, monkeypatch):
+        monkeypatch.setattr(sweep, "sql_thresholds", lambda cfg: np.full((6, 1), np.nan))
+        rec = verify.run_analytic_suite(seed=0, draws=100)[-1]
+        assert (rec.check, rec.config_digest, rec.analytic, rec.oracle, rec.passed) == (
+            "sql_threshold_crossing", "none", 1.0, 1.0, True)
+
+    @pytest.mark.parametrize("draws", [100, 2000])
+    def test_work_count(self, monkeypatch, draws):
+        # calls made between the record before the family and its own
+        counts = collections.Counter()
+        for owner, name in ((analytic, "evaluate"), (analytic, "sensitivity"),
+                            (sweep, "find_sql_threshold")):
+            def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        seen = {}
+        real = verify._suite_records
+
+        def suite_records(mutate):
+            records, record = real(mutate)
+
+            def marking(check, *args, **kwargs):
+                seen[check] = counts.copy()
+                record(check, *args, **kwargs)
+
+            return records, marking
+
+        monkeypatch.setattr(verify, "_suite_records", suite_records)
+        verify.run_analytic_suite(seed=0, draws=draws)
+        after, before = seen["sql_threshold_crossing"], seen["linear_argmax_half"]
+        assert {k: after[k] - before[k] for k in ("evaluate", "sensitivity", "find_sql_threshold")} \
+            == {"evaluate": 2, "sensitivity": 0, "find_sql_threshold": 0}
