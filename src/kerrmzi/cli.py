@@ -14,8 +14,9 @@ too for ``report`` and ``chi3``) that is not finite, or a zero delta_phi,
 sql or qcrb, is an input error, and nothing is printed or written.  Every
 output file is written atomically (temp file plus ``os.replace``) and
 gets exactly one ``<name>.manifest.json`` companion recording command,
-config digest, tool version, and timestamp; the data files themselves
-carry no timestamps so reruns are byte-identical.
+config digest, tool version, and timestamp.  Both temp files are written
+before either replaces its path, so a refused write leaves neither file;
+the data files themselves carry no timestamps so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ def _out_of_range(figures: dict):
 
 def _emit(text: str, out, command: str, digest: str, figures=None, shown=None) -> None:
     """The one output path of every command: refuse a figure out of
-    floating-point range, write ``text`` atomically to ``out`` (if given)
-    beside its manifest, then print ``shown`` (default ``text``)."""
+    floating-point range, write ``text`` to ``out`` (if given) and its
+    manifest beside it in one ``sweep.write_atomic``, then print ``shown``
+    (default ``text``)."""
     if figure := _out_of_range(figures or {}):
         raise ValueError(f"{figure} is out of floating-point range for this input")
     if out:
-        sweep.write_atomic(out, text)
         manifest = {
             "command": command,
             "config_digest": digest,
@@ -70,7 +71,8 @@ def _emit(text: str, out, command: str, digest: str, figures=None, shown=None) -
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "outputs": [str(out)],
         }
-        sweep.write_atomic(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+        manifest = json.dumps(manifest, indent=2) + "\n"
+        sweep.write_atomic({out: text, out + ".manifest.json": manifest})
     sys.stdout.write(text if shown is None else shown)
 
 

@@ -526,38 +526,28 @@ def _kraus_branches(state: FockState, eta: float, mode: int) -> FockState:
 # --- full pipeline -----------------------------------------------------------
 
 
-def _norm(state) -> float:
-    """Norm of a pure state or branch stack; trace of a density, summed
-    from its diagonal."""
-    return state.norm_sq if isinstance(state, FockState) else _joint_populations(state).sum()
-
-
-def _top_weights(state) -> list:
-    """Weight each mode holds on its top Fock level: for a pure state or
-    branch stack the vdot of each top slice of the amplitudes, with no
-    |psi|^2 tensor; for a density the sums of its diagonal's slices."""
+def _check(state, stage: str, budget: float):
+    """The truncation check of a unitary stage's output, read once: its norm
+    or trace must lie within _NORM_DRIFT_GUARD of 1, and no mode may hold
+    more than the budget on its top Fock level.  A pure state or branch
+    stack is read by vdots of its amplitudes and its top slices, with no
+    |psi|^2 tensor; a density by one read of its diagonal.  Every state a
+    pass hands it has norm 1: the prefix is normalized, the gates are
+    exactly unitary, the Kraus branches complete and the losses trace
+    preserving on the box.  Both comparisons fail on NaN, so a NaN made
+    inside a pass raises.  It returns the state, which the caller rebinds
+    to its one reference, so each old tensor is freed before the next stage
+    builds another."""
     if isinstance(state, FockState):
         tops = (state.amplitudes.take(-1, axis=m) for m in range(state.modes))
-        return [np.vdot(top, top).real for top in tops]
-    joint = _joint_populations(state)
-    return [joint.take(-1, axis=m).sum() for m in range(state.modes)]
-
-
-def _checked_stage(state, stage: str, budget: float, apply, *args):
-    """apply(state, *args), a unitary stage, followed by the truncation
-    check of the state it returns, read once: its norm or trace must lie
-    within _NORM_DRIFT_GUARD of 1, and no mode may hold more than the
-    budget on its top Fock level.  Every state a pass hands it has norm 1:
-    the prefix is normalized, the gates are exactly unitary, the Kraus
-    branches complete and the losses trace preserving on the box.  Both
-    comparisons fail on NaN, so a NaN made inside a pass raises.  The
-    caller rebinds its one reference to the result, so each old tensor is
-    freed before the next stage builds another."""
-    state = apply(state, *args)
-    drift = abs(_norm(state) - 1.0)
+        norm, weights = state.norm_sq, [np.vdot(top, top).real for top in tops]
+    else:
+        joint = _joint_populations(state)
+        norm, weights = joint.sum(), [joint.take(-1, axis=m).sum() for m in range(state.modes)]
+    drift = abs(norm - 1.0)
     if not drift <= _NORM_DRIFT_GUARD:
         raise TruncationError(f"{stage}: norm/trace drifted by {drift:.3e}")
-    worst = max(_top_weights(state))
+    worst = max(weights)
     if not worst <= budget:
         raise TruncationError(
             f"{stage}: top-Fock-level occupancy {worst:.3e} exceeds "
@@ -625,14 +615,10 @@ def _entering_kerr(config: InterferometerConfig, cutoff: int, budget: float, los
     ):
         _PREFIXES.popitem(last=False)
     if state is None:
+        nbs1, t = config.nbs1, config.splitter.transmissivity
         state = coherent_product_state([config.coherent.amplitude], cutoff, budget)
-        state = _checked_stage(
-            state, "nbs1", budget, _squeeze_vacuum, config.nbs1.gain, config.nbs1.phase,
-        )
-        state = _checked_stage(
-            state, "bs1", budget, apply_beam_splitter,
-            config.splitter.transmissivity, MODE_B, MODE_C,
-        )
+        state = _check(_squeeze_vacuum(state, nbs1.gain, nbs1.phase), "nbs1", budget)
+        state = _check(apply_beam_splitter(state, t, MODE_B, MODE_C), "bs1", budget)
         state.amplitudes.flags.writeable = False
     if nbytes <= room:
         _PREFIXES[key] = state
@@ -651,7 +637,7 @@ def _readout_pair(config, cutoff: int, budget: float, u=None):
     branches P (none when eta_c = eta_d), and L_m joins eta_b on b.  Lossy,
     c joins the branch axis of P after bs2: the state becomes
     rho_ab = P P^dag, and the later stages act on it."""
-    loss = config.loss
+    loss, nbs2, t = config.loss, config.nbs2, config.splitter.transmissivity
     lossy = not loss.is_lossless()
     state = _entering_kerr(config, cutoff, budget, lossy)
     state = apply_kerr(state, config.phase.linear, config.phase.nonlinear, MODE_B)
@@ -660,17 +646,13 @@ def _readout_pair(config, cutoff: int, budget: float, u=None):
     if loss.eta_c != loss.eta_d:
         lower = MODE_B if loss.eta_d < loss.eta_c else MODE_C
         state = _kraus_branches(state, min(loss.eta_c, loss.eta_d) / common, lower)
-    state = _checked_stage(
-        state, "bs2", budget, apply_beam_splitter,
-        config.splitter.transmissivity, MODE_B, MODE_C,
-    )
+    state = _check(apply_beam_splitter(state, t, MODE_B, MODE_C), "bs2", budget)
     if lossy:
         state = to_density(FockState(state.amplitudes.reshape(cutoff, cutoff, -1), cutoff, modes=2))
         state = apply_loss(state, loss.eta_a, MODE_A)
         state = apply_loss(state, loss.eta_b * common, MODE_B)
-    state = _checked_stage(
-        state, "nbs2", budget, apply_two_mode_squeezer,
-        config.nbs2.gain, config.nbs2.phase, MODE_A, MODE_B,
+    state = _check(
+        apply_two_mode_squeezer(state, nbs2.gain, nbs2.phase, MODE_A, MODE_B), "nbs2", budget
     )
     if lossy:
         state = apply_loss(state, loss.eta_det, MODE_A)

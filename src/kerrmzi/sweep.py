@@ -178,7 +178,7 @@ class SweepResult:
         return "\n".join([self.csv_header(), *map(",".join, zip(*columns))]) + "\n"
 
     def write_csv(self, path) -> None:
-        write_atomic(path, self.csv_text())
+        write_atomic({path: self.csv_text()})
 
     def column(self, name: str) -> np.ndarray:
         if name in self.axis_names:
@@ -195,18 +195,25 @@ def _format_column(column: np.ndarray) -> list:
     return text[where].tolist()
 
 
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file in the same directory
-    and ``os.replace``, so that ``path`` holds either its old bytes or all
-    of the new ones; a failed write leaves no temp file behind."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def write_atomic(files) -> None:
+    """Write each path's text (``files`` maps path to text) through a temp
+    file in the same directory, and ``os.replace`` the temp files onto
+    their paths, in order, only once all are written.  A temp file that
+    cannot be written, such as one whose name is too long, leaves every
+    path as it was; a failed replace leaves the paths before it new.  No
+    temp file is left behind."""
+    tmps = {}
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            tmps[path] = f"{path}.{os.getpid()}.tmp"
+            with open(tmps[path], "w") as fh:
+                fh.write(text)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except BaseException as exc:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for tmp in tmps.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
         if isinstance(exc, OSError) and exc.errno is not None:
             # name the path asked for, not the temp file beside it
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc

@@ -323,6 +323,27 @@ class TestRunErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    def test_manifest_name_too_long_leaves_no_file(
+        self, command, old, config_file, tmp_path, capsys
+    ):
+        # a 240-character name: the data file's temp name fits in 255
+        # bytes, the manifest's does not, so the write is refused before
+        # either file replaces its path
+        out = tmp_path / ("x" * 236 + ".csv")
+        if old is not None:
+            out.write_bytes(old)
+        argv = {"report": ["report", "--config", str(config_file)],
+                "sweep": ["sweep", "--preset", "fig4a"]}[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith(f"'{out}.manifest.json'")
+        assert sorted(tmp_path.iterdir()) == sorted([config_file] + ([out] if old is not None else []))
+        if old is not None:
+            assert out.read_bytes() == old
+
     @pytest.mark.parametrize("command", ["report", "chi3"])
     def test_undecodable_config_exits_2(self, command, tmp_path, capsys):
         # a UTF-16 file with its byte-order mark ff fe

@@ -871,11 +871,16 @@ class TestSlopeWorkCount:
 
     def test_one_norm_read_per_checked_stage(self, monkeypatch):
         # a warm lossless slope checks bs2 and nbs2, and each check reads
-        # the norm of the state it returns, not that of its input as well
+        # the norm of the stage output it is handed, and of nothing else
         numeric_slope(CANON, cutoff=12, budget=1e-6)
-        reads = _calls(monkeypatch, "_norm")
+        checks = _calls(monkeypatch, "_check")
+        reads = []
+        norm_sq = FockState.norm_sq.fget
+        monkeypatch.setattr(FockState, "norm_sq", property(lambda s: reads.append(s) or norm_sq(s)))
         numeric_slope(CANON, cutoff=12, budget=1e-6)
-        assert len(reads) == 2
+        checked = [args[0] for args in checks]
+        assert len(checked) == 2
+        assert len(reads) == 2 and all(r is c for r, c in zip(reads, checked))
 
 
 def _outputs(cfg, cutoff, budget, cold):
@@ -1072,23 +1077,28 @@ _LOSS_PATTERNS = dict(
 )
 
 
-def _pass_account(pattern: str, cutoff: int, run=simulate):
+def _pass_account(pattern: str, cutoff: int, run=simulate, phi_n=0.0):
     """The config of a loss pattern and the account of its run's pass at
     cutoff."""
     etas, _ = _LOSS_PATTERNS[pattern]
-    cfg = _with_losses(build_config(alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25), **etas)
+    base = build_config(alpha=0.3, g1=0.2, g2=0.4, transmissivity=0.25, phi_n=phi_n)
+    cfg = _with_losses(base, **etas)
     return cfg, oracle._pass_bytes(cutoff, run is simulate and not cfg.loss.is_lossless())
 
 
 class TestMemoryAccount:
     # oracle._pass_bytes(cutoff, lossy) sizes every simulate and
     # numeric_slope pass: the bytes it holds at its peak beside the cached
-    # prefixes
-    @pytest.mark.parametrize("run", [simulate, numeric_slope])
-    @pytest.mark.parametrize("pattern", _LOSS_PATTERNS)
-    def test_warm_peak_within_account(self, run, pattern):
+    # prefixes.  At phi_n = 0 the Kerr stage returns its input; at 0.05 it
+    # makes a copy, which the peak must hold as well
+    @pytest.mark.parametrize("pattern, run, phi_n", [
+        pytest.param(pattern, run, phi_n,
+                     id=f"{pattern}-{run.__name__}" + (f"-phi_n={phi_n}" if phi_n else ""))
+        for phi_n in (0.0, 0.05) for run in (simulate, numeric_slope) for pattern in _LOSS_PATTERNS
+    ])
+    def test_warm_peak_within_account(self, pattern, run, phi_n):
         cutoff = 12
-        cfg, account = _pass_account(pattern, cutoff, run)
+        cfg, account = _pass_account(pattern, cutoff, run, phi_n)
         oracle._PREFIXES.clear()  # no prefix an earlier test left behind
         run(cfg, cutoff=cutoff, budget=1e-2)
         held = sum(state.amplitudes.nbytes for state in oracle._PREFIXES.values())
