@@ -251,60 +251,38 @@ def optimal_transmissivity(n_alpha: float, g1: float) -> float:
     return 1.0 / (1.0 + optimal_split_ratio(n_alpha, g1))
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# bisection steps of the numeric argmax: 40 halvings of [0, 1] leave a
+# bracket of 2**-40 = 9.1e-13
+_ARGMAX_STEPS = 40
 
 
-def golden_section_argmax(f, lo: float, hi: float, xtol: float = 1e-10) -> float:
-    """Abscissa of the maximum of a unimodal f on [lo, hi] by golden-section
-    search, to within xtol.
+def argmax_slope_transmissivity(n_alpha: float, g1: float) -> float:
+    """Numeric argmax over T of the slope profile p(T) = sqrt(T(1-T)) *
+    (1 + 2(1-T) N_a + 4 T g1^2), elementwise -- a regression guard for the
+    closed form; at N_a = g1 = 0 it is the linear-phase slope, peaked at 1/2.
 
-    Elementwise where f returns an array (a family of profiles) or the
-    bounds are arrays: each element keeps its own bracket and stops when
-    that bracket is within xtol, so it ends on the bits a one-element
-    search of it ends on.  A 0-d search returns a float.
+    The T-independent prefactors of the slope do not move the argmax.  p is
+    strictly log-concave on (0, 1), so each of ``_ARGMAX_STEPS`` bisections
+    of [0, 1] keeps the half where p rises, read from the sign of the
+    complex-step derivative Im p(T + 1e-30 i) (Squire and Trapp, SIAM Rev.
+    40, 110 (1998)); solving p' = 0 would give back the printed optimum's
+    quadratic.  Scalars run as one-element arrays, because numpy complex
+    scalars round ``*`` differently from the array loop: a scalar call
+    returns a float with the bits of its cell in an array call.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while (active := hi - lo > xtol).any():
-        # keep [x1, hi] where right, else [lo, x2]; a finished element keeps both
-        right = np.less(f1, f2)
-        lo, hi = np.where(active & right, x1, lo), np.where(active & ~right, x2, hi)
-        x = np.where(right, lo + _INV_GOLDEN * (hi - lo), hi - _INV_GOLDEN * (hi - lo))
-        fx = f(x)
-        x1, f1, x2, f2 = (
-            np.where(right, x2, x),
-            np.where(right, f2, fx),
-            np.where(right, x, x1),
-            np.where(right, fx, f1),
-        )
-    mid = 0.5 * (lo + hi)
-    return mid if np.ndim(mid) else float(mid)
-
-
-def argmax_slope_transmissivity(n_alpha: float, g1: float, xtol: float = 1e-10) -> float:
-    """Numeric argmax over T of the slope profile sqrt(T(1-T)) *
-    (1 + 2(1-T) N_a + 4 T g1^2) -- a regression guard for the closed form.
-
-    The T-independent prefactors of the slope do not move the argmax, so
-    they are dropped.  The profile is strictly log-concave on (0, 1),
-    hence unimodal and safe for golden-section search.
-    """
-
+    scalar = np.ndim(n_alpha) == 0 and np.ndim(g1) == 0
+    n_alpha, g1 = np.atleast_1d(n_alpha, g1)
     g1s = g1 * g1
-
-    def profile(t):
-        return np.sqrt(t * (1.0 - t)) * (1.0 + 2.0 * (1.0 - t) * n_alpha + 4.0 * t * g1s)
-
-    return golden_section_argmax(profile, 0.0, 1.0, xtol)
-
-
-def argmax_linear_slope_transmissivity(xtol: float = 1e-10) -> float:
-    """Numeric argmax over T of the linear-only slope, which is maximal
-    where sqrt(T(1-T)) is, i.e. at T = 1/2: the slope profile at
-    N_a = g1 = 0."""
-    return argmax_slope_transmissivity(0.0, 0.0, xtol)
+    lo = np.zeros(np.broadcast_shapes(n_alpha.shape, g1.shape))
+    hi = np.ones_like(lo)
+    for _ in range(_ARGMAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        t = mid + 1e-30j
+        p = np.sqrt(t * (1.0 - t)) * (1.0 + 2.0 * (1.0 - t) * n_alpha + 4.0 * t * g1s)
+        rising = p.imag > 0
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    mid = 0.5 * (lo + hi)
+    return float(mid[0]) if scalar else mid
 
 
 def qfi_nonlinear(n_alpha: float, n_g: float, splitter: SplitterParams) -> QfiBreakdown:

@@ -13,6 +13,7 @@ loss axis of an array config in one call.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import math
 import os
 from dataclasses import dataclass
@@ -199,15 +200,18 @@ def write_atomic(files) -> None:
     """Write each path's text (``files`` maps path to text) through a temp
     file in the same directory, and ``os.replace`` the temp files onto
     their paths, in order, only once all are written.  A temp file that
-    cannot be written, such as one whose name is too long, leaves every
-    path as it was; a failed replace leaves the paths before it new.  No
-    temp file is left behind."""
+    cannot be written, such as one whose name is too long, or a path that
+    is a directory leaves every path as it was; any other failed replace
+    leaves the paths before it new.  No temp file is left behind."""
     tmps = {}
     try:
         for path, text in files.items():
             tmps[path] = f"{path}.{os.getpid()}.tmp"
             with open(tmps[path], "w") as fh:
                 fh.write(text)
+        for path in tmps:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for path, tmp in tmps.items():
             os.replace(tmp, path)
     except BaseException as exc:
@@ -346,23 +350,16 @@ def _crossing_eta(f0, fh, f1) -> np.ndarray:
     lies in (0, 1).
 
     The roots are q / a and f0 / q with q = -(b + sign(b) sqrt(disc)) / 2,
-    so neither cancels.  The square root and the square are Python float
-    powers, cell by cell: on some libm ``pow`` rounds differently from
-    np.sqrt and x * x, and a threshold keeps the bits of the scalar
-    search's Python arithmetic.
+    so neither cancels.  The square root and the square are np.sqrt and
+    s * s, which are correctly rounded: a libm ``pow`` need not be.
     """
     # f(s) = f0 + b s + a s^2 through the three samples
     a, b = 2.0 * (f1 + f0) - 4.0 * fh, 4.0 * fh - f1 - 3.0 * f0
     with np.errstate(all="ignore"):
         disc = b * b - 4.0 * a * f0
-        root = _float_pow(np.where(disc >= 0, disc, np.nan), 0.5)
+        root = np.sqrt(disc)  # nan where disc < 0
         q = -0.5 * np.where(b >= 0, b + root, b - root)
         # a zero denominator gives inf or nan, which the interval drops
         r1, r2 = (np.where((0.0 < r) & (r < 1.0), r, np.nan) for r in (q / a, f0 / q))
     s = np.where(f1 >= 0, np.nan, np.fmax(r1, r2))
-    return _float_pow(s, 2)
-
-
-def _float_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """x ** p with each cell a Python float; nan stays nan."""
-    return np.asarray(x.astype(object) ** p, dtype=float)
+    return s * s

@@ -204,7 +204,7 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
     t_numeric = analytic.argmax_slope_transmissivity(n_alpha, g1)
     t_formula = analytic.optimal_transmissivity(n_alpha[:-1], g1[:-1])
     record("optimal_split_argmax", "randomized",
-           1.0 + _worst(np.abs(t_formula - t_numeric[:-1])), 1.0, 1e-4)
+           1.0 + _worst(np.abs(t_formula - t_numeric[:-1])), 1.0, 1e-10)
 
     # balanced decomposition: g * (sum of terms) equals the slope
     count = draws // 4
@@ -227,7 +227,7 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
            1.0 + _worst(np.abs(dphi * np.sqrt(eta) / dphi_balance - 1.0)), 1.0, 1e-12)
 
     # the linear-phase slope peaks at T = 1/2
-    record("linear_argmax_half", "none", float(t_numeric[-1]), 0.5, 1e-6)
+    record("linear_argmax_half", "none", float(t_numeric[-1]), 0.5, 1e-10)
 
     # at every SQL loss threshold of paper-scale configs delta_phi = SQL:
     # one threshold pass and one evaluation of the (6, k) crossings

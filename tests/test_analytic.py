@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrmzi import analytic
 from kerrmzi.analytic import (
     UndefinedSensitivityError,
     nonlinear_index,
-    argmax_linear_slope_transmissivity,
     argmax_slope_transmissivity,
     balanced_terms,
     chi3_phase,
@@ -235,7 +233,7 @@ class TestOptimalSplitRatio:
         assert abs(t_formula - t_numeric) < 1e-4
 
     def test_linear_only_optimum_is_half(self):
-        assert argmax_linear_slope_transmissivity() == pytest.approx(0.5, abs=1e-6)
+        assert argmax_slope_transmissivity(0.0, 0.0) == pytest.approx(0.5, abs=1e-6)
 
 
 class TestQfi:
@@ -554,42 +552,9 @@ class TestArrayForms:
         g1 = rng.uniform(0.0, 5.0, self.COUNT)
         got = argmax_slope_transmissivity(n_alpha, g1)
         want = [argmax_slope_transmissivity(a, g) for a, g in zip(n_alpha.tolist(), g1.tolist())]
-        # each cell takes its own scalar steps, so the bits agree, not only xtol
+        # a scalar runs as a one-element array, so the bits agree, not only the bracket
         _assert_same_bits(got, want)
         assert isinstance(want[0], float)
-
-    def test_golden_section_array_bounds(self):
-        peaks = np.array([0.1, 0.35, 0.8])
-        got = analytic.golden_section_argmax(
-            lambda x: -(x - peaks) * (x - peaks), np.zeros(3), np.array([0.5, 1.0, 2.0]), 1e-9
-        )
-        want = [
-            analytic.golden_section_argmax(lambda x, p=p: -(x - p) * (x - p), 0.0, hi, 1e-9)
-            for p, hi in zip(peaks.tolist(), (0.5, 1.0, 2.0))
-        ]
-        _assert_same_bits(got, want)
-        assert np.all(np.abs(got - peaks) <= 1e-9)
-
-    def test_golden_section_zero_d_search_is_one_cell(self):
-        # a 0-d search returns a float with the bits of the same search in a
-        # one-element array, and the linear-phase profile is the slope
-        # profile at N_a = g1 = 0
-        def profile(t):
-            return np.sqrt(t * (1.0 - t))
-
-        for xtol in (1e-9, 1e-10, 1e-13):
-            scalar = analytic.golden_section_argmax(profile, 0.0, 1.0, xtol)
-            array = analytic.golden_section_argmax(profile, np.zeros(1), np.ones(1), xtol)
-            assert type(scalar) is float
-            _assert_same_bits(array, [scalar])
-            linear = analytic.argmax_linear_slope_transmissivity(xtol)
-            assert type(linear) is float
-            zero_pump = analytic.argmax_slope_transmissivity(0.0, 0.0, xtol)
-            _assert_same_bits(np.array([linear]), [zero_pump])
-        skewed = analytic.argmax_slope_transmissivity(3.0, 0.7)
-        family = analytic.argmax_slope_transmissivity(np.array([3.0]), np.array([0.7]))
-        assert type(skewed) is float
-        _assert_same_bits(family, [skewed])
 
     def test_balanced_terms(self):
         rng = np.random.default_rng(11)

@@ -344,6 +344,25 @@ class TestRunErrors:
         if old is not None:
             assert out.read_bytes() == old
 
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new", "existing"])
+    def test_manifest_path_a_directory_leaves_no_file(self, old, tmp_path, capsys):
+        # the data file's replace would succeed and the manifest's fail, so
+        # the directory is refused before either file replaces its path
+        out = tmp_path / "out.csv"
+        manifest = tmp_path / "out.csv.manifest.json"
+        manifest.mkdir()
+        if old is not None:
+            out.write_bytes(old)
+        assert main(["sweep", "--preset", "fig2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.rstrip().endswith(f"'{manifest}'")
+        assert sorted(tmp_path.iterdir()) == sorted([manifest] + ([out] if old is not None else []))
+        assert list(manifest.iterdir()) == []
+        if old is not None:
+            assert out.read_bytes() == old
+
     @pytest.mark.parametrize("command", ["report", "chi3"])
     def test_undecodable_config_exits_2(self, command, tmp_path, capsys):
         # a UTF-16 file with its byte-order mark ff fe

@@ -417,7 +417,7 @@ def _quadratic_roots(a: float, b: float, c: float) -> list:
     disc = b * b - 4.0 * a * c
     if disc < 0:
         return []
-    q = -0.5 * (b + disc**0.5 if b >= 0 else b - disc**0.5)
+    q = -0.5 * (b + math.sqrt(disc) if b >= 0 else b - math.sqrt(disc))
     return [num / den for num, den in ((q, a), (c, q)) if den != 0]
 
 
@@ -433,7 +433,8 @@ def _reference_threshold(config, name):
     roots = [r for r in _quadratic_roots(a, b, f0) if 0.0 < r < 1.0]
     if not roots:
         return None, sweep._NO_CROSSING
-    return max(roots) ** 2, ""
+    r = max(roots)
+    return r * r, ""
 
 
 def _seeded_configs(seed: int, count: int) -> list:
@@ -478,7 +479,7 @@ class TestThresholdReference:
         for i, (x0, xh, x1) in enumerate(zip(f0.tolist(), fh.tolist(), f1.tolist())):
             a, b = 2.0 * (x1 + x0) - 4.0 * xh, 4.0 * xh - x1 - 3.0 * x0
             roots = [r for r in _quadratic_roots(a, b, x0) if 0.0 < r < 1.0]
-            want = max(roots) ** 2 if roots and x1 < 0 else None
+            want = max(roots) * max(roots) if roots and x1 < 0 else None
             assert _bits(eta[i]) == _bits(want)
             found += want is not None
         assert found > 5000

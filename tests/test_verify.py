@@ -76,7 +76,7 @@ class TestAnalyticSuite:
     def test_linear_argmax_is_the_zero_pump_cell(self, analytic_records):
         # read from the cell N_a = g1 = 0 of the optimal-split search
         (rec,) = [r for r in analytic_records if r.check == "linear_argmax_half"]
-        assert rec.analytic.hex() == analytic.argmax_linear_slope_transmissivity().hex()
+        assert rec.analytic.hex() == analytic.argmax_slope_transmissivity(0.0, 0.0).hex()
 
     def test_too_few_draws_rejected(self):
         # the optimal-split family holds draws // 10 random cells
@@ -180,6 +180,27 @@ class TestMutationControl:
         records = verify.run_analytic_suite(seed=1, draws=100, mutate=check)
         failed = {r.check for r in records if not r.passed}
         assert failed == {check}
+
+    # R/T = [c0 N_a + c1 g1^2 + sqrt(c2 N_a^2 + c3 N_a g1^2 + c4 N_a
+    #        + c5 g1^4 + c6 g1^2 + c7)] / (c8 N_a + c9), as printed
+    PRINTED_OPTIMUM = (3.0, -6.0, 9.0, -28.0, 2.0, 36.0, 4.0, 1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("faulted", [None, *range(len(PRINTED_OPTIMUM))])
+    def test_optimal_split_guard_catches_each_coefficient(self, faulted, monkeypatch):
+        # the printed optimum with one coefficient off by 0.1 %; unfaulted, it passes
+        c = [k * (1.0 + 1e-3) if i == faulted else k for i, k in enumerate(self.PRINTED_OPTIMUM)]
+
+        def optimal_transmissivity(n_alpha, g1):
+            g1s = g1 * g1
+            disc = (c[2] * n_alpha * n_alpha + c[3] * n_alpha * g1s + c[4] * n_alpha
+                    + c[5] * g1s * g1s + c[6] * g1s + c[7])
+            ratio = (c[0] * n_alpha + c[1] * g1s + np.sqrt(disc)) / (c[8] * n_alpha + c[9])
+            return 1.0 / (1.0 + ratio)
+
+        monkeypatch.setattr(analytic, "optimal_transmissivity", optimal_transmissivity)
+        records = verify.run_analytic_suite(seed=0)
+        (rec,) = [r for r in records if r.check == "optimal_split_argmax"]
+        assert rec.passed == (faulted is None), rec
 
     @pytest.mark.parametrize(
         "check",
