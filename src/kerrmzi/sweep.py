@@ -3,11 +3,11 @@
 Sweeps evaluate the closed-form sensitivity pipeline only; the Fock
 simulator never runs inside a grid.  A sweep is one call of
 ``analytic.evaluate`` on a grid config, whose swept fields hold the flat
-row-major grid.  Results are columns, serialized to CSV with 17
-significant digits so byte-identical reruns are guaranteed.  An SQL
-loss threshold is the root of a quadratic in sqrt(eta), fitted to one
-three-point ``analytic.evaluate`` call; ``sql_thresholds`` fits every
-loss axis of an array config in one call.
+row-major grid.  Results are columns, serialized to CSV as exact
+'%.17g' text, most cells built in numpy, so byte-identical reruns are
+guaranteed.  An SQL loss threshold is the root of a quadratic in
+sqrt(eta), fitted to one three-point ``analytic.evaluate`` call;
+``sql_thresholds`` fits every loss axis of an array config in one call.
 """
 
 from __future__ import annotations
@@ -188,12 +188,138 @@ class SweepResult:
 
 
 def _format_column(column: np.ndarray) -> list:
-    """Cells of a float column with 17 significant digits.  Each distinct
-    bit pattern is formatted once: axis, sql and qcrb columns repeat."""
-    bits = np.ascontiguousarray(column, dtype=float).view(np.int64)
+    """Cells of a float column, each exactly ``'%.17g' % v``.  A constant
+    column is formatted once; otherwise each distinct bit pattern is, by
+    ``_fixed_17g`` where '%.17g' prints no exponent and by Python for the
+    rest and for columns of few distinct values."""
+    column = np.ascontiguousarray(column, dtype=float)
+    bits = column.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return ["%.17g" % column[0]] * bits.size
     bits, where = np.unique(bits, return_inverse=True)
-    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    values = bits.view(np.float64)
+    text = np.empty(len(values), dtype=object)
+    fixed = (np.abs(values) >= _FIXED_LOW) & (np.abs(values) < _FIXED_HIGH)
+    if np.count_nonzero(fixed) >= _KERNEL_MIN_VALUES:
+        text[fixed] = _fixed_17g(values[fixed])
+    else:
+        fixed[:] = False
+    text[~fixed] = ["%.17g" % v for v in values[~fixed].tolist()]
     return text[where].tolist()
+
+
+# '%.17g' of a double v with 1e-4 <= |v| < 1e16 has no exponent.  It is the
+# 17-digit integer N = round-half-even(|v| 10^(16 - E)), E = floor(log10 |v|),
+# with the point after digit E, or "0." and -E - 1 zeros before the digits
+# when E < 0, and the trailing zeros of the fraction cut.
+_FIXED_LOW, _FIXED_HIGH = 1e-4, 1e16
+# Python formats columns with fewer distinct values in the window: below
+# about 170 values it beats the kernel's fixed cost of some 40 numpy calls.
+_KERNEL_MIN_VALUES = 160
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+
+
+def _split(x):
+    """Veltkamp's split: x = hi + lo exactly, each half with at most 26
+    significant bits, so products of halves are exact."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digits17(a: np.ndarray):
+    """(N, E) for each a in [1e-4, 1e16): N = round-half-even(a 10^(16 - E))
+    as int64, where 10^E <= a < 10^(E + 1).  Exact: a 10^k = p + err is
+    Dekker's error-free product, and p >= 1e16 > 2^53 is an even integer,
+    so N = p + rint(err).  A log10 that misses E by one is caught by the
+    exact range test on p + err and that row is recomputed.  N never
+    carries to 1e17: the largest double below each power of ten in the
+    window scales to at least 8 below it, not within the 0.5 a carry needs."""
+    e = np.floor(np.log10(a)).astype(np.intp)
+    n = np.empty(len(a), np.int64)
+    rows = np.arange(len(a))
+    while rows.size:
+        x, k = a[rows], 16 - e[rows]
+        p = x * _POW10[k]
+        x_hi, x_lo = _split(x)
+        t_hi, t_lo = _POW10_HI[k], _POW10_LO[k]
+        err = ((x_hi * t_hi - p) + x_hi * t_lo + x_lo * t_hi) + x_lo * t_lo
+        low = (p < 1e16) | ((p == 1e16) & (err < 0))  # E too high
+        high = (p > 1e17) | ((p == 1e17) & (err >= 0))  # E too low
+        n[rows] = p.astype(np.int64) + np.rint(err).astype(np.int64)
+        e[rows] += high.astype(np.intp) - low
+        rows = rows[low | high]
+    return n, e
+
+
+_TEXT_WIDTH = 24  # a sign, "0.000" and 17 digits fit in 23 chars
+# Each value's digits are six quads: d0 as "000d0", d1-d4, ..., d13-d16 and
+# the quad 10000, whose chars are ".", "-" and two NULs.  _QUADS[c, q] is
+# char c of quad q, so gathering it by the (6, m) quads gives char c of quad
+# k of value i at row 6 c + k, column i.
+_QUAD_DIGITS = (np.arange(10000, dtype=np.int16) // np.int16([[1000], [100], [10], [1]]) % 10).astype(np.int8)
+_QUADS = np.concatenate([48 + _QUAD_DIGITS, np.int8([[46], [45], [0], [0]])], axis=1).view(np.uint8)
+# _LAST[k, q]: index among d0..d16 of the last nonzero digit when quad k + 1
+# is q (4 (k + 1) less its trailing zeros), and 0 for q = 0 (d0 is never 0)
+_LAST = np.where(
+    _QUAD_DIGITS.any(axis=0),
+    np.int8([[4], [8], [12], [16]]) - np.argmax(_QUAD_DIGITS[::-1] != 0, axis=0).astype(np.int8),
+    np.int8(0),
+)
+
+
+def _char_row(p: int) -> int:
+    """Row of char p of the 24 chars "000", d0..d16, ".-" and two NULs."""
+    return 6 * (p % 4) + p // 4
+
+
+def _layout(e: int, negative: bool) -> np.ndarray:
+    """Char rows of the text of a value with exponent e and the sign."""
+    digits = [_char_row(p) for p in range(3, 20)]
+    zero, point, minus, nul = (_char_row(p) for p in (0, 20, 21, 22))
+    if e >= 0:
+        rows = digits[: e + 1] + [point] + digits[e + 1:]
+    else:
+        rows = [zero, point] + [zero] * (-e - 1) + digits
+    rows = [minus] * negative + rows
+    return np.array(rows + [nul] * (_TEXT_WIDTH - len(rows)))
+
+
+# indexed by 2 (E + 4) + sign, E from -4 to 15
+_LAYOUTS = [_layout(e, negative) for e in range(-4, 16) for negative in (False, True)]
+_TEXT_COLUMNS = np.arange(_TEXT_WIDTH)[:, None]
+
+
+def _fixed_17g(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each value with 1e-4 <= |v| < 1e16, exactly, as
+    a numpy unicode array.  The text is built as a (24, m) char grid:
+    values of one exponent and sign share a layout, and each run of them
+    in ``values`` is one gather, so values sorted by magnitude within each
+    sign (np.unique's bit order) take few runs."""
+    n, e = _digits17(np.abs(values))
+    m = len(values)
+    quads = np.empty((6, m), np.intp)
+    quads[0] = n // 10**16
+    for k in range(1, 5):
+        quads[k] = n // 10 ** (16 - 4 * k) % 10**4
+    quads[5] = 10000
+    last = _LAST.take(quads[1:5] + 10000 * np.arange(4)[:, None]).max(axis=0)
+    chars = _QUADS.take(quads, axis=1).reshape(_TEXT_WIDTH, m)
+    negative = np.signbit(values)
+    layout = 2 * (e + 4) + negative
+    text = np.empty((_TEXT_WIDTH, m), np.uint8)
+    starts = np.flatnonzero(np.diff(layout, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [m]):
+        text[:, lo:hi] = chars[_LAYOUTS[layout[lo]], lo:hi]
+    # the sign and the integer digits, then the point and the fraction up
+    # to its last nonzero digit; the chars beyond become NULs, which numpy
+    # drops from the end of each string
+    length = np.where(last <= e, e + 1, last + 2 - np.minimum(e, 0)) + negative
+    text *= (_TEXT_COLUMNS < length).view(np.uint8)
+    return text.T.astype(np.uint32, order="C").view(f"U{_TEXT_WIDTH}").ravel()
 
 
 def write_atomic(files) -> None:
