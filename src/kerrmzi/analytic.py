@@ -213,10 +213,12 @@ def _sql(n_ps):
 
 def sql_nonlinear(n_ps: float) -> float:
     """Standard quantum limit for a photon-number-squared phase:
-    N_ps^{-3/2}."""
+    N_ps^{-3/2}, which is 0 or inf, without a warning, where it is out of
+    floating-point range."""
     if n_ps <= 0:
         raise ValueError(f"n_ps must be positive (got {n_ps})")
-    return float(_sql(n_ps))
+    with np.errstate(all="ignore"):
+        return float(_sql(n_ps))
 
 
 def optimal_split_ratio(n_alpha: float, g1: float) -> float:

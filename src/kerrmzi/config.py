@@ -108,8 +108,10 @@ class SqueezerParams:
 
     @classmethod
     def from_g(cls, g: float, phase: float = 0.0) -> "SqueezerParams":
-        """Build from the squeeze amplitude g, so that G = sqrt(1 + g^2)."""
-        return cls(gain=math.hypot(1.0, g), phase=phase)
+        """Build from the squeeze amplitude g, so that G = np.hypot(1, g)
+        elementwise; a scalar g gives a float gain, not a numpy scalar."""
+        gain = np.hypot(1.0, g)
+        return cls(gain=gain if np.ndim(gain) else float(gain), phase=phase)
 
     @property
     def g(self) -> float:
@@ -304,7 +306,7 @@ def build_config(
     eta_d: float = 1.0,
     eta_det: float = 1.0,
 ) -> InterferometerConfig:
-    """Convenience constructor from scalar parameters.
+    """Convenience constructor; any argument may be an array.
 
     Squeezers are specified by their amplitudes g (not gains); the default
     theta2 = pi together with theta1 = theta_alpha = 0 is the optimal

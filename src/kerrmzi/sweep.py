@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analytic
-from .config import _FIELD_WALK, InterferometerConfig, field_errors, validate
+from .config import _FIELD_WALK, InterferometerConfig, SqueezerParams, field_errors, validate
 
 
 # Sweepable parameters: dotted dataclass paths plus a few derived axes that
@@ -50,11 +50,8 @@ def set_parameter(
     eta_b jointly (the external-loss diagonal).
     """
     if name == "g2_over_g1":
-        g2 = value * config.nbs1.g
-        return dataclasses.replace(
-            config,
-            nbs2=dataclasses.replace(config.nbs2, gain=np.hypot(1.0, g2)),
-        )
+        nbs2 = SqueezerParams.from_g(value * config.nbs1.g, config.nbs2.phase)
+        return dataclasses.replace(config, nbs2=nbs2)
     if name == "r_over_t":
         with np.errstate(divide="ignore"):
             t = np.divide(1.0, 1.0 + value)
@@ -423,15 +420,19 @@ def find_sql_threshold(config: InterferometerConfig, loss_parameter: str) -> Thr
     fixes it.  delta_phi < SQL exactly where f < 0, and eta* is the square
     of f's largest root in (0, 1), from the root kernel ``sql_thresholds``
     shares, so both give the same bits.  Other parameters raise
-    SweepSpecError.
+    SweepSpecError; an SQL that is zero or not finite, or a sample of f
+    that is not finite, raises ValueError.
     """
     if loss_parameter not in THRESHOLD_AXES:
         raise SweepSpecError(
             f"no SQL threshold on '{loss_parameter}'; loss axes: {', '.join(THRESHOLD_AXES)}"
         )
     sql = analytic.sql_nonlinear(config.n_ps)
-    out = analytic.evaluate(set_parameter(config, loss_parameter, _ETA_SAMPLES))
-    f0, fh, f1 = (out.noise - sql * sql * out.slope * out.slope).tolist()
+    margins = _margins(analytic.evaluate(set_parameter(config, loss_parameter, _ETA_SAMPLES)))
+    if not (0.0 < sql < math.inf and np.isfinite(margins).all()):
+        raise ValueError(f"SQL {sql!r} or margins {margins.tolist()} on '{loss_parameter}' "
+                         f"out of floating-point range (N_ps = {float(config.n_ps)!r})")
+    f0, fh, f1 = margins.tolist()
     if f1 >= 0:
         return ThresholdResult(loss_parameter, None, sql, _NO_ADVANTAGE)
     eta_star = _crossing_eta(f0, fh, f1).item()
@@ -446,16 +447,24 @@ def sql_thresholds(config: InterferometerConfig) -> np.ndarray:
 
     Returns an array of shape (6,) + S: row i holds the thresholds on
     ``THRESHOLD_AXES[i]``, nan where ``find_sql_threshold`` finds no
-    crossing, and each found cell has the bits of that scalar call.  The
-    samples of every axis and cell are one ``analytic.evaluate`` call on a
-    (6, 3) + S stack.
+    crossing or raises ValueError for an SQL or a margin out of
+    floating-point range, and each found cell has the bits of that scalar
+    call.  The samples of every axis and cell are one ``analytic.evaluate``
+    call on a (6, 3) + S stack.
     """
     walk = _FIELD_WALK[InterferometerConfig]
     ndim = max(np.ndim(getattr(getattr(config, part), key)) for part, key, _ in walk)
     samples = _ETA_SAMPLES.reshape((1, 3) + (1,) * ndim)
     out = analytic.evaluate(on_threshold_axes(config, samples))
-    f0, fh, f1 = np.moveaxis(out.noise - out.sql * out.sql * out.slope * out.slope, 1, 0)
+    f0, fh, f1 = np.moveaxis(_margins(out), 1, 0)
     return _crossing_eta(f0, fh, f1)
+
+
+def _margins(out):
+    """noise - SQL^2 slope^2 of an evaluation; inf or nan where a factor is
+    out of floating-point range."""
+    with np.errstate(all="ignore"):
+        return out.noise - out.sql * out.sql * out.slope * out.slope
 
 
 def on_threshold_axes(config: InterferometerConfig, values) -> InterferometerConfig:
@@ -472,16 +481,16 @@ def on_threshold_axes(config: InterferometerConfig, values) -> InterferometerCon
 
 def _crossing_eta(f0, fh, f1) -> np.ndarray:
     """The square of the largest root in (0, 1) of the quadratic through
-    (0, f0), (1/2, fh), (1, f1), elementwise; nan where f1 >= 0 or no root
-    lies in (0, 1).
+    (0, f0), (1/2, fh), (1, f1), elementwise; nan where f1 >= 0, where no
+    root lies in (0, 1), and where a sample is inf or nan.
 
     The roots are q / a and f0 / q with q = -(b + sign(b) sqrt(disc)) / 2,
     so neither cancels.  The square root and the square are np.sqrt and
     s * s, which are correctly rounded: a libm ``pow`` need not be.
     """
-    # f(s) = f0 + b s + a s^2 through the three samples
-    a, b = 2.0 * (f1 + f0) - 4.0 * fh, 4.0 * fh - f1 - 3.0 * f0
     with np.errstate(all="ignore"):
+        # f(s) = f0 + b s + a s^2 through the three samples
+        a, b = 2.0 * (f1 + f0) - 4.0 * fh, 4.0 * fh - f1 - 3.0 * f0
         disc = b * b - 4.0 * a * f0
         root = np.sqrt(disc)  # nan where disc < 0
         q = -0.5 * np.where(b >= 0, b + root, b - root)

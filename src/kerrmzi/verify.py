@@ -16,14 +16,11 @@ import numpy as np
 from . import analytic, oracle, sweep
 from .config import (
     _FIELD_WALK,
-    CoherentInput,
     InterferometerConfig,
     PhaseShift,
     SplitterParams,
-    SqueezerParams,
     build_config,
     config_digest,
-    validate,
 )
 
 _MUTATION_FACTOR = 1.0 + 1e-3
@@ -92,32 +89,16 @@ def _suite_records(mutate: str | None):
     return records, record
 
 
-def _array_config(
-    alpha, g1, g2, transmissivity, theta_alpha=0.0, theta1=0.0, theta2=math.pi
-) -> InterferometerConfig:
-    """``build_config`` over arrays, lossless: the gains come from
-    ``np.hypot`` as in ``sweep.set_parameter``, and every cell is
-    validated."""
-    return validate(
-        InterferometerConfig(
-            nbs1=SqueezerParams(np.hypot(1.0, g1), theta1),
-            nbs2=SqueezerParams(np.hypot(1.0, g2), theta2),
-            splitter=SplitterParams(transmissivity),
-            coherent=CoherentInput(alpha, theta_alpha),
-        )
-    )
-
-
 def _random_configs(rng, count: int) -> InterferometerConfig:
-    """``count`` random lossless configurations as one array config."""
-    alpha, theta_alpha, g1, theta1, g2, theta2, t = (
+    """``count`` random lossless configurations as one array config; the
+    draws are build_config's alpha, theta_alpha, g1, theta1, g2, theta2, T."""
+    return build_config(*(
         rng.uniform(lo, hi, count)
         for lo, hi in (
             (0.1, 6.0), (-math.pi, math.pi), (0.0, 3.0), (-math.pi, math.pi),
             (0.1, 4.0), (-math.pi, math.pi), (0.05, 0.95),
         )
-    )
-    return _array_config(alpha, g1, g2, t, theta_alpha, theta1, theta2)
+    ))
 
 
 def _worst(errors) -> float:
@@ -209,7 +190,7 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
     # balanced decomposition: g * (sum of terms) equals the slope
     count = draws // 4
     g = rng.uniform(0.05, 3.0, count)
-    cfg = _array_config(
+    cfg = build_config(
         alpha=rng.uniform(0.1, 10.0, count), g1=g, g2=g,
         transmissivity=rng.uniform(0.05, 0.95, count),
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrmzi.config import (
+    _FIELD_WALK,
     CoherentInput,
     ConfigFileError,
     InterferometerConfig,
@@ -23,6 +24,7 @@ from kerrmzi.config import (
     parse_medium,
     validate,
 )
+from kerrmzi.sweep import set_parameter
 
 
 class TestSqueezerParams:
@@ -48,6 +50,45 @@ class TestSqueezerParams:
         g = SqueezerParams(gain=gain).g
         lhs = gain * gain - g * g
         assert abs(lhs - 1.0) <= 4 * math.ulp(max(gain * gain, 1.0))
+
+
+class TestGainRule:
+    """G = np.hypot(1, g) is the one rule from g to G: a scalar build, an
+    array build and a g2_over_g1 sweep cell hold the same bits."""
+
+    # seeded amplitudes with g = 0.6, the readout of verify's canonical
+    # config, first; math.hypot(1, g) is one ulp off np.hypot(1, g) at
+    # 0.6 and at 7 of the draws on x86-64 glibc 2.36
+    AMPLITUDES = np.concatenate([[0.0, 0.6], np.random.default_rng(33).uniform(0.0, 10.0, 2000)])
+
+    def test_array_build_equals_scalar_builds(self):
+        rng = np.random.default_rng(0)
+        g1, g2 = self.AMPLITUDES, rng.permutation(self.AMPLITUDES)
+        alpha, t = rng.uniform(0.0, 10.0, g1.size), rng.uniform(0.05, 0.95, g1.size)
+        cells = build_config(alpha=alpha, g1=g1, g2=g2, transmissivity=t, eta_d=t)
+        walk = _FIELD_WALK[InterferometerConfig]
+        columns = [np.broadcast_to(getattr(getattr(cells, s), k), g1.shape) for s, k, _ in walk]
+        for i in range(g1.size):
+            cell = build_config(alpha=alpha[i], g1=g1[i], g2=g2[i], transmissivity=t[i], eta_d=t[i])
+            values = [getattr(getattr(cell, s), k) for s, k, _ in walk]
+            assert [float(v).hex() for v in values] == [c[i].hex() for c in columns], i
+
+    def test_scalar_gain_is_a_python_float(self):
+        # the benchmark's config writer prints gains with repr, which for a
+        # numpy scalar reads np.float64(...) under numpy 2
+        for g in (0, 0.6, np.float64(0.6), np.array(0.6)):
+            assert type(SqueezerParams.from_g(g).gain) is float
+            assert type(build_config(g1=g, g2=g).nbs2.gain) is float
+        assert repr(build_config(g2=0.6).nbs2.gain) == repr(float(np.hypot(1.0, 0.6)))
+
+    def test_g2_over_g1_sweep_equals_scalar_build(self):
+        base = build_config(alpha=10.0, g1=2.0, g2=4.0, transmissivity=0.25)
+        ratios = self.AMPLITUDES / base.nbs1.g
+        swept = set_parameter(base, "g2_over_g1", ratios).nbs2.gain
+        for r, gain in zip(ratios.tolist(), swept.tolist()):
+            scalar = build_config(alpha=10.0, g1=2.0, g2=r * base.nbs1.g, transmissivity=0.25)
+            assert set_parameter(base, "g2_over_g1", r).nbs2.gain.hex() == gain.hex()
+            assert scalar.nbs2.gain.hex() == gain.hex()
 
 
 class TestSplitterParams:
@@ -334,8 +375,6 @@ class TestDigest:
         # equal configs share a digest, whether a field holds an int, a float
         # or a numpy float64 (what set_parameter stores for a derived axis)
         import numpy as np
-
-        from kerrmzi.sweep import set_parameter
 
         a = build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.5)
         b = build_config(alpha=1, g1=0.3, g2=0.6, transmissivity=np.float64(0.5))

@@ -1,8 +1,10 @@
 import dataclasses
 import errno
+import itertools
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +408,30 @@ class TestFindSqlThreshold:
             out = analytic.evaluate(set_parameter(cfg, name, probe))
             assert (out.delta_phi < out.sql).tolist() == [False, True]
 
+    # a 1e200 pump gives N_ps = inf and an SQL of 0, and margins 0 * inf;
+    # N_ps^(3/2) overflows at a 1e150 pump (SQL 0) and underflows at a
+    # 1e-150 pump (SQL inf); at a 1e-80 pump the SQL is finite, its square inf
+    @pytest.mark.parametrize("alpha, g1, problem", [
+        (1e200, 1.0, r"SQL 0\.0 or margins \[nan"), (1e150, 0.0, r"SQL 0\.0 or"),
+        (1e-150, 0.0, r"SQL inf or"), (1e-80, 0.0, r"SQL 1e\+240 or margins \[-?(inf|nan)"),
+    ])
+    def test_out_of_range_margins_rejected(self, alpha, g1, problem):
+        cfg = build_config(alpha=alpha, g1=g1, g2=2.0 * g1 + 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in THRESHOLD_AXES:
+                with pytest.raises(ValueError, match=problem + ".* out of floating-point range"):
+                    find_sql_threshold(cfg, name)
+            assert np.isnan(sql_thresholds(cfg)).all()
+
+    def test_vacuum_thresholds_are_nan_without_warnings(self):
+        # N_ps = 0: the scalar search refuses it, the array pass keeps nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(sql_thresholds(build_config())).all()
+            with pytest.raises(ValueError, match="n_ps must be positive"):
+                find_sql_threshold(build_config(), "loss.eta_d")
+
     @pytest.mark.parametrize("name", ["splitter.transmissivity", "g2_over_g1", "loss"])
     def test_only_loss_axes_accepted(self, name):
         with pytest.raises(SweepSpecError, match="loss axes: loss.eta_a, .*eta_ab"):
@@ -483,6 +509,15 @@ class TestThresholdReference:
             assert _bits(eta[i]) == _bits(want)
             found += want is not None
         assert found > 5000
+
+    def test_root_kernel_nan_at_non_finite_samples(self):
+        values = [-math.inf, -1.0, -1e-300, 0.0, 0.3, 1e308, math.inf, math.nan]
+        f0, fh, f1 = np.array(list(itertools.product(values, repeat=3))).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta = sweep._crossing_eta(f0, fh, f1)
+        finite = np.isfinite(f0) & np.isfinite(fh) & np.isfinite(f1)
+        assert np.isnan(eta[~finite]).all()
 
     def test_shapes(self):
         assert sql_thresholds(FIG4_BASE).shape == (6,)
