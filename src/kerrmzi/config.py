@@ -261,14 +261,20 @@ _FIELD_WALK = {
 }
 
 
+def _field_values(obj):
+    """(dotted name, value) of every field of a config or a medium, in
+    ``_FIELD_WALK`` order."""
+    for section, key, name in _FIELD_WALK[type(obj)]:
+        yield name, getattr(obj if section is None else getattr(obj, section), key)
+
+
 def field_errors(obj) -> list:
     """Every violated invariant of an InterferometerConfig or a
     KerrMediumSpec, one message per field in declaration order: "<name>
     not finite", else the message of the field's ``_BOUNDS`` entry with
     the violating value."""
     errs = []
-    for section, key, name in _FIELD_WALK[type(obj)]:
-        value = getattr(obj if section is None else getattr(obj, section), key)
+    for name, value in _field_values(obj):
         if not _finite(value):
             errs.append(f"{name} not finite")
         elif name in _BOUNDS:
@@ -325,18 +331,12 @@ def build_config(
 
 
 def config_digest(config) -> str:
-    """Short stable digest of a config (or any nested dataclass tree)."""
-
-    def flatten(obj, prefix=""):
-        out = {}
-        if hasattr(obj, "__dataclass_fields__"):
-            for f in fields(obj):
-                out.update(flatten(getattr(obj, f.name), f"{prefix}{f.name}."))
-        else:
-            out[prefix.rstrip(".")] = repr(float(obj) if isinstance(obj, _REAL_SCALARS) else obj)
-        return out
-
-    blob = json.dumps(flatten(config), sort_keys=True)
+    """Short stable digest of a config or a medium: its fields by dotted
+    name, each a number's repr as a Python float."""
+    blob = json.dumps({
+        name: repr(float(value) if isinstance(value, _REAL_SCALARS) else value)
+        for name, value in _field_values(config)
+    }, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 

@@ -461,10 +461,12 @@ def sql_thresholds(config: InterferometerConfig) -> np.ndarray:
 
 
 def _margins(out):
-    """noise - SQL^2 slope^2 of an evaluation; inf or nan where a factor is
-    out of floating-point range."""
+    """noise - (SQL slope)^2 of an evaluation; inf or nan where a factor is
+    out of floating-point range.  The product is squared, not SQL^2, which
+    underflows at pumps above about 1e51."""
     with np.errstate(all="ignore"):
-        return out.noise - out.sql * out.sql * out.slope * out.slope
+        scaled = out.sql * out.slope
+        return out.noise - scaled * scaled
 
 
 def on_threshold_axes(config: InterferometerConfig, values) -> InterferometerConfig:

@@ -40,9 +40,9 @@ class CheckRecord:
     """One verification outcome.
 
     ``analytic`` and ``oracle`` are the two compared values (for identity
-    checks the right-hand side plays the oracle role); ``rel_err`` is
-    their relative discrepancy, or the worst one over the randomized
-    draws the check ran.
+    checks the right-hand side plays the oracle role) and ``rel_err`` is
+    their relative discrepancy; a check over several draws records its
+    first worst draw's values, error and digest.
     """
 
     check: str
@@ -59,11 +59,21 @@ class CheckRecord:
         return dataclasses.asdict(self)
 
 
+def _rel_err(lhs, rhs):
+    """``|lhs - rhs| / max(|lhs|, |rhs|)`` elementwise: 0 where the two
+    sides are equal and finite, nan where either side is nan or infinite."""
+    with np.errstate(all="ignore"):
+        rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+    return np.where((lhs == rhs) & np.isfinite(lhs), 0.0, rel)
+
+
 def _suite_records(mutate: str | None):
     """A suite's record list and the appender that fills it.
 
-    Every check compares relatively, ``|lhs - rhs| / max(|lhs|, |rhs|)``;
-    a defect that should vanish is recorded as ``1 + defect`` against 1.
+    Every check compares ``_rel_err(lhs, rhs)`` against its tolerance, so a
+    nan or infinite side fails.  ``lhs`` and ``rhs`` may be arrays of
+    draws, with ``digest`` one string or one per draw; the record carries
+    the first worst draw's pair, digest and error, a nan being the worst.
     The appender scales the analytic value ``lhs`` of the check named
     ``mutate`` by ``_MUTATION_FACTOR``.
     """
@@ -71,17 +81,19 @@ def _suite_records(mutate: str | None):
 
     def record(check, digest, lhs, rhs, tol, cutoff=None, converged=True):
         if check == mutate:
-            lhs *= _MUTATION_FACTOR
-        denom = max(abs(lhs), abs(rhs))
-        rel = abs(lhs - rhs) / denom if denom > 0 else 0.0
+            lhs = np.multiply(lhs, _MUTATION_FACTOR)
+        lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), rhs)
+        rel = _rel_err(lhs, rhs)
+        i = int(np.argmax(rel))  # numpy's argmax takes the first nan
+        err = float(rel.flat[i])
         records.append(CheckRecord(
             check=check,
-            config_digest=digest,
-            analytic=lhs,
-            oracle=rhs,
-            rel_err=rel,
+            config_digest=digest if isinstance(digest, str) else digest[i],
+            analytic=float(lhs.flat[i]),
+            oracle=float(rhs.flat[i]),
+            rel_err=err,
             tol=tol,
-            passed=bool(rel <= tol and converged),
+            passed=bool(err <= tol and converged),
             cutoff=cutoff,
             converged=converged,
         ))
@@ -101,10 +113,6 @@ def _random_configs(rng, count: int) -> InterferometerConfig:
     ))
 
 
-def _worst(errors) -> float:
-    return float(np.max(errors))
-
-
 def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
@@ -114,7 +122,7 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
 
     Each randomized family is one evaluation of the closed forms on an
     array config (or array arguments) holding all of its draws; a check
-    records the worst error over the array.  The smallest family holds
+    records its first worst draw.  The smallest family holds
     draws // 10 of them, so draws below 10 are refused.
 
     The SQL-crossing family stacks k = max(1, draws // 200) scalar
@@ -136,25 +144,17 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
         cfg.splitter, cfg.nbs1, cfg.nbs2, phase, rng.integers(0, 30, draws)
     )
     m0s = _abs2(tc.m0)
-    record("unitarity_m1_m0", "randomized", 1.0 + _worst(np.abs(_abs2(tc.m1) + m0s - 1.0)),
-           1.0, 1e-12)
-    record("unitarity_m2_m0", "randomized", 1.0 + _worst(np.abs(_abs2(tc.m2) + m0s - 1.0)),
-           1.0, 1e-12)
-    comm = _abs2(tc.a) - _abs2(tc.b) - _abs2(tc.c) - 1.0
-    record("commutator_abc", "randomized", 1.0 + _worst(np.abs(comm)), 1.0, 1e-12)
+    record("unitarity_m1_m0", "randomized", _abs2(tc.m1) + m0s, 1.0, 1e-12)
+    record("unitarity_m2_m0", "randomized", _abs2(tc.m2) + m0s, 1.0, 1e-12)
+    record("commutator_abc", "randomized", _abs2(tc.a) - _abs2(tc.b) - _abs2(tc.c), 1.0, 1e-12)
 
     # lossless reduction of the lossy formulas, and the N_g bookkeeping
     # consistency between the two slope forms
     cfg = _random_configs(rng, draws)
-    s_lossless = analytic.slope_at_zero(cfg)
-    s_lossy = analytic.lossy_slope_at_zero(cfg)
-    n_lossless = analytic.noise_at_zero(cfg)
-    n_lossy = analytic.lossy_noise_at_zero(cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope_err = np.where(s_lossless > 0, np.abs(s_lossy - s_lossless) / s_lossless, 0.0)
-    noise_err = np.abs(n_lossy - n_lossless) / np.abs(n_lossless)
-    record("lossless_reduction_slope", "randomized", 1.0 + _worst(slope_err), 1.0, 1e-14)
-    record("lossless_reduction_noise", "randomized", 1.0 + _worst(noise_err), 1.0, 1e-14)
+    record("lossless_reduction_slope", "randomized",
+           analytic.lossy_slope_at_zero(cfg), analytic.slope_at_zero(cfg), 1e-14)
+    record("lossless_reduction_noise", "randomized",
+           analytic.lossy_noise_at_zero(cfg), analytic.noise_at_zero(cfg), 1e-14)
 
     # QFI polynomial reassembly and the moment-based re-derivation of the
     # linear-phase information
@@ -163,20 +163,15 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
     sp = SplitterParams(rng.uniform(0.0, 1.0, draws))
     q = analytic.qfi_nonlinear(n_alpha, n_g, sp)
     reassembled = n_alpha**3 * q.s1 + n_alpha**2 * q.s2 + n_alpha * q.s3 + q.s4
-    f_lin = analytic.qfi_linear(n_alpha, n_g, sp)
-    f_mom = analytic.qfi_linear_from_arm_moments(n_alpha, n_g, sp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reasm_err = np.where(q.f > 0, np.abs(q.f - reassembled) / q.f, 0.0)
-        lin_err = np.where(f_lin > 0, np.abs(f_lin - f_mom) / f_lin, 0.0)
-    record("qfi_reassembly", "randomized", 1.0 + _worst(reasm_err), 1.0, 1e-10)
-    record("qfi_linear_moments", "randomized", 1.0 + _worst(lin_err), 1.0, 1e-10)
+    record("qfi_reassembly", "randomized", q.f, reassembled, 1e-10)
+    record("qfi_linear_moments", "randomized", analytic.qfi_linear(n_alpha, n_g, sp),
+           analytic.qfi_linear_from_arm_moments(n_alpha, n_g, sp), 1e-10)
 
-    # quantum bound: delta_phi >= qcrb wherever both are defined (an
-    # undefined cell has delta_phi = inf and qcrb = nan)
+    # quantum bound: delta_phi >= qcrb, so min(delta_phi, qcrb) = qcrb; the
+    # draws keep g2, alpha >= 0.1 and 0.05 < T < 0.95, so both are defined
     report = analytic.evaluate(_random_configs(rng, draws // 4))
-    below = report.delta_phi < report.qcrb
-    violation = np.where(below, (report.qcrb - report.delta_phi) / report.qcrb, 0.0)
-    record("qcrb_bound", "randomized", 1.0 + _worst(violation), 1.0, 1e-12)
+    record("qcrb_bound", "randomized", np.minimum(report.delta_phi, report.qcrb),
+           report.qcrb, 1e-12)
 
     # closed-form optimal split ratio vs numeric argmax of the slope; the
     # appended cell N_a = g1 = 0 is the linear-phase slope sqrt(T(1-T))
@@ -184,8 +179,7 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
     g1 = np.append(rng.uniform(0.0, 5.0, draws // 10), 0.0)
     t_numeric = analytic.argmax_slope_transmissivity(n_alpha, g1)
     t_formula = analytic.optimal_transmissivity(n_alpha[:-1], g1[:-1])
-    record("optimal_split_argmax", "randomized",
-           1.0 + _worst(np.abs(t_formula - t_numeric[:-1])), 1.0, 1e-10)
+    record("optimal_split_argmax", "randomized", t_formula, t_numeric[:-1], 1e-10)
 
     # balanced decomposition: g * (sum of terms) equals the slope
     count = draws // 4
@@ -194,18 +188,16 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
         alpha=rng.uniform(0.1, 10.0, count), g1=g, g2=g,
         transmissivity=rng.uniform(0.05, 0.95, count),
     )
-    slope = analytic.slope_at_zero(cfg)
     combined = cfg.nbs1.g * sum(analytic.balanced_terms(cfg))
-    record("balanced_decomposition", "randomized",
-           1.0 + _worst(np.abs(combined - slope) / slope), 1.0, 1e-12)
+    record("balanced_decomposition", "randomized", combined, analytic.slope_at_zero(cfg), 1e-12)
 
     # detection loss is exactly a 1/sqrt(eta) penalty for balanced configs
     base = build_config(alpha=4.0, g1=1.2, g2=1.2, transmissivity=0.25)
     dphi_balance = analytic.sensitivity(base).delta_phi
     eta = np.linspace(0.1, 1.0, 10)
     dphi = analytic.evaluate(sweep.set_parameter(base, "loss.eta_det", eta)).delta_phi
-    record("detection_loss_identity", config_digest(base),
-           1.0 + _worst(np.abs(dphi * np.sqrt(eta) / dphi_balance - 1.0)), 1.0, 1e-12)
+    record("detection_loss_identity", config_digest(base), dphi * np.sqrt(eta), dphi_balance,
+           1e-12)
 
     # the linear-phase slope peaks at T = 1/2
     record("linear_argmax_half", "none", float(t_numeric[-1]), 0.5, 1e-10)
@@ -217,10 +209,9 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
     eta_star = sweep.sql_thresholds(cfg)
     report = analytic.evaluate(sweep.on_threshold_axes(cfg, eta_star))
     dphi, sql = report.delta_phi, report.sql
-    with np.errstate(all="ignore"):
-        rel = np.abs(dphi - sql) / np.maximum(dphi, sql)
-    # the first worst cell in config-major order; a nan is never the worst
-    rel = np.where(~np.isnan(eta_star) & (rel >= 0), rel, -1.0).T.ravel()
+    # the first worst cell in config-major order, a nan error the worst;
+    # a cell without a crossing is never picked
+    rel = np.where(np.isnan(eta_star), -1.0, _rel_err(dphi, sql)).T.ravel()
     worst = int(np.argmax(rel))
     if rel[worst] < 0:
         record("sql_threshold_crossing", "none", 1.0, 1.0, 1e-12)
@@ -271,19 +262,6 @@ def _converged(value: float, doubled: float, tol: float) -> bool:
     """The value moved by less than a tenth of the comparison tolerance when
     the cutoff doubled."""
     return abs(doubled - value) <= 0.1 * tol * abs(doubled)
-
-
-def _lossy_errors(cfg: InterferometerConfig, cutoff: int, budget: float):
-    """Relative errors of the simulated slope and variance against the loss
-    formulas, both from one moment pass, and whether each converged against
-    a second pass at twice the cutoff."""
-    est, est2 = (oracle.numeric_slope(cfg, cutoff=c, budget=budget) for c in (cutoff, 2 * cutoff))
-    s_an, v_an = analytic.lossy_slope_at_zero(cfg), analytic.lossy_noise_at_zero(cfg)
-    errors = abs(abs(est.value) - s_an) / s_an, abs(est.variance - v_an) / v_an
-    return errors, (
-        _converged(est.value, est2.value, _LOSSY_TOL),
-        _converged(est.variance, est2.variance, _LOSSY_TOL),
-    )
 
 
 def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None):
@@ -356,38 +334,31 @@ def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None)
            converged=_converged(est.variance, est2.variance, 1e-4))
 
     # nonlinear-phase Fisher information against the printed polynomial
-    worst = 0.0
-    worst_digest = ""
-    for _ in range(6):
-        cfg = _random_small_config(rng)
-        f_oracle = oracle.oracle_qfi(cfg, cutoff=cutoff, budget=_BUDGET)
-        f_poly = analytic.qfi_nonlinear(
-            cfg.coherent.n_alpha, 2.0 * cfg.nbs1.g ** 2, cfg.splitter
-        ).f
-        rel = abs(f_oracle - f_poly) / f_poly
-        if rel > worst:
-            worst, worst_digest = rel, config_digest(cfg)
-    record("qfi_vs_polynomial", worst_digest, 1.0 + worst, 1.0, 1e-4, cutoff=cutoff)
+    configs = [_random_small_config(rng) for _ in range(6)]
+    record("qfi_vs_polynomial", [config_digest(c) for c in configs],
+           [analytic.qfi_nonlinear(c.coherent.n_alpha, 2.0 * c.nbs1.g ** 2, c.splitter).f
+            for c in configs],
+           [oracle.oracle_qfi(c, cutoff=cutoff, budget=_BUDGET) for c in configs],
+           1e-4, cutoff=cutoff)
 
-    # lossy pipeline against the loss formulas (moment readout); each record
-    # names the config of its own worst error
-    worst = {"slope": (-math.inf, ""), "noise": (-math.inf, "")}
-    converged = {"slope": True, "noise": True}
-    for _ in range(3):
-        etas = rng.uniform(0.35, 1.0, size=4)
-        cfg = build_config(
-            alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25,
-            eta_a=float(etas[0]), eta_b=float(etas[1]),
-            eta_c=float(etas[2]), eta_d=float(etas[3]),
-        )
-        errors, flags = _lossy_errors(cfg, _LOSSY_CUTOFF, _LOSSY_BUDGET)
-        for name, rel, conv in zip(worst, errors, flags):
-            if rel > worst[name][0]:
-                worst[name] = (rel, config_digest(cfg))
-            converged[name] = converged[name] and conv
-    for name, (rel, digest) in worst.items():
-        record(f"lossy_{name}_vs_closed_form", digest, 1.0 + rel,
-               1.0, _LOSSY_TOL, cutoff=_LOSSY_CUTOFF, converged=converged[name])
+    # lossy pipeline against the loss formulas (moment readout), each
+    # simulated value converged against a pass at twice the lossy cutoff
+    configs = [
+        build_config(alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25, **dict(zip(
+            ("eta_a", "eta_b", "eta_c", "eta_d"), rng.uniform(0.35, 1.0, size=4).tolist())))
+        for _ in range(3)
+    ]
+    digests = [config_digest(c) for c in configs]
+    passes = [[oracle.numeric_slope(c, cutoff=k, budget=_LOSSY_BUDGET)
+               for k in (_LOSSY_CUTOFF, 2 * _LOSSY_CUTOFF)] for c in configs]
+    record("lossy_slope_vs_closed_form", digests,
+           [analytic.lossy_slope_at_zero(c) for c in configs],
+           [abs(est.value) for est, _ in passes], _LOSSY_TOL, cutoff=_LOSSY_CUTOFF,
+           converged=all(_converged(e.value, e2.value, _LOSSY_TOL) for e, e2 in passes))
+    record("lossy_noise_vs_closed_form", digests,
+           [analytic.lossy_noise_at_zero(c) for c in configs],
+           [est.variance for est, _ in passes], _LOSSY_TOL, cutoff=_LOSSY_CUTOFF,
+           converged=all(_converged(e.variance, e2.variance, _LOSSY_TOL) for e, e2 in passes))
 
     # the moment readout against the density tail of simulate, five losses
     # at generic phases

@@ -390,6 +390,16 @@ class TestDigest:
         b = InterferometerConfig(coherent=CoherentInput(1), splitter=SplitterParams(0.5))
         assert config_digest(a) == config_digest(b)
 
+    @pytest.mark.parametrize("kwargs, digest", [
+        # verify's canonical config, and the Fig. 4 base
+        ({"alpha": 1.0, "g1": 0.3, "g2": 0.6, "transmissivity": 0.25}, "79df8bd93e71"),
+        ({"alpha": 10.0, "g1": 2.0, "g2": 4.0, "transmissivity": 0.25}, "673dcb4859fa"),
+    ])
+    def test_digest_pinned(self, kwargs, digest):
+        # verify records and manifests carry these; a change of the digest
+        # rule would rename them
+        assert config_digest(build_config(**kwargs)) == digest
+
     def test_medium_digest(self):
         med = KerrMediumSpec(n0=1.45, intensity=1e12, wavenumber=7.85e6, length=0.01)
         assert len(config_digest(med)) == 12

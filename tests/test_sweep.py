@@ -408,12 +408,27 @@ class TestFindSqlThreshold:
             out = analytic.evaluate(set_parameter(cfg, name, probe))
             assert (out.delta_phi < out.sql).tolist() == [False, True]
 
+    @pytest.mark.parametrize("alpha", [1e52, 1e55, 1e80, 1e100])
+    def test_pumps_past_1e51_find_their_crossing(self, alpha):
+        # delta_phi / SQL does not depend on the pump's scale here, though
+        # SQL^2 = N_ps^-3 underflows past a pump of about 1e51
+        shape = {"g1": 1.0, "g2": 2.5, "transmissivity": 0.25}
+        want = sql_thresholds(build_config(alpha=1e10, **shape))
+        cfg = build_config(alpha=alpha, **shape)
+        eta = sql_thresholds(cfg)
+        assert eta == pytest.approx(want, rel=1e-14, abs=0.0)
+        for j, name in enumerate(THRESHOLD_AXES):
+            assert find_sql_threshold(cfg, name).eta_star == eta[j]
+
     # a 1e200 pump gives N_ps = inf and an SQL of 0, and margins 0 * inf;
     # N_ps^(3/2) overflows at a 1e150 pump (SQL 0) and underflows at a
-    # 1e-150 pump (SQL inf); at a 1e-80 pump the SQL is finite, its square inf
+    # 1e-150 pump (SQL inf); at a 1e-80 pump the SQL is finite and
+    # (SQL slope)^2 overflows wherever the slope is not zero: at eta = 1 on
+    # every axis, and at eta = 0 on the two arms that keep a slope there
     @pytest.mark.parametrize("alpha, g1, problem", [
         (1e200, 1.0, r"SQL 0\.0 or margins \[nan"), (1e150, 0.0, r"SQL 0\.0 or"),
-        (1e-150, 0.0, r"SQL inf or"), (1e-80, 0.0, r"SQL 1e\+240 or margins \[-?(inf|nan)"),
+        (1e-150, 0.0, r"SQL inf or"),
+        (1e-80, 0.0, r"SQL 1e\+240 or margins \[(-inf|1\.0|1\.5000000000000004), -inf, -inf\]"),
     ])
     def test_out_of_range_margins_rejected(self, alpha, g1, problem):
         cfg = build_config(alpha=alpha, g1=g1, g2=2.0 * g1 + 0.5)
@@ -452,7 +467,7 @@ def _reference_threshold(config, name):
     sql = analytic.sql_nonlinear(config.n_ps)
     s = np.array([0.0, 0.5, 1.0])
     out = analytic.evaluate(set_parameter(config, name, s * s))
-    f0, fh, f1 = (out.noise - sql * sql * out.slope * out.slope).tolist()
+    f0, fh, f1 = (out.noise - (sql * out.slope) ** 2).tolist()
     if f1 >= 0:
         return None, sweep._NO_ADVANTAGE
     a, b = 2.0 * (f1 + f0) - 4.0 * fh, 4.0 * fh - f1 - 3.0 * f0

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -109,26 +110,31 @@ class TestOracleSuite:
             alpha=1.0, g1=0.3, g2=0.6, transmissivity=0.25,
             eta_a=eta_a, eta_b=0.35, eta_c=1.0 - 1e-9, eta_d=1.0 - 1e-9,
         )
-        errors, converged = verify._lossy_errors(cfg, verify._LOSSY_CUTOFF, verify._LOSSY_BUDGET)
-        assert max(errors) <= verify._LOSSY_TOL
-        assert all(converged)
+        est, est2 = (oracle.numeric_slope(cfg, cutoff=c, budget=verify._LOSSY_BUDGET)
+                     for c in (verify._LOSSY_CUTOFF, 2 * verify._LOSSY_CUTOFF))
+        for closed, value, doubled in (
+            (analytic.lossy_slope_at_zero(cfg), abs(est.value), abs(est2.value)),
+            (analytic.lossy_noise_at_zero(cfg), est.variance, est2.variance),
+        ):
+            assert verify._rel_err(closed, value) <= verify._LOSSY_TOL
+            assert verify._converged(value, doubled, verify._LOSSY_TOL)
 
-    def test_lossy_records_name_their_own_worst_config(self, monkeypatch):
-        # the slope is worst on the first lossy draw, the noise on the
-        # second: each record carries the digest of its own worst config
-        errors = iter([(3e-9, 1e-9), (1e-9, 4e-9), (2e-9, 2e-9)])
-        digests = []
-
-        def fake(cfg, cutoff, budget):
-            digests.append(config_digest(cfg))
-            return next(errors), (True, True)
-
-        monkeypatch.setattr(verify, "_lossy_errors", fake)
-        records = {r.check: r for r in verify.run_oracle_suite(seed=0)}
-        assert len(set(digests)) == 3
-        slope, noise = records["lossy_slope_vs_closed_form"], records["lossy_noise_vs_closed_form"]
-        assert (slope.config_digest, slope.rel_err) == (digests[0], pytest.approx(3e-9))
-        assert (noise.config_digest, noise.rel_err) == (digests[1], pytest.approx(4e-9))
+    def test_lossy_records_name_their_own_worst_config(self):
+        # a multi-draw record carries the digest and values of its first
+        # worst draw, and a nan or infinite side is worse than any number
+        records, record = verify._suite_records(None)
+        digests = ["first", "second", "third"]
+        record("equal_worsts", digests, [1.0, 1.0 + 3e-9, 1.0 + 3e-9], 1.0, 1e-6)
+        record("nan_worst", digests, [1.0 + 5e-7, 1.0, np.nan], 1.0, 1e-6)
+        record("inf_worst", digests, 1.0, [1.0, np.inf, 2.0], 1e-6)
+        equal, nan, inf = records
+        assert (equal.config_digest, equal.analytic, equal.oracle, equal.passed) == (
+            "second", 1.0 + 3e-9, 1.0, True)
+        assert equal.rel_err == pytest.approx(3e-9)
+        assert (nan.config_digest, nan.oracle, nan.passed) == ("third", 1.0, False)
+        assert np.isnan(nan.analytic) and np.isnan(nan.rel_err)
+        assert (inf.config_digest, inf.oracle, inf.passed) == ("second", np.inf, False)
+        assert np.isnan(inf.rel_err)
 
     def test_expected_checks_present(self, oracle_records):
         assert tuple(r.check for r in oracle_records) == ORACLE_CHECKS
@@ -228,6 +234,51 @@ class TestMutationControl:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="no_such_check"):
             verify.run_suite("analytic", mutate="no_such_check")
+
+
+def _nan_field(real, field):
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return dataclasses.replace(out, **{field: np.full_like(getattr(out, field), np.nan)})
+    return patched
+
+
+def _nan_value(real):
+    return lambda *args, **kwargs: real(*args, **kwargs) * np.nan
+
+
+def _undefined_crossings(monkeypatch):
+    # delta_phi = inf, as evaluate reports a vanishing slope, in the first
+    # evaluation after the threshold pass: the crossing family's own
+    real_thresholds, real_evaluate = sweep.sql_thresholds, analytic.evaluate
+
+    def thresholds(cfg):
+        monkeypatch.setattr(analytic, "evaluate", lambda *args, **kwargs: dataclasses.replace(
+            out := real_evaluate(*args, **kwargs), delta_phi=np.full_like(out.delta_phi, np.inf)))
+        return real_thresholds(cfg)
+
+    monkeypatch.setattr(sweep, "sql_thresholds", thresholds)
+
+
+@pytest.mark.parametrize("inject, checks", [
+    (lambda mp: mp.setattr(analytic, "qfi_nonlinear", _nan_field(analytic.qfi_nonlinear, "f")),
+     {"qfi_reassembly", "qcrb_bound", "qfi_vs_polynomial"}),
+    (lambda mp: mp.setattr(analytic, "slope_at_zero", _nan_value(analytic.slope_at_zero)),
+     {"lossless_reduction_slope", "balanced_decomposition", "slope_vs_closed_form"}),
+    (lambda mp: mp.setattr(analytic, "noise_at_zero", _nan_value(analytic.noise_at_zero)),
+     {"lossless_reduction_noise", "variance_vs_closed_form"}),
+    (lambda mp: mp.setattr(analytic, "qfi_linear", _nan_value(analytic.qfi_linear)),
+     {"qfi_linear_moments"}),
+    (lambda mp: mp.setattr(oracle, "oracle_qfi", _nan_value(oracle.oracle_qfi)),
+     {"qfi_vs_polynomial"}),
+    (_undefined_crossings, {"sql_threshold_crossing"}),
+], ids=["qfi_nonlinear_f", "slope_at_zero", "noise_at_zero", "qfi_linear", "oracle_qfi",
+        "undefined_crossings"])
+def test_nan_closed_form_fails_its_checks(monkeypatch, inject, checks):
+    inject(monkeypatch)
+    records = verify.run_suite("all", seed=0)
+    failed = {r.check for r in records if not r.passed}
+    assert checks <= failed, failed
 
 
 def _reference_crossing(state, count: int):
