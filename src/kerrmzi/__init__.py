@@ -11,7 +11,6 @@ from .analytic import (
     UndefinedSensitivityError,
     chi3_phase,
     chi3_uncertainty,
-    linear_only_slope,
     lossy_noise_at_zero,
     lossy_slope_at_zero,
     noise_at_zero,

@@ -146,16 +146,6 @@ def noise_at_zero(config: InterferometerConfig) -> float:
     )
 
 
-def linear_only_slope(config: InterferometerConfig) -> float:
-    """Slope with the nonlinear contribution dropped:
-    2 g2 sqrt(TR) N_alpha^{1/2} |cos(theta2 - theta_alpha)|.  Its optimum
-    over T sits at T = 1/2."""
-    t = config.splitter.transmissivity
-    r = config.splitter.reflectivity
-    cosm = np.abs(np.cos(config.nbs2.phase - config.coherent.phase))
-    return 2.0 * config.nbs2.g * np.sqrt(t * r) * config.coherent.magnitude * cosm
-
-
 def lossy_slope_at_zero(config: InterferometerConfig) -> float:
     """Slope at phi = 0 with internal (eta_d on the sensing arm, eta_c on
     the other) and external (eta_a, eta_b) transmissions:

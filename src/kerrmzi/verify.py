@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, oracle, sweep
-from .config import (
-    _FIELD_WALK,
-    InterferometerConfig,
-    PhaseShift,
-    SplitterParams,
-    build_config,
-    config_digest,
-)
+from .config import InterferometerConfig, PhaseShift, SplitterParams, build_config, config_digest
 
 _MUTATION_FACTOR = 1.0 + 1e-3
 _LOSSY_TOL = 1e-6
@@ -125,8 +118,8 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
     records its first worst draw.  The smallest family holds
     draws // 10 of them, so draws below 10 are refused.
 
-    The SQL-crossing family stacks k = max(1, draws // 200) scalar
-    paper-scale configs into one array config.  It makes one
+    The SQL-crossing family draws k = max(1, draws // 200) paper-scale
+    configs and builds them as one array config.  It makes one
     ``sweep.sql_thresholds`` call and one ``analytic.evaluate`` of the
     (6, k) crossings, and records the worst crossing (the first in config
     order, then axis order) under the digest of its scalar config, or
@@ -204,8 +197,8 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
 
     # at every SQL loss threshold of paper-scale configs delta_phi = SQL:
     # one threshold pass and one evaluation of the (6, k) crossings
-    configs = [_random_paper_config(rng) for _ in range(max(1, draws // 200))]
-    cfg = _stacked(configs)
+    paper = [_paper_draw(rng) for _ in range(max(1, draws // 200))]
+    cfg = build_config(**_columns(paper))
     eta_star = sweep.sql_thresholds(cfg)
     report = analytic.evaluate(sweep.on_threshold_axes(cfg, eta_star))
     dphi, sql = report.delta_phi, report.sql
@@ -218,43 +211,33 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
     else:
         i, axis = divmod(worst, len(sweep.THRESHOLD_AXES))
         name = sweep.THRESHOLD_AXES[axis]
-        probe = sweep.set_parameter(configs[i], name, eta_star[axis, i].item())
+        probe = sweep.set_parameter(build_config(**paper[i]), name, eta_star[axis, i].item())
         record("sql_threshold_crossing", config_digest(probe),
                dphi[axis, i].item(), sql[i].item(), 1e-12)
 
     return records
 
 
-def _stacked(configs) -> InterferometerConfig:
-    """The scalar configs as one array config: each field holds the array
-    of its values in order."""
-    parts = {}
-    for section, key, _ in _FIELD_WALK[InterferometerConfig]:
-        column = np.array([getattr(getattr(c, section), key) for c in configs])
-        parts.setdefault(section, {})[key] = column
-    return InterferometerConfig(**{s: type(getattr(configs[0], s))(**f) for s, f in parts.items()})
+def _columns(draws) -> dict:
+    """build_config keyword dicts as one array per keyword, in draw order."""
+    return {key: np.array([d[key] for d in draws]) for key in draws[0]}
 
 
-def _random_paper_config(rng) -> InterferometerConfig:
-    # around the Fig. 2 (g2 = g1) and Fig. 4 (g2 = 2 g1) bases
+def _paper_draw(rng) -> dict:
+    """build_config keywords around the Fig. 2 (g2 = g1) and Fig. 4
+    (g2 = 2 g1) bases."""
     g1 = rng.uniform(1.5, 2.5)
-    return build_config(
+    return dict(
         alpha=rng.uniform(8.0, 12.0), g1=g1, g2=g1 * rng.uniform(1.0, 2.0),
         transmissivity=rng.uniform(0.2, 0.3),
     )
 
 
-_SMALL_TRANSMISSIVITIES = (0.25, 0.5, 0.75)
-
-
-def _random_small_config(rng) -> InterferometerConfig:
-    return build_config(
-        alpha=rng.uniform(0.2, 1.2),
-        g1=rng.uniform(0.05, 0.5),
-        g2=rng.uniform(0.1, 1.0),
-        transmissivity=float(
-            _SMALL_TRANSMISSIVITIES[rng.integers(0, len(_SMALL_TRANSMISSIVITIES))]
-        ),
+def _desk_draw(rng) -> dict:
+    """build_config keywords of a desk-scale configuration."""
+    return dict(
+        alpha=rng.uniform(0.2, 1.2), g1=rng.uniform(0.05, 0.5), g2=rng.uniform(0.1, 1.0),
+        transmissivity=(0.25, 0.5, 0.75)[rng.integers(0, 3)],
     )
 
 
@@ -267,28 +250,36 @@ def _converged(value: float, doubled: float, tol: float) -> bool:
 def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None):
     """Fock-simulator checks of the closed forms at desk-scale parameters.
 
-    The canonical and lossy slope and variance comparisons carry a
-    converged flag obtained by doubling the cutoff and requiring the
-    simulator value to move by less than a tenth of the comparison
-    tolerance.
+    The first three checks read the stages of one prepare -> nbs1 -> bs1
+    gate pass, in pass order.  The QFI family's six desk draws are one
+    array config on the closed-form side and six scalar Fock passes.  The
+    canonical and lossy slope and variance comparisons carry a converged
+    flag obtained by doubling the cutoff and requiring the simulator value
+    to move by less than a tenth of the comparison tolerance.
     """
     rng = np.random.default_rng(seed)
     records, record = _suite_records(mutate)
 
-    # squeezer sends vacuum to a pair with per-mode occupancy g^2
-    cfg = build_config(g1=0.4)
+    # one prepare -> nbs1 -> bs1 gate pass: the coherent pump lands at
+    # |alpha|^2 photons, the squeezer sends vacuum to a pair with per-mode
+    # occupancy g1^2, and the splitter leaves T g1^2 + R N_alpha in the
+    # sensing arm
+    cfg = build_config(alpha=0.9, g1=0.35, transmissivity=0.3)
+    digest, n_alpha, g1s = config_digest(cfg), cfg.coherent.n_alpha, cfg.nbs1.g ** 2
     state = oracle.prepare_input(cfg, cutoff, _BUDGET)
+    record("coherent_mean_photon", digest, n_alpha,
+           oracle.mean_photon(state, oracle.MODE_C), 1e-8, cutoff=cutoff)
     state = oracle.apply_two_mode_squeezer(
         state, cfg.nbs1.gain, cfg.nbs1.phase, oracle.MODE_A, oracle.MODE_B
     )
-    record("tmsv_occupancy", config_digest(cfg), cfg.nbs1.g ** 2,
+    record("tmsv_occupancy", digest, g1s,
            oracle.mean_photon(state, oracle.MODE_A), 1e-8, cutoff=cutoff)
-
-    # coherent preparation lands at |alpha|^2 photons
-    cfg = build_config(alpha=1.0)
-    state = oracle.prepare_input(cfg, cutoff, _BUDGET)
-    record("coherent_mean_photon", config_digest(cfg), 1.0,
-           oracle.mean_photon(state, oracle.MODE_C), 1e-8, cutoff=cutoff)
+    state = oracle.apply_beam_splitter(
+        state, cfg.splitter.transmissivity, oracle.MODE_B, oracle.MODE_C
+    )
+    record("arm_occupancy", digest,
+           cfg.splitter.transmissivity * g1s + cfg.splitter.reflectivity * n_alpha,
+           oracle.mean_photon(state, oracle.MODE_B), 1e-6, cutoff=cutoff)
 
     # splitter convention: coherent seeds recover the scalar two-port
     # coefficients at a pure linear phase
@@ -296,9 +287,7 @@ def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None)
     t = 0.35
     beta = 0.4
     cfg = build_config(transmissivity=t, phi_l=phi_l)
-    tc = analytic.transfer_coefficients(
-        cfg.splitter, cfg.nbs1, cfg.nbs2, PhaseShift(phi_l, 0.0), 0
-    )
+    tc = analytic.transfer_coefficients(cfg.splitter, cfg.nbs1, cfg.nbs2, cfg.phase, 0)
     seeded = oracle.coherent_product_state([0.0, beta, 0.0], cutoff, _BUDGET)
     seeded = oracle.apply_beam_splitter(seeded, t, oracle.MODE_B, oracle.MODE_C)
     seeded = oracle.apply_kerr(seeded, phi_l, 0.0, oracle.MODE_B)
@@ -334,11 +323,12 @@ def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None)
            converged=_converged(est.variance, est2.variance, 1e-4))
 
     # nonlinear-phase Fisher information against the printed polynomial
-    configs = [_random_small_config(rng) for _ in range(6)]
-    record("qfi_vs_polynomial", [config_digest(c) for c in configs],
-           [analytic.qfi_nonlinear(c.coherent.n_alpha, 2.0 * c.nbs1.g ** 2, c.splitter).f
-            for c in configs],
-           [oracle.oracle_qfi(c, cutoff=cutoff, budget=_BUDGET) for c in configs],
+    desk = [_desk_draw(rng) for _ in range(6)]
+    cfg = build_config(**_columns(desk))
+    cells = [build_config(**d) for d in desk]
+    record("qfi_vs_polynomial", [config_digest(c) for c in cells],
+           analytic.qfi_nonlinear(cfg.coherent.n_alpha, cfg.n_g, cfg.splitter).f,
+           [oracle.oracle_qfi(c, cutoff=cutoff, budget=_BUDGET) for c in cells],
            1e-4, cutoff=cutoff)
 
     # lossy pipeline against the loss formulas (moment readout), each
@@ -371,22 +361,6 @@ def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None)
     record("lossy_tail_vs_density", config_digest(cfg),
            oracle.numeric_slope(cfg, cutoff=_LOSSY_CUTOFF, budget=_LOSSY_BUDGET).variance,
            oracle.quadrature_stats(rho, oracle.MODE_A)[1], _TAIL_TOL, cutoff=_LOSSY_CUTOFF)
-
-    # sensing-arm occupancy after the first splitter: T g1^2 + R N_alpha
-    cfg = build_config(alpha=0.9, g1=0.35, transmissivity=0.3)
-    state = oracle.prepare_input(cfg, cutoff, _BUDGET)
-    state = oracle.apply_two_mode_squeezer(
-        state, cfg.nbs1.gain, cfg.nbs1.phase, oracle.MODE_A, oracle.MODE_B
-    )
-    state = oracle.apply_beam_splitter(
-        state, cfg.splitter.transmissivity, oracle.MODE_B, oracle.MODE_C
-    )
-    expected = (
-        cfg.splitter.transmissivity * cfg.nbs1.g ** 2
-        + cfg.splitter.reflectivity * cfg.coherent.n_alpha
-    )
-    record("arm_occupancy", config_digest(cfg), expected,
-           oracle.mean_photon(state, oracle.MODE_B), 1e-6, cutoff=cutoff)
 
     return records
 

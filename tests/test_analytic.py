@@ -12,7 +12,6 @@ from kerrmzi.analytic import (
     balanced_terms,
     chi3_phase,
     chi3_uncertainty,
-    linear_only_slope,
     lossy_noise_at_zero,
     lossy_slope_at_zero,
     noise_at_zero,
@@ -129,12 +128,6 @@ class TestSlopeAndNoise:
         a = noise_at_zero(build_config(alpha=3.0, g1=1.0, g2=2.0, transmissivity=0.2))
         b = noise_at_zero(build_config(alpha=9.0, g1=1.0, g2=2.0, transmissivity=0.8))
         assert a == b
-
-    def test_linear_only_slope_values(self):
-        cfg = build_config(alpha=10.0, g2=4.0, transmissivity=0.5)
-        # 2 g2 sqrt(TR) |alpha| = 2 * 4 * 0.5 * 10
-        assert linear_only_slope(cfg) == pytest.approx(40.0, rel=1e-14)
-        assert linear_only_slope(build_config(alpha=0.0, g2=4.0)) == 0.0
 
 
 class TestSensitivity:
@@ -433,6 +426,19 @@ class TestChi3:
         with pytest.raises(ValueError):
             chi3_uncertainty(MEDIUM, -1.0)
 
+    def test_absolute_values_at_n0_off_one(self):
+        # n2 = 3 chi3 / (4 n0^2 eps0 c) (Boyd, Nonlinear Optics, ch. 4) and
+        # phi_n = n2 I k L, by hand at n0 = 1.5 with the SI eps0 and c
+        medium = KerrMediumSpec(n0=1.5, intensity=1e12, wavenumber=7.85e6, length=0.01)
+        scale = 4.0 * 2.25 * 8.8541878128e-12 * 299792458.0
+        ikl = 1e12 * 7.85e6 * 0.01
+        chi3, delta_phi = 3.3e-22, 1e-6
+        assert nonlinear_index(medium, chi3) == pytest.approx(3.0 * chi3 / scale, rel=1e-15)
+        assert chi3_phase(medium, chi3) == pytest.approx(3.0 * chi3 * ikl / scale, rel=1e-15)
+        assert chi3_uncertainty(medium, delta_phi) == pytest.approx(
+            scale * delta_phi / (3.0 * ikl), rel=1e-15
+        )
+
 
 class TestSlopeConsistency:
     @given(st.floats(min_value=0.0, max_value=3.0), trans)
@@ -504,7 +510,7 @@ class TestArrayForms:
     def cols(self):
         return _random_columns(np.random.default_rng(7), self.COUNT)
 
-    @pytest.mark.parametrize("form", [slope_at_zero, noise_at_zero, linear_only_slope])
+    @pytest.mark.parametrize("form", [slope_at_zero, noise_at_zero])
     def test_config_forms(self, form, cols):
         got = form(validate(_config_of(cols)))
         assert got.shape == (self.COUNT,)

@@ -16,7 +16,7 @@ from kerrmzi import sweep
 from kerrmzi.cli import _SWEEP_KINDS, _build_spec
 from kerrmzi.config import build_config
 from kerrmzi.sweep import Axis, SweepResult, SweepSpec, run_sweep
-from kerrmzi.verify import _random_paper_config
+from kerrmzi.verify import _paper_draw
 
 WINDOW = (1e-4, 1e16)
 
@@ -129,7 +129,7 @@ def test_every_kind_matches_reference(kind):
 @pytest.mark.parametrize("seed", range(4))
 def test_seeded_loss_maps_match_reference(seed):
     rng = np.random.default_rng(seed)
-    base = _random_paper_config(rng)
+    base = build_config(**_paper_draw(rng))
     for names in (("loss.eta_c", "loss.eta_d"), ("loss.eta_a", "loss.eta_b")):
         axes = tuple(Axis.linspace(name, 0.0, 1.0, 61) for name in names)
         _assert_reference_text(run_sweep(SweepSpec(base=base, axes=axes)))

@@ -1574,6 +1574,20 @@ class TestNumericSlope:
         assert abs(est.value) == pytest.approx(report.slope, rel=1e-6)
         assert est.variance == pytest.approx(report.noise, rel=1e-6)
 
+    def test_loss_on_mode_a_lowers_delta_phi_at_mismatched_readout(self):
+        # delta_phi is not monotone in loss: away from g2 = 2 g1 the readout
+        # leaves amplified idler noise on mode a, and loss there takes some
+        # of it away; the Fock pass reads both points as the closed form does
+        dphi = []
+        for eta_a, printed in ((1.0, 7.3092), (0.5, 7.1237)):
+            cfg = build_config(alpha=0.8, g1=0.3, g2=0.1, transmissivity=0.25, eta_a=eta_a)
+            closed = analytic.sensitivity(cfg).delta_phi
+            est = numeric_slope(cfg, cutoff=15, budget=1e-6)
+            assert closed == pytest.approx(printed, abs=5e-5)
+            assert math.sqrt(est.variance) / abs(est.value) == pytest.approx(closed, rel=1e-10)
+            dphi.append(closed)
+        assert dphi[1] < dphi[0]
+
     def test_zero_readout_gain_gives_zero(self):
         cfg = build_config(alpha=1.0, g1=0.3, g2=0.0, transmissivity=0.25)
         est = numeric_slope(cfg, cutoff=12, budget=1e-6)

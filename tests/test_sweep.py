@@ -24,7 +24,7 @@ from kerrmzi.sweep import (
     set_parameter,
     sql_thresholds,
 )
-from kerrmzi.verify import _random_paper_config, _random_small_config, _stacked
+from kerrmzi.verify import _columns, _desk_draw, _paper_draw
 
 FIG4_BASE = build_config(alpha=10.0, g1=2.0, g2=4.0, transmissivity=0.25)
 
@@ -398,7 +398,7 @@ class TestFindSqlThreshold:
         rng = np.random.default_rng(THRESHOLD_AXES.index(name))
         eta = np.linspace(0.0, 1.0, 4001)
         for _ in range(5):
-            cfg = _random_paper_config(rng)
+            cfg = build_config(**_paper_draw(rng))
             eta_star = find_sql_threshold(cfg, name).eta_star
             out = analytic.evaluate(set_parameter(cfg, name, eta))
             beats = out.delta_phi < out.sql
@@ -478,10 +478,10 @@ def _reference_threshold(config, name):
     return r * r, ""
 
 
-def _seeded_configs(seed: int, count: int) -> list:
-    """Paper-scale and desk-scale configs, alternating."""
+def _seeded_draws(seed: int, count: int) -> list:
+    """build_config keywords of paper-scale and desk-scale configs, alternating."""
     rng = np.random.default_rng(seed)
-    return [(_random_small_config if i % 2 else _random_paper_config)(rng) for i in range(count)]
+    return [(_desk_draw if i % 2 else _paper_draw)(rng) for i in range(count)]
 
 
 def _bits(eta):
@@ -492,7 +492,7 @@ class TestThresholdReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_scalar_search_equals_python_roots(self, seed):
         reasons = set()
-        for cfg in _seeded_configs(seed, 40):
+        for cfg in (build_config(**draw) for draw in _seeded_draws(seed, 40)):
             for name in THRESHOLD_AXES:
                 result = find_sql_threshold(cfg, name)
                 eta, reason = _reference_threshold(cfg, name)
@@ -504,10 +504,10 @@ class TestThresholdReference:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_array_thresholds_equal_scalar_searches(self, seed):
-        configs = _seeded_configs(seed, 60)
-        eta = sql_thresholds(_stacked(configs))
-        assert eta.shape == (len(THRESHOLD_AXES), len(configs))
-        for i, cfg in enumerate(configs):
+        draws = _seeded_draws(seed, 60)
+        eta = sql_thresholds(build_config(**_columns(draws)))
+        assert eta.shape == (len(THRESHOLD_AXES), len(draws))
+        for i, cfg in enumerate(build_config(**draw) for draw in draws):
             for j, name in enumerate(THRESHOLD_AXES):
                 assert _bits(eta[j, i]) == _bits(find_sql_threshold(cfg, name).eta_star)
 
@@ -571,6 +571,8 @@ class TestThresholdReference:
         calls = []
         real = analytic.evaluate
         monkeypatch.setattr(analytic, "evaluate", lambda cfg: calls.append(cfg) or real(cfg))
-        sql_thresholds(_stacked(_seeded_configs(0, 10)))
+        sql_thresholds(build_config(**_columns(_seeded_draws(0, 10))))
         assert len(calls) == 1
-        assert np.broadcast(*(getattr(calls[0].loss, f) for f in sweep._SETS)).shape == (6, 3, 10)
+        # the loss samples of each axis against the ten configs' pumps
+        fields = [getattr(calls[0].loss, f) for f in sweep._SETS] + [calls[0].coherent.magnitude]
+        assert np.broadcast(*fields).shape == (6, 3, 10)

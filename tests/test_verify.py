@@ -25,8 +25,9 @@ ANALYTIC_CHECKS = (
     "sql_threshold_crossing",
 )
 ORACLE_CHECKS = (
-    "tmsv_occupancy",
     "coherent_mean_photon",
+    "tmsv_occupancy",
+    "arm_occupancy",
     "bs_convention_m1",
     "bs_convention_m0",
     "loss_cptp",
@@ -37,7 +38,6 @@ ORACLE_CHECKS = (
     "lossy_slope_vs_closed_form",
     "lossy_noise_vs_closed_form",
     "lossy_tail_vs_density",
-    "arm_occupancy",
 )
 
 
@@ -210,9 +210,9 @@ class TestMutationControl:
 
     @pytest.mark.parametrize(
         "check",
-        ["tmsv_occupancy", "bs_convention_m1", "bs_convention_m0", "loss_coherent_amplitude",
-         "variance_vs_closed_form", "qfi_vs_polynomial", "lossy_slope_vs_closed_form",
-         "lossy_tail_vs_density", "arm_occupancy"],
+        ["coherent_mean_photon", "tmsv_occupancy", "arm_occupancy", "bs_convention_m1",
+         "bs_convention_m0", "loss_coherent_amplitude", "variance_vs_closed_form",
+         "qfi_vs_polynomial", "lossy_slope_vs_closed_form", "lossy_tail_vs_density"],
     )
     def test_mutated_oracle_check_fails(self, check):
         records = verify.run_oracle_suite(seed=1, cutoff=12, mutate=check)
@@ -317,13 +317,13 @@ class TestThresholdCrossing:
     def test_record_equals_the_scalar_loop(self, monkeypatch, seed, draws):
         # the generator's state where the family starts drawing
         states = []
-        real = verify._random_paper_config
+        real = verify._paper_draw
 
         def drawing(rng):
             states.append(rng.bit_generator.state)
             return real(rng)
 
-        monkeypatch.setattr(verify, "_random_paper_config", drawing)
+        monkeypatch.setattr(verify, "_paper_draw", drawing)
         (rec,) = [r for r in verify.run_analytic_suite(seed=seed, draws=draws)
                   if r.check == "sql_threshold_crossing"]
         assert len(states) == max(1, draws // 200)
