@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import InterferometerConfig
+from .config import InterferometerConfig, _field_values
 
 MODE_A, MODE_B, MODE_C = 0, 1, 2
 _NORM_DRIFT_GUARD = 1e-9
@@ -143,6 +143,13 @@ def _refuse_non_finite(what: str, *values) -> None:
     comparison, and a gate built from it would stay in its cache."""
     if not all(map(cmath.isfinite, values)):
         raise ValueError(f"{what} must be finite (got {', '.join(map(repr, values))})")
+
+
+def _refuse_arrays(config: InterferometerConfig) -> None:
+    """Refuse a config with an array field before any arithmetic reads it."""
+    for name, value in _field_values(config):
+        if isinstance(value, np.ndarray):
+            raise ValueError(f"{name} is an array of shape {value.shape}; Fock passes take scalars")
 
 
 def _refuse_above_cap(cutoff: int, nbytes: int, what: str = "a density operator") -> None:
@@ -678,6 +685,7 @@ def simulate(config: InterferometerConfig, cutoff: int = 15, budget: float = 1e-
     drifts from 1 or is NaN; from nbs2 on, mode c keeps the occupancy bs2
     checked.
     """
+    _refuse_arrays(config)
     return _readout_pair(config, cutoff, budget)[0]
 
 
@@ -806,6 +814,7 @@ def numeric_slope(
     branch and no density, and nothing after the Kerr stage is truncated.
     Both passes are sized like a lossless simulate.
     """
+    _refuse_arrays(config)
     u, noise = _readout_pullback(config)
     if config.loss.is_lossless():
         state, slope = _readout_pair(config, cutoff, budget, u)
@@ -825,6 +834,7 @@ def oracle_qfi(
     variance form); lossy configurations are rejected.  Sized and refused
     like a lossless pass (_entering_kerr).
     """
+    _refuse_arrays(config)
     if not config.loss.is_lossless():
         raise ValueError(
             "oracle_qfi supports lossless configurations only "

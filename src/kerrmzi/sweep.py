@@ -16,6 +16,7 @@ import dataclasses
 import errno
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,12 @@ _FIELD_AXES = tuple(name for _, _, name in _FIELD_WALK[InterferometerConfig])
 
 SWEEPABLE_PARAMETERS = _FIELD_AXES + _DERIVED_AXES
 
+# Each loss axis and the loss fields it sets; on each, noise - SQL^2 slope^2
+# is a quadratic in sqrt(eta).  eta_ab is the external-loss diagonal.
+_LOSS_FIELDS = tuple(key for part, key, _ in _FIELD_WALK[InterferometerConfig] if part == "loss")
+_LOSS_AXES = {**{f"loss.{f}": (f,) for f in _LOSS_FIELDS}, "eta_ab": ("eta_a", "eta_b")}
+THRESHOLD_AXES = tuple(_LOSS_AXES)
+
 
 class SweepSpecError(ValueError):
     """Raised for malformed sweep specifications."""
@@ -44,10 +51,10 @@ def set_parameter(
     """Return a copy of ``config`` with one sweepable parameter replaced.
 
     ``value`` may be a numpy array, which then broadcasts against the
-    other fields.  Derived axes: ``g2_over_g1`` sets the readout squeezer
-    amplitude to value * g1, ``r_over_t`` sets the splitter to
-    T = 1 / (1 + value) (inf at value = -1), ``eta_ab`` sets eta_a and
-    eta_b jointly (the external-loss diagonal).
+    other fields.  A loss axis sets its fields in ``_LOSS_AXES``;
+    ``g2_over_g1`` sets the readout squeezer amplitude to value * g1 and
+    ``r_over_t`` the splitter to T = 1 / (1 + value) (inf at value = -1).
+    Any other name not a config field is refused (SweepSpecError).
     """
     if name == "g2_over_g1":
         nbs2 = SqueezerParams.from_g(value * config.nbs1.g, config.nbs2.phase)
@@ -58,10 +65,9 @@ def set_parameter(
         return dataclasses.replace(
             config, splitter=dataclasses.replace(config.splitter, transmissivity=t)
         )
-    if name == "eta_ab":
-        return dataclasses.replace(
-            config, loss=dataclasses.replace(config.loss, eta_a=value, eta_b=value)
-        )
+    if name in _LOSS_AXES:
+        loss = dataclasses.replace(config.loss, **dict.fromkeys(_LOSS_AXES[name], value))
+        return dataclasses.replace(config, loss=loss)
     if name not in _FIELD_AXES:
         raise SweepSpecError(
             f"unknown sweep parameter '{name}'; known: {', '.join(SWEEPABLE_PARAMETERS)}"
@@ -73,23 +79,22 @@ def set_parameter(
 
 @dataclass(frozen=True)
 class Axis:
-    """One sweep axis: a parameter name and its grid values."""
+    """One sweep axis: a parameter name and its grid values, at least two."""
 
     name: str
     values: tuple
 
+    def __post_init__(self):
+        if (count := len(self.values)) < 2:
+            raise SweepSpecError(f"axis '{self.name}': point count must be >= 2 (got {count})")
+
     @classmethod
     def linspace(cls, name: str, lo: float, hi: float, count: int) -> "Axis":
-        if count < 2:
-            raise SweepSpecError(f"axis '{name}': point count must be >= 2 (got {count})")
         return cls(name=name, values=tuple(np.linspace(lo, hi, count)))
 
     @classmethod
     def from_values(cls, name: str, values) -> "Axis":
-        vals = tuple(float(v) for v in values)
-        if len(vals) < 2:
-            raise SweepSpecError(f"axis '{name}': point count must be >= 2 (got {len(vals)})")
-        return cls(name=name, values=vals)
+        return cls(name=name, values=tuple(float(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -102,20 +107,12 @@ class SweepSpec:
     def validated(self) -> "SweepSpec":
         """The spec, if its shape, base (else InvalidConfigError) and each
         axis value set alone on the base are valid.  Each axis is
-        validated as one array config; on failure the message names the
-        first invalid value in axis order and words its errors as that
-        value's scalar config does."""
+        set as one array by ``set_parameter``, after the base, so a loss
+        axis sets the fields of its ``_LOSS_AXES`` entry and an unknown name
+        is refused there; the message names the first invalid value in axis
+        order and words its errors as that value's scalar config does."""
         if not 1 <= len(self.axes) <= 2:
             raise SweepSpecError(f"need 1 or 2 axes (got {len(self.axes)})")
-        for axis in self.axes:
-            if axis.name not in SWEEPABLE_PARAMETERS:
-                raise SweepSpecError(
-                    f"axis '{axis.name}' does not resolve to a config parameter"
-                )
-            if len(axis.values) < 2:
-                raise SweepSpecError(
-                    f"axis '{axis.name}': point count must be >= 2"
-                )
         validate(self.base)
         for axis in self.axes:
             if not field_errors(set_parameter(self.base, axis.name, np.array(axis.values))):
@@ -129,17 +126,8 @@ class SweepSpec:
         return self
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    axis_values: tuple
-    delta_phi: float
-    sql: float
-    qcrb: float
-    beats_sql: bool
-    defined: bool
-
-
 _RESULT_COLUMNS = ("delta_phi", "sql", "qcrb", "beats_sql", "defined")
+SweepRow = namedtuple("SweepRow", ("axis_values",) + _RESULT_COLUMNS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,20 +364,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     )
 
 
-# Loss axes on which noise - SQL^2 slope^2 is a quadratic in sqrt(eta).
-THRESHOLD_AXES = tuple(f"loss.eta_{k}" for k in ("a", "b", "c", "d", "det")) + ("eta_ab",)
 _NO_ADVANTAGE = "no crossing: sensitivity does not beat the SQL even without loss"
 _NO_CROSSING = "no crossing: sensitivity stays below the SQL over the whole scan"
 # eta = s^2 at the samples s = 0, 1/2, 1 of the quadratic fit
 _ETA_SAMPLES = np.array([0.0, 0.25, 1.0])
 # _SETS[name][i]: THRESHOLD_AXES[i] sets the loss field ``name``
-_SETS = {
-    name: np.array([
-        axis == f"loss.{name}" or (axis == "eta_ab" and name in ("eta_a", "eta_b"))
-        for axis in THRESHOLD_AXES
-    ])
-    for name in ("eta_a", "eta_b", "eta_c", "eta_d", "eta_det")
-}
+_SETS = {f: np.array([f in fields for fields in _LOSS_AXES.values()]) for f in _LOSS_FIELDS}
 
 
 @dataclass(frozen=True)

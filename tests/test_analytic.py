@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -37,6 +38,7 @@ from kerrmzi.config import (
     parse_config,
     validate,
 )
+from kerrmzi.oracle import MODE_B, MODE_C, FockState, apply_beam_splitter, apply_kerr
 
 # shared hypothesis strategies for physical parameter draws
 g_amp = st.floats(min_value=0.0, max_value=4.0)
@@ -71,6 +73,43 @@ class TestTransferCoefficients:
         assert abs(tc.a) ** 2 - abs(tc.b) ** 2 - abs(tc.c) ** 2 == pytest.approx(
             1.0, abs=1e-12
         )
+
+    def test_one_photon_fock_anchor(self):
+        # one photon in b through bs1, the Kerr phase and bs2 of the Fock
+        # oracle lands on |0,1,0> with amplitude m1 and on |0,0,1> with m0
+        # at n = 0, which pins the phase e^{i(phi_l + phi_n)} and its sign
+        splitter, phase = SplitterParams(0.35), PhaseShift(0.4, 0.3)
+        amps = np.zeros((6, 6, 6), dtype=complex)
+        amps[0, 1, 0] = 1.0
+        state = apply_beam_splitter(FockState(amps, 6), 0.35, MODE_B, MODE_C)
+        state = apply_kerr(state, phase.linear, phase.nonlinear, MODE_B)
+        state = apply_beam_splitter(state, 0.35, MODE_B, MODE_C)
+        tc = transfer_coefficients(splitter, SqueezerParams(), SqueezerParams(), phase, 0)
+        assert abs(state.amplitudes[0, 1, 0] - tc.m1) <= 1e-13
+        assert abs(state.amplitudes[0, 0, 1] - tc.m0) <= 1e-13
+
+    def test_hand_transcription_at_two_photons(self):
+        # the docstring's coefficients written out at n = 2, where the phase
+        # is phi_l + 5 phi_n
+        g1, th1, g2, th2, t, phi_l, phi_n = 0.7, 0.4, 1.3, 2.2, 0.3, 0.2, 0.15
+        r, gain1, gain2 = 1.0 - t, math.sqrt(1.0 + g1 * g1), math.sqrt(1.0 + g2 * g2)
+        ph = cmath.exp(1j * (phi_l + 5.0 * phi_n))
+        m0, m1, m2 = math.sqrt(t * r) * (ph - 1.0), r + t * ph, r * ph + t
+        want = {
+            "m0": m0,
+            "m1": m1,
+            "m2": m2,
+            "a": gain2 * gain1 + g2 * g1 * cmath.exp(1j * (th2 - th1)) * m1.conjugate(),
+            "b": gain2 * g1 * cmath.exp(1j * th1)
+            + gain1 * g2 * cmath.exp(1j * th2) * m1.conjugate(),
+            "c": g2 * cmath.exp(1j * th2) * m0.conjugate(),
+        }
+        tc = transfer_coefficients(
+            SplitterParams(t), SqueezerParams.from_g(g1, th1), SqueezerParams.from_g(g2, th2),
+            PhaseShift(phi_l, phi_n), 2,
+        )
+        for name, value in want.items():
+            assert abs(getattr(tc, name) - value) <= 1e-14 * abs(value), name
 
     def test_negative_photon_number_rejected(self):
         cfg = build_config()

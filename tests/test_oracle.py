@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -1686,6 +1687,21 @@ class TestEntry:
         with pytest.raises(ValueError, match=r"^cutoff must be an integer >= 2"):
             run(CANON, cutoff=cutoff, budget=1e-2)
         assert builds == []
+
+    @pytest.mark.parametrize("run", [simulate, numeric_slope, oracle_qfi])
+    @pytest.mark.parametrize(
+        "field, arg",
+        [("coherent.magnitude", "alpha"), ("nbs1.gain", "g1"), ("loss.eta_a", "eta_a")],
+    )
+    def test_array_field_refused_by_name(self, monkeypatch, run, field, arg):
+        # build_config takes arrays, but a Fock pass runs one configuration;
+        # the refusal names the field before any arithmetic, numeric_slope's
+        # readout pullback included, reads it
+        pullbacks = _calls(monkeypatch, "_readout_pullback")
+        cfg = build_config(**{"alpha": 1.0, "g1": 0.3, "g2": 0.6, arg: np.array([0.5, 0.9])})
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} is an array of shape \(2,\)"):
+            run(cfg, cutoff=8)
+        assert pullbacks == []
 
     @pytest.mark.parametrize(
         "cutoff, budget, match",

@@ -68,7 +68,7 @@ class TestSpecValidation:
 
     def test_unresolvable_axis_name(self):
         ax = Axis.linspace("bogus.field", 0.0, 1.0, 3)
-        with pytest.raises(SweepSpecError, match="does not resolve"):
+        with pytest.raises(SweepSpecError, match="unknown sweep parameter .bogus.field."):
             SweepSpec(base=FIG4_BASE, axes=(ax,)).validated()
 
     @pytest.mark.parametrize(
