@@ -334,10 +334,13 @@ def _apply_on_axes(tensor: np.ndarray, gate: _PackedGate, axes) -> np.ndarray:
     """Apply a packed gate to the two tensor axes ``axes``: gather their
     index pairs in packed order, multiply each row block by its matrix in
     one batched real matmul, between conj(d) and d when the gate carries a
-    phase, and scatter the result into a new tensor."""
+    phase, and scatter the result into a new tensor.  Gather and scatter
+    read one transposed view each, ``axes`` first and the other axes after
+    them in order."""
     i, j = gate.pairs
     c = len(i)
-    work = np.moveaxis(tensor, axes, (0, 1))[i, j].astype(complex, copy=False)
+    perm = (*axes, *(k for k in range(tensor.ndim) if k not in axes))
+    work = tensor.transpose(perm)[i, j].astype(complex, copy=False)
     shape = tensor.shape
     # Frees an input no caller holds (the ket half of _apply_unitary) before
     # the matmul; rebinding work frees the gathered copy before out exists.
@@ -350,7 +353,7 @@ def _apply_on_axes(tensor: np.ndarray, gate: _PackedGate, axes) -> np.ndarray:
     if gate.phase is not None:
         work *= gate.phase[:, :, None]
     out = np.empty(shape, dtype=work.dtype)
-    np.moveaxis(out, axes, (0, 1))[i, j] = work.reshape((c, c) + rest)
+    out.transpose(perm)[i, j] = work.reshape((c, c) + rest)
     return out
 
 
@@ -390,7 +393,9 @@ def reduced_density(state, mode: int) -> np.ndarray:
     """(C, C) reduced density matrix of one mode; a trailing axis of Kraus
     branches is traced out as well."""
     if isinstance(state, FockState):
-        psi = np.moveaxis(state.amplitudes, mode, 0).reshape(state.cutoff, -1)
+        amps = state.amplitudes
+        perm = (mode, *(k for k in range(amps.ndim) if k != mode))
+        psi = amps.transpose(perm).reshape(state.cutoff, -1)
         return psi @ psi.conj().T
     ket = "abc"[: state.modes]
     bra = ket[:mode] + "z" + ket[mode + 1 :]
@@ -527,7 +532,7 @@ def _kraus_branches(state: FockState, eta: float, mode: int) -> FockState:
     kraus = loss_kraus_operators(eta, c).swapaxes(0, 1).reshape(c * c, c)
     psi = np.ascontiguousarray(state.amplitudes, dtype=complex).reshape(c**mode, c, -1)
     amps = _real_matmul(kraus, psi).reshape(c**mode, c, c, -1)
-    return FockState(amplitudes=np.moveaxis(amps, 2, 3).reshape((c,) * 4), cutoff=c)
+    return FockState(amplitudes=amps.swapaxes(2, 3).reshape((c,) * 4), cutoff=c)
 
 
 # --- full pipeline -----------------------------------------------------------

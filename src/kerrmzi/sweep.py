@@ -133,7 +133,9 @@ SweepRow = namedtuple("SweepRow", ("axis_values",) + _RESULT_COLUMNS)
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Grid evaluation output as columns: one flat array per axis and per
-    result, row-major over the spec axes (first axis outermost)."""
+    result, row-major over the spec axes (first axis outermost).
+    ``axis_grid`` holds the 1-D values of each axis that the grid was built
+    from, or None when the axis columns were given flat."""
 
     axis_names: tuple
     axis_values: tuple
@@ -142,6 +144,7 @@ class SweepResult:
     qcrb: np.ndarray
     beats_sql: np.ndarray
     defined: np.ndarray
+    axis_grid: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.delta_phi)
@@ -158,10 +161,13 @@ class SweepResult:
     def csv_text(self) -> str:
         """The CSV file: the header and one line per row, each ending in a
         newline."""
-        numbers = [*self.axis_values, self.delta_phi, self.sql, self.qcrb]
-        columns = [_format_column(c) for c in numbers]
+        if self.axis_grid is None:
+            columns = [_format_column(c) for c in self.axis_values]
+        else:
+            columns = _grid_columns(self.axis_grid)
+        columns += [_format_column(c) for c in (self.delta_phi, self.sql, self.qcrb)]
         columns += [np.where(c, "1", "0").tolist() for c in (self.beats_sql, self.defined)]
-        return "\n".join([self.csv_header(), *map(",".join, zip(*columns))]) + "\n"
+        return "\n".join([self.csv_header(), *map(",".join, zip(*columns)), ""])
 
     def write_csv(self, path) -> None:
         write_atomic({path: self.csv_text()})
@@ -191,6 +197,19 @@ def _format_column(column: np.ndarray) -> list:
         fixed[:] = False
     text[~fixed] = ["%.17g" % v for v in values[~fixed].tolist()]
     return text[where].tolist()
+
+
+def _grid_columns(axis_grid) -> list:
+    """Cells of the axis columns of a row-major grid: each axis's own values
+    formatted once, each repeated over the axes after it and the block
+    tiled over the axes before it."""
+    sizes = [len(values) for values in axis_grid]
+    columns = []
+    for k, values in enumerate(axis_grid):
+        cells = np.array(_format_column(values), dtype=object)
+        inner, outer = math.prod(sizes[k + 1 :]), math.prod(sizes[:k])
+        columns.append(np.tile(np.repeat(cells, inner), outer).tolist())
+    return columns
 
 
 # '%.17g' of a double v with 1e-4 <= |v| < 1e16 has no exponent.  It is the
@@ -343,7 +362,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     delta_phi and a nan qcrb, never dropped.
     """
     spec = spec.validated()
-    grids = np.meshgrid(*(np.array(a.values, dtype=float) for a in spec.axes), indexing="ij")
+    axis_grid = tuple(np.array(a.values, dtype=float) for a in spec.axes)
+    grids = np.meshgrid(*axis_grid, indexing="ij")
     axis_values = tuple(g.ravel() for g in grids)
     config = spec.base
     for axis, values in zip(spec.axes, axis_values):
@@ -361,6 +381,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         qcrb=qcrb,
         beats_sql=delta_phi < sql,
         defined=slope > 0.0,
+        axis_grid=axis_grid,
     )
 
 
@@ -436,7 +457,7 @@ def sql_thresholds(config: InterferometerConfig) -> np.ndarray:
     ndim = max(np.ndim(getattr(getattr(config, part), key)) for part, key, _ in walk)
     samples = _ETA_SAMPLES.reshape((1, 3) + (1,) * ndim)
     out = analytic.evaluate(on_threshold_axes(config, samples))
-    f0, fh, f1 = np.moveaxis(_margins(out), 1, 0)
+    f0, fh, f1 = _margins(out).swapaxes(0, 1)
     return _crossing_eta(f0, fh, f1)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -508,6 +509,83 @@ class TestBlockedGates:
             out = run(FockState(real, 8))
             assert out.dtype == complex
             assert np.array_equal(out, run(FockState(real.astype(complex), 8)))
+
+
+def _random_amplitudes(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _moveaxis_apply(tensor, gate, axes):
+    """_apply_on_axes with its gather and scatter views taken by np.moveaxis:
+    the same gather, _real_matmul and scatter on the same bytes."""
+    i, j = gate.pairs
+    c = len(i)
+    work = np.moveaxis(tensor, axes, (0, 1))[i, j].astype(complex, copy=False)
+    rest = work.shape[2:]
+    work = work.reshape(c, c, -1)
+    if gate.phase is not None:
+        work *= gate.phase.conj()[:, :, None]
+    work = oracle._real_matmul(gate.stack, work)
+    if gate.phase is not None:
+        work *= gate.phase[:, :, None]
+    out = np.empty(tensor.shape, dtype=work.dtype)
+    np.moveaxis(out, axes, (0, 1))[i, j] = work.reshape((c, c) + rest)
+    return out
+
+
+class TestAxisPlan:
+    # _apply_on_axes, _kraus_branches and reduced_density permute axes with
+    # transpose and swapaxes.  Each must take the views np.moveaxis took, so
+    # every gather, matmul block and result is bit-identical to it
+    _GATES = {
+        "splitter": lambda c: oracle._beam_splitter_unitary(0.3, c),
+        "phased-squeezer": lambda c: oracle._squeezer_unitary(math.hypot(1, 0.7), 0.9, c),
+        "loss": lambda c: oracle._loss_superoperator(0.7, c),
+    }
+
+    @pytest.mark.parametrize("ndim", [3, 4])
+    @pytest.mark.parametrize("kind", _GATES)
+    def test_apply_on_every_axis_pair(self, monkeypatch, kind, ndim):
+        # on four axes, (0, 2) and (1, 3) are the (ket, bra) pairs of a
+        # two-mode density, where apply_loss runs the loss superoperator
+        c = 5
+        gate = self._GATES[kind](c)
+        rng = np.random.default_rng(ndim)
+        matmul, blocks = oracle._real_matmul, []
+
+        def recording(mats, work):
+            blocks.append(work.copy())
+            return matmul(mats, work)
+
+        monkeypatch.setattr(oracle, "_real_matmul", recording)
+        for axes in itertools.permutations(range(ndim), 2):
+            tensor = _random_amplitudes(rng, (c,) * ndim)
+            ref = _moveaxis_apply(tensor, gate, axes)
+            out = oracle._apply_on_axes(tensor.copy(), gate, axes)
+            assert np.array_equal(blocks[-1], blocks[-2]), axes
+            assert np.array_equal(out, ref), axes
+
+    def test_kraus_branches_on_every_mode(self):
+        c = 5
+        rng = np.random.default_rng(5)
+        kraus = loss_kraus_operators(0.6, c).swapaxes(0, 1).reshape(c * c, c)
+        for mode in range(3):
+            amps = _random_amplitudes(rng, (c,) * 3)
+            psi = amps.reshape(c**mode, c, -1)
+            branches = oracle._real_matmul(kraus, psi).reshape(c**mode, c, c, -1)
+            ref = np.moveaxis(branches, 2, 3).reshape((c,) * 4)
+            out = oracle._kraus_branches(FockState(amps, c), 0.6, mode).amplitudes
+            assert np.array_equal(out, ref), mode
+
+    @pytest.mark.parametrize("ndim", [3, 4], ids=["state", "branch-stack"])
+    def test_reduced_density_on_every_mode(self, ndim):
+        c = 5
+        amps = _random_amplitudes(np.random.default_rng(ndim), (c,) * ndim)
+        for mode in range(3):
+            psi = np.moveaxis(amps, mode, 0).reshape(c, -1)
+            ref = psi @ psi.conj().T
+            assert np.array_equal(reduced_density(FockState(amps, c), mode), ref), mode
+
 
 class TestQuadratureStats:
     def test_vacuum_convention(self):

@@ -23,6 +23,7 @@ ANALYTIC_CHECKS = (
     "detection_loss_identity",
     "linear_argmax_half",
     "sql_threshold_crossing",
+    "phase_covariance",
 )
 ORACLE_CHECKS = (
     "coherent_mean_photon",
@@ -180,7 +181,8 @@ class TestMutationControl:
 
     @pytest.mark.parametrize(
         "check",
-        ["qfi_reassembly", "optimal_split_argmax", "linear_argmax_half", "sql_threshold_crossing"],
+        ["qfi_reassembly", "optimal_split_argmax", "linear_argmax_half", "sql_threshold_crossing",
+         "phase_covariance"],
     )
     def test_mutated_analytic_check_fails(self, check):
         records = verify.run_analytic_suite(seed=1, draws=100, mutate=check)
@@ -281,6 +283,29 @@ def test_nan_closed_form_fails_its_checks(monkeypatch, inject, checks):
     assert checks <= failed, failed
 
 
+def _phase_fault(form, field):
+    """``form`` read at the config whose ``field`` phase is negated: a
+    closed form that reads theta2 + theta in place of theta2 - theta."""
+    def faulted(cfg):
+        part, key = field.split(".")
+        return form(sweep.set_parameter(cfg, field, -getattr(getattr(cfg, part), key)))
+    return faulted
+
+
+@pytest.mark.parametrize("forms, field", [
+    (("slope_at_zero", "lossy_slope_at_zero"), "coherent.phase"),
+    (("noise_at_zero", "lossy_noise_at_zero"), "nbs1.phase"),
+], ids=["cos(theta2 + theta_alpha)-slopes", "cos(theta2 + theta1)-noises"])
+@pytest.mark.parametrize("draws", [400, 2000])
+def test_phase_faults_fail_only_phase_covariance(monkeypatch, forms, field, draws):
+    # a sign fault in a phase difference, in both forms it enters, passes
+    # every other analytic check; the shifted phases see it
+    for name in forms:
+        monkeypatch.setattr(analytic, name, _phase_fault(getattr(analytic, name), field))
+    records = verify.run_analytic_suite(seed=0, draws=draws)
+    assert {r.check for r in records if not r.passed} == {"phase_covariance"}
+
+
 def _reference_crossing(state, count: int):
     """The sql_threshold_crossing record's (digest, analytic, oracle) as a
     loop over ``count`` scalar paper-scale configs drawn from a generator
@@ -334,7 +359,8 @@ class TestThresholdCrossing:
 
     def test_no_crossing_records_none(self, monkeypatch):
         monkeypatch.setattr(sweep, "sql_thresholds", lambda cfg: np.full((6, 1), np.nan))
-        rec = verify.run_analytic_suite(seed=0, draws=100)[-1]
+        (rec,) = [r for r in verify.run_analytic_suite(seed=0, draws=100)
+                  if r.check == "sql_threshold_crossing"]
         assert (rec.check, rec.config_digest, rec.analytic, rec.oracle, rec.passed) == (
             "sql_threshold_crossing", "none", 1.0, 1.0, True)
 
