@@ -133,9 +133,8 @@ SweepRow = namedtuple("SweepRow", ("axis_values",) + _RESULT_COLUMNS)
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Grid evaluation output as columns: one flat array per axis and per
-    result, row-major over the spec axes (first axis outermost).
-    ``axis_grid`` holds the 1-D values of each axis that the grid was built
-    from, or None when the axis columns were given flat."""
+    result, row-major over the spec axes (first axis outermost), with
+    ``grid_shape`` points on each axis."""
 
     axis_names: tuple
     axis_values: tuple
@@ -144,7 +143,7 @@ class SweepResult:
     qcrb: np.ndarray
     beats_sql: np.ndarray
     defined: np.ndarray
-    axis_grid: tuple | None = None
+    grid_shape: tuple
 
     def __len__(self) -> int:
         return len(self.delta_phi)
@@ -161,10 +160,7 @@ class SweepResult:
     def csv_text(self) -> str:
         """The CSV file: the header and one line per row, each ending in a
         newline."""
-        if self.axis_grid is None:
-            columns = [_format_column(c) for c in self.axis_values]
-        else:
-            columns = _grid_columns(self.axis_grid)
+        columns = _grid_columns(self.axis_values, self.grid_shape)
         columns += [_format_column(c) for c in (self.delta_phi, self.sql, self.qcrb)]
         columns += [np.where(c, "1", "0").tolist() for c in (self.beats_sql, self.defined)]
         return "\n".join([self.csv_header(), *map(",".join, zip(*columns)), ""])
@@ -199,15 +195,15 @@ def _format_column(column: np.ndarray) -> list:
     return text[where].tolist()
 
 
-def _grid_columns(axis_grid) -> list:
-    """Cells of the axis columns of a row-major grid: each axis's own values
-    formatted once, each repeated over the axes after it and the block
-    tiled over the axes before it."""
-    sizes = [len(values) for values in axis_grid]
+def _grid_columns(axis_values, shape) -> list:
+    """Cells of the axis columns of a row-major grid of ``shape``: each
+    axis's own values, every ``inner``-th of its column, formatted once,
+    each repeated over the axes after it and the block tiled over the axes
+    before it."""
     columns = []
-    for k, values in enumerate(axis_grid):
-        cells = np.array(_format_column(values), dtype=object)
-        inner, outer = math.prod(sizes[k + 1 :]), math.prod(sizes[:k])
+    for k, (column, size) in enumerate(zip(axis_values, shape)):
+        inner, outer = math.prod(shape[k + 1 :]), math.prod(shape[:k])
+        cells = np.array(_format_column(column[: size * inner : inner]), dtype=object)
         columns.append(np.tile(np.repeat(cells, inner), outer).tolist())
     return columns
 
@@ -362,8 +358,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     delta_phi and a nan qcrb, never dropped.
     """
     spec = spec.validated()
-    axis_grid = tuple(np.array(a.values, dtype=float) for a in spec.axes)
-    grids = np.meshgrid(*axis_grid, indexing="ij")
+    grids = np.meshgrid(*(np.array(a.values, dtype=float) for a in spec.axes), indexing="ij")
     axis_values = tuple(g.ravel() for g in grids)
     config = spec.base
     for axis, values in zip(spec.axes, axis_values):
@@ -381,7 +376,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         qcrb=qcrb,
         beats_sql=delta_phi < sql,
         defined=slope > 0.0,
-        axis_grid=axis_grid,
+        grid_shape=grids[0].shape,
     )
 
 

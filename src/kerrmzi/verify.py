@@ -26,12 +26,6 @@ _TAIL_TOL = 3e-8
 _BUDGET = 1e-6
 _LOSSY_CUTOFF = 14
 _LOSSY_BUDGET = 1e-5
-# phase_covariance, measured worst over seeds 0-39: 2.2e-12 at 400 draws
-# and 2.5e-11 at 2000.  The slopes and delta_phi amplify the rounding of a
-# shifted phase by 1/|cos(theta2 - theta_alpha)|, so the error's tail falls
-# as 1/err, about 4e-17/err per draw over 2e5 draws: at 1e-9 a 2000-draw
-# run fails falsely about once in 1e4 seeds.  The noises hold to 3.6e-14
-_PHASE_COVARIANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,6 +104,12 @@ def _random_configs(rng, count: int) -> InterferometerConfig:
             (0.1, 4.0), (-math.pi, math.pi), (0.05, 0.95),
         )
     ))
+
+
+def _on_phase_grid(phase):
+    """``phase`` rounded to a multiple of 2^-40, where the sum of two such
+    phases in (-pi, pi), and every difference of such sums, is exact."""
+    return np.round(phase * 2.0**40) / 2.0**40
 
 
 def _abs2(z):
@@ -225,21 +225,23 @@ def run_analytic_suite(seed: int = 0, draws: int = 2000, mutate: str | None = No
     # rotates modes b and c, which the readout of mode a does not see, so
     # the lossless and lossy slope and noise and delta_phi at phi = 0 are
     # invariant; the closed forms read only theta2 - theta_alpha and
-    # theta2 - theta1.  Draws at generic phases with all five losses
-    keys = ("alpha", "g1", "g2", "transmissivity", "eta_a", "eta_b", "eta_c", "eta_d", "eta_det")
-    box = [(0.1, 6.0), (0.0, 3.0), (0.1, 4.0), (0.05, 0.95)] + 5 * [(0.1, 1.0)]
-    kw = {key: rng.uniform(lo, hi, draws) for key, (lo, hi) in zip(keys, box)}
-    angles = rng.uniform(-math.pi, math.pi, (3, draws))
-    shift = rng.uniform(-math.pi, math.pi, draws)
-    figures = []
-    for x in (0.0, shift):
-        cfg = build_config(**kw, **dict(zip(("theta_alpha", "theta1", "theta2"), angles + x)))
-        figures.append(np.stack([
-            analytic.slope_at_zero(cfg), analytic.noise_at_zero(cfg),
-            analytic.lossy_slope_at_zero(cfg), analytic.lossy_noise_at_zero(cfg),
-            analytic.evaluate(cfg).delta_phi,
-        ]))
-    record("phase_covariance", "randomized", *figures, _PHASE_COVARIANCE_TOL)
+    # theta2 - theta1.  Generic phases and shifts on _on_phase_grid with all
+    # five losses: there the differences are exact, and the figures
+    # bit-identical.  Row 0 of the phases is unshifted, row 1 shifted
+    cfg = _random_configs(rng, draws)
+    for name in ("loss.eta_a", "loss.eta_b", "loss.eta_c", "loss.eta_d", "loss.eta_det"):
+        cfg = sweep.set_parameter(cfg, name, rng.uniform(0.1, 1.0, draws))
+    shift = np.stack([np.zeros(draws), _on_phase_grid(rng.uniform(-math.pi, math.pi, draws))])
+    for part in ("coherent", "nbs1", "nbs2"):
+        phase = _on_phase_grid(getattr(cfg, part).phase) + shift
+        cfg = sweep.set_parameter(cfg, f"{part}.phase", phase)
+    # evaluate's slope and noise are the lossy forms' at eta_det
+    report = analytic.evaluate(cfg)
+    figures = np.stack(np.broadcast_arrays(
+        analytic.slope_at_zero(cfg), analytic.noise_at_zero(cfg),
+        report.slope, report.noise, report.delta_phi,
+    ))
+    record("phase_covariance", "randomized", figures[:, 0], figures[:, 1], 0.0)
 
     return records
 

@@ -159,5 +159,5 @@ def test_cells_outside_window_and_undefined_rows_match_reference():
     ])
     x = rng.permutation(np.concatenate([inside, -inside[:100], outside]))
     result = SweepResult(("loss.eta_d",), (x,), x, np.full_like(x, 2.5e-4), x[::-1].copy(),
-                         x < 2.5e-4, np.isfinite(x))
+                         x < 2.5e-4, np.isfinite(x), x.shape)
     _assert_reference_text(result)

@@ -230,7 +230,7 @@ class TestRunSweep:
     def test_csv_cells_formatted_per_value(self):
         # repeated, signed-zero and non-finite values each keep their own text
         x = np.array([0.0, -0.0, 0.1, 0.1, np.inf, np.nan, 1 / 3, -0.0])
-        result = SweepResult(("loss.eta_d",), (x,), x, x, x, x > 0, x > 0)
+        result = SweepResult(("loss.eta_d",), (x,), x, x, x, x > 0, x > 0, x.shape)
         want = [
             ",".join([format(v, ".17g")] * 4 + [str(int(v > 0))] * 2) for v in x.tolist()
         ]
