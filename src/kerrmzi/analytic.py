@@ -218,7 +218,8 @@ def optimal_split_ratio(n_alpha: float, g1: float) -> float:
                + sqrt(9 N_a^2 - 28 N_a g1^2 + 2 N_a + 36 g1^4 + 4 g1^2 + 1)]
               / (2 N_a + 1)
 
-    Approaches 3 for strong pumping.  Independent of g2.
+    Approaches 3 for strong pumping.  Independent of g2.  The discriminant,
+    a quadratic in N_a, is at least (8/9)(4 g1^2 + 1)^2 > 0.
     """
     if (np.minimum(n_alpha, g1) < 0).any():
         raise ValueError("n_alpha and g1 must be >= 0")
@@ -231,10 +232,6 @@ def optimal_split_ratio(n_alpha: float, g1: float) -> float:
         + 4.0 * g1s
         + 1.0
     )
-    if np.any(disc < 0):
-        raise ValueError(
-            f"negative discriminant for n_alpha={n_alpha}, g1={g1} ({disc})"
-        )
     return (3.0 * n_alpha - 6.0 * g1s + np.sqrt(disc)) / (2.0 * n_alpha + 1.0)
 
 

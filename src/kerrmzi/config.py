@@ -24,6 +24,7 @@ a bound violation names the first violating cell (row-major).
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -160,11 +161,12 @@ class InterferometerConfig:
     ``nbs1`` seeds the correlated mode pair, ``nbs2`` performs the active
     correlation readout, ``splitter`` is used for both linear beam
     splitters, ``coherent`` is the pump-port input and ``phase`` the shift
-    applied in the sensing arm.
+    applied in the sensing arm.  ``nbs2`` defaults to phase pi, with
+    theta1 = theta_alpha = 0 the phase-matched readout of ``build_config``.
     """
 
     nbs1: SqueezerParams = field(default_factory=SqueezerParams)
-    nbs2: SqueezerParams = field(default_factory=SqueezerParams)
+    nbs2: SqueezerParams = field(default_factory=functools.partial(SqueezerParams, phase=math.pi))
     splitter: SplitterParams = field(default_factory=SplitterParams)
     coherent: CoherentInput = field(default_factory=CoherentInput)
     phase: PhaseShift = field(default_factory=PhaseShift)
@@ -255,7 +257,7 @@ _FIELD_WALK = {
     InterferometerConfig: tuple(
         (s.name, f.name, f"{s.name}.{f.name}")
         for s in fields(InterferometerConfig)
-        for f in fields(s.default_factory)
+        for f in fields(s.default_factory())
     ),
     KerrMediumSpec: tuple((None, f.name, f"medium.{f.name}") for f in fields(KerrMediumSpec)),
 }
@@ -352,9 +354,9 @@ def config_digest(config) -> str:
 #   [loss]      eta_a, eta_b, eta_c, eta_d, eta_det
 #   [medium]    n0, intensity, wavenumber, length, epsilon0, c
 #
-# Missing keys fall back to the dataclass defaults ([medium] has no
-# defaults for its first four fields); unknown sections or keys are
-# rejected with the offending line cited.
+# Missing keys fall back to the dataclass defaults, an omitted [nbs2]
+# phase to pi ([medium] has no defaults for its first four fields);
+# unknown sections or keys are rejected with the offending line cited.
 
 _CONFIG_SCHEMA = {
     section: tuple(key for _, key, _ in walk)

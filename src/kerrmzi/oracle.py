@@ -252,7 +252,7 @@ def _beam_splitter_unitary(transmissivity: float, cutoff: int) -> _PackedGate:
     mode.  The zero-phase double pass of the interferometer composes to the
     identity with this sign choice.  Packed by n_b + n_c, which it
     conserves; the pi phase is the sign (-1)^j of each row's pair j."""
-    angle = math.acos(min(1.0, max(0.0, math.sqrt(transmissivity))))
+    angle = math.acos(math.sqrt(transmissivity))
     rot = _exp_generator("splitter", angle, cutoff)
     return rot._replace(stack=(-1.0) ** np.arange(cutoff)[:, None] * rot.stack)
 

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analytic
-from .config import _FIELD_WALK, InterferometerConfig, SqueezerParams, field_errors, validate
+from .config import _FIELD_WALK, InterferometerConfig, SqueezerParams, _field_values, field_errors, validate
 
 
 # Sweepable parameters: dotted dataclass paths plus a few derived axes that
@@ -448,8 +448,7 @@ def sql_thresholds(config: InterferometerConfig) -> np.ndarray:
     call.  The samples of every axis and cell are one ``analytic.evaluate``
     call on a (6, 3) + S stack.
     """
-    walk = _FIELD_WALK[InterferometerConfig]
-    ndim = max(np.ndim(getattr(getattr(config, part), key)) for part, key, _ in walk)
+    ndim = max(np.ndim(value) for _, value in _field_values(config))
     samples = _ETA_SAMPLES.reshape((1, 3) + (1,) * ndim)
     out = analytic.evaluate(on_threshold_axes(config, samples))
     f0, fh, f1 = _margins(out).swapaxes(0, 1)

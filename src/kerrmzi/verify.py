@@ -390,6 +390,28 @@ def run_oracle_suite(seed: int = 0, cutoff: int = 15, mutate: str | None = None)
            oracle.numeric_slope(cfg, cutoff=_LOSSY_CUTOFF, budget=_LOSSY_BUDGET).variance,
            oracle.quadrature_stats(rho, oracle.MODE_A)[1], _TAIL_TOL, cutoff=_LOSSY_CUTOFF)
 
+    # phase covariance: one shift x of theta_alpha, theta1 and theta2 leaves
+    # the slope and variance of mode a unchanged, lossless and with five
+    # losses.  The tail's config at phi = 0 on _on_phase_grid, where every
+    # shifted phase is exact; the gates' phase factors are not, so the Fock
+    # values agree to rounding (worst 1.1e-15 over seeds 0-39).  The record
+    # spans two cutoffs and names none
+    base = dict(alpha=0.8, g1=0.25, g2=0.4, transmissivity=0.3, **{
+        key: _on_phase_grid(theta)
+        for key, theta in (("theta_alpha", -0.4), ("theta1", 0.7), ("theta2", 2.1))
+    })
+    x = _on_phase_grid(rng.uniform(-math.pi, math.pi))
+    shifted = {**base, **{key: base[key] + x for key in ("theta_alpha", "theta1", "theta2")}}
+    losses = dict(eta_a=0.9, eta_b=0.8, eta_c=0.7, eta_d=0.6, eta_det=0.85)
+    # lossless unshifted, lossless shifted, lossy unshifted, lossy shifted
+    cells = [(k, budget, build_config(**kw, **extra))
+             for k, budget, extra in ((cutoff, _BUDGET, {}), (_LOSSY_CUTOFF, _LOSSY_BUDGET, losses))
+             for kw in (base, shifted)]
+    ests = [oracle.numeric_slope(cfg, cutoff=k, budget=budget) for k, budget, cfg in cells]
+    record("oracle_phase_covariance", [config_digest(cfg) for *_, cfg in cells[1::2]] * 2,
+           [e.value for e in ests[0::2]] + [e.variance for e in ests[0::2]],
+           [e.value for e in ests[1::2]] + [e.variance for e in ests[1::2]], 1e-12)
+
     return records
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from kerrmzi.config import (
     parse_medium,
     validate,
 )
+from kerrmzi.cli import main
 from kerrmzi.sweep import set_parameter
 
 
@@ -283,6 +285,30 @@ class TestConfigFile:
         cfg = parse_config("[coherent]\nmagnitude = 2.0\n")
         assert cfg.nbs1.gain == 1.0
         assert cfg.loss.is_lossless()
+
+    def test_one_default_config(self):
+        # the dataclass, build_config and an empty file share one default:
+        # the phase-matched readout theta2 = pi; a bare squeezer keeps 0
+        assert build_config() == InterferometerConfig() == parse_config("")
+        assert InterferometerConfig().nbs2.phase == math.pi
+        assert SqueezerParams().phase == 0.0
+
+    @pytest.mark.parametrize("nbs2_phase, theta2, delta_phi, beats_sql", [
+        ("", math.pi, 2.617e-4, True),
+        ("phase = 0\n", 0.0, 4.53e-3, False),
+    ], ids=["omitted", "written-as-0"])
+    def test_fig4_file_without_nbs2_phase_is_phase_matched(
+        self, tmp_path, capsys, nbs2_phase, theta2, delta_phi, beats_sql
+    ):
+        text = GOOD_CONFIG.replace("phase = 3.141592653589793\n", nbs2_phase)
+        assert parse_config(text).nbs2.phase == theta2
+        path = tmp_path / "fig4.ini"
+        path.write_text(text)
+        assert main(["report", "--config", str(path)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["delta_phi"] == pytest.approx(delta_phi, rel=1e-3)
+        assert record["sql"] == pytest.approx(8.910e-4, rel=1e-3)
+        assert record["beats_sql"] is beats_sql
 
     def test_unknown_key_cites_key_and_line(self):
         text = "[loss]\neta_a = 1.0\neta_x = 0.5\n"

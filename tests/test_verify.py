@@ -1,11 +1,12 @@
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from kerrmzi import analytic, oracle, sweep, verify
-from kerrmzi.config import build_config, config_digest
+from kerrmzi.config import CoherentInput, build_config, config_digest
 
 
 # every check of each suite, in record order
@@ -39,6 +40,7 @@ ORACLE_CHECKS = (
     "lossy_slope_vs_closed_form",
     "lossy_noise_vs_closed_form",
     "lossy_tail_vs_density",
+    "oracle_phase_covariance",
 )
 
 
@@ -143,9 +145,10 @@ class TestOracleSuite:
     def test_one_forward_pass_per_configuration_and_cutoff(self, monkeypatch):
         # the canonical slope and variance at the cutoff and its double, the
         # six QFI draws at the cutoff, each of the three lossy draws at the
-        # lossy cutoff and its double, then simulate's density tail and the
-        # moment pass it is checked against; every pass enters by the one
-        # door to the Fock pass
+        # lossy cutoff and its double, simulate's density tail and the
+        # moment pass it is checked against, then the phase covariance's
+        # unshifted and shifted passes, lossless and lossy; every pass
+        # enters by the one door to the Fock pass
         cutoffs = []
         entry = oracle._entering_kerr
 
@@ -156,7 +159,8 @@ class TestOracleSuite:
         monkeypatch.setattr(oracle, "_entering_kerr", counting)
         verify.run_oracle_suite(seed=0)
         lossy = verify._LOSSY_CUTOFF
-        assert cutoffs == [15, 30] + 6 * [15] + 3 * [lossy, 2 * lossy] + [lossy, lossy]
+        assert cutoffs == ([15, 30] + 6 * [15] + 3 * [lossy, 2 * lossy] + [lossy, lossy]
+                           + [15, 15, lossy, lossy])
 
 
 class TestMutationControl:
@@ -304,6 +308,49 @@ def test_phase_faults_fail_only_phase_covariance(monkeypatch, forms, field, draw
         monkeypatch.setattr(analytic, name, _phase_fault(getattr(analytic, name), field))
     records = verify.run_analytic_suite(seed=0, draws=draws)
     assert {r.check for r in records if not r.passed} == {"phase_covariance"}
+
+
+def _flip_squeeze_vacuum(monkeypatch):
+    real = oracle._squeeze_vacuum
+    monkeypatch.setattr(oracle, "_squeeze_vacuum",
+                        lambda pump, gain, theta: real(pump, gain, -theta))
+
+
+def _flip_coherent_amplitude(monkeypatch):
+    monkeypatch.setattr(CoherentInput, "amplitude", property(
+        lambda self: self.magnitude * complex(math.cos(self.phase), -math.sin(self.phase))))
+
+
+def _flip_squeezer_gate(monkeypatch):
+    real = oracle._squeezer_unitary
+    monkeypatch.setattr(oracle, "_squeezer_unitary",
+                        lambda gain, theta, cutoff: real(gain, -theta, cutoff))
+
+
+@pytest.fixture
+def fresh_oracle_caches():
+    """No prefix or squeezer gate cached before or after the test, so none
+    hides a fault or carries one into a later test."""
+    gates = oracle._squeezer_unitary  # the cached original, under any patch
+    oracle._PREFIXES.clear()
+    gates.cache_clear()
+    yield
+    oracle._PREFIXES.clear()
+    gates.cache_clear()
+
+
+@pytest.mark.parametrize("flip, also_failed", [
+    (_flip_squeeze_vacuum, set()),
+    (_flip_coherent_amplitude, set()),
+    (_flip_squeezer_gate, {"lossy_tail_vs_density"}),
+], ids=["nbs1-theta-in-squeeze-vacuum", "coherent-phase", "nbs2-gate-phase"])
+def test_oracle_sign_faults_fail_oracle_phase_covariance(monkeypatch, fresh_oracle_caches, flip,
+                                                         also_failed):
+    # a sign flip of one phase in the Fock pass; the first two pass every
+    # other check of both suites
+    flip(monkeypatch)
+    records = verify.run_suite("all", seed=0)
+    assert {r.check for r in records if not r.passed} == {"oracle_phase_covariance", *also_failed}
 
 
 def _reference_crossing(state, count: int):
