@@ -23,7 +23,6 @@ a bound violation names the first violating cell (row-major).
 
 from __future__ import annotations
 
-import configparser
 import functools
 import hashlib
 import json
@@ -355,8 +354,25 @@ def config_digest(config) -> str:
 #   [medium]    n0, intensity, wavenumber, length, epsilon0, c
 #
 # Missing keys fall back to the dataclass defaults, an omitted [nbs2]
-# phase to pi ([medium] has no defaults for its first four fields);
-# unknown sections or keys are rejected with the offending line cited.
+# phase to pi ([medium] has no defaults for its first four fields).
+#
+# The text is read in one pass over its lines, split at "\n" only:
+#
+# * a comment starts at the first '#' or ';' that begins the line or
+#   follows whitespace, and is cut before the line is read;
+# * a line indented deeper than the line that opened the current key
+#   continues that key's value, and a blank line with no comment adds an
+#   empty line to it; the lines are joined with "\n" and right-stripped;
+# * "[name]", the whole line, opens a section; [DEFAULT] may repeat and
+#   lends its keys to every section, whose own keys win; any other
+#   section may not repeat;
+# * "key = value" or "key: value" splits at the first '=' or ':'; the key
+#   is lower-cased, not empty and not repeated within its section;
+# * any other line, and a key before the first section, is an error.
+#
+# Values are read raw: a '%' is part of a bad number.  Every error cites
+# the line a section or key was read from; unknown sections and keys are
+# rejected.
 
 _CONFIG_SCHEMA = {
     section: tuple(key for _, key, _ in walk)
@@ -366,45 +382,65 @@ _CONFIG_SCHEMA = {
     )
 }
 
-
-def _find_line(text: str, section: str, key: str) -> str:
-    """'line N' of the first ``key =`` or ``key:`` in [section], else in
-    [DEFAULT], whose keys configparser lends every section."""
-    pat = re.compile(r"^\s*" + re.escape(key) + r"\s*[=:]", re.IGNORECASE)
-    found, current = {}, None
-    for i, line in enumerate(text.splitlines(), start=1):
-        if header := configparser.ConfigParser.SECTCRE.match(line.strip()):
-            current = header["header"]
-        elif pat.match(line):
-            found.setdefault(current, i)
-    line = found.get(section, found.get(configparser.DEFAULTSECT))
-    return "line unknown" if line is None else f"line {line}"
+_COMMENT = re.compile(r"(?<!\S)[#;]")
+_KEY_VALUE = re.compile(r"([^=:]*)[=:](.*)")
 
 
 def _parse_sections(text: str, source: str) -> dict:
-    # values are read raw: a '%' is part of a bad number, not interpolation
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    try:
-        parser.read_string(text, source=source)
-    except configparser.Error as exc:
-        raise ConfigFileError(f"{source}: {exc}") from exc
+    """{section: {key: float}} of an INI text, by the grammar above; every
+    section holds [DEFAULT]'s keys too."""
+    def error(message, number):
+        return ConfigFileError(f"{source}: {message} (line {number})")
 
+    # name -> (line number, {key: (line number, value lines)})
+    sections = {"DEFAULT": (0, {})}
+    keys = lines = None  # the open section's keys, the open key's value lines
+    indent = 0
+    for number, line in enumerate(text.split("\n"), start=1):
+        comment = _COMMENT.search(line)
+        value = (line[: comment.start()] if comment else line).strip()
+        if not value:
+            if comment is None and lines is not None:
+                lines.append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if lines is not None and depth > indent:
+            lines.append(value)
+            continue
+        indent = depth
+        if value[0] == "[" and value.rfind("]") > 1:
+            if value[-1] != "]":
+                raise error("text after the section header", number)
+            name = value[1:-1]
+            if name in sections and name != "DEFAULT":
+                raise error(f"section [{name}] repeated", number)
+            keys, lines = sections.setdefault(name, (number, {}))[1], None
+            continue
+        if keys is None:
+            raise error("text before the first section header", number)
+        pair = _KEY_VALUE.match(value)
+        if pair is None or not (key := pair[1].strip().lower()):
+            raise error("neither a [section] header nor a key = value line", number)
+        if key in keys:
+            raise error(f"key '{key}' repeated in [{name}]", number)
+        lines = [pair[2].strip()]
+        keys[key] = (number, lines)
+
+    defaults = sections.pop("DEFAULT")[1]
     values: dict = {}
-    for section in parser.sections():
+    for section, (number, own) in sections.items():
         if section not in _CONFIG_SCHEMA:
-            raise ConfigFileError(f"{source}: unknown section [{section}]")
+            raise error(f"unknown section [{section}]", number)
         values[section] = {}
-        for key, raw in parser.items(section):
+        for key, (number, lines) in {**defaults, **own}.items():
             if key not in _CONFIG_SCHEMA[section]:
-                raise ConfigFileError(
-                    f"{source}: unknown key '{key}' in [{section}] ({_find_line(text, section, key)})"
-                )
+                raise error(f"unknown key '{key}' in [{section}]", number)
+            raw = "\n".join(lines).rstrip()
             try:
                 values[section][key] = float(raw)
             except ValueError:
                 raise ConfigFileError(
-                    f"{source}: [{section}] {key}: not a number "
-                    f"(got {raw!r}, {_find_line(text, section, key)})"
+                    f"{source}: [{section}] {key}: not a number (got {raw!r}, line {number})"
                 ) from None
     return values
 
@@ -420,11 +456,12 @@ def parse_config(text: str, source: str = "<string>") -> InterferometerConfig:
 
 
 def _read_text(path) -> str:
-    """The UTF-8 text of a config file; undecodable bytes are a
-    ConfigFileError naming the path."""
+    """The UTF-8 text of a config file, without a leading byte-order mark;
+    undecodable bytes are a ConfigFileError naming the path and the
+    offending byte's offset in the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigFileError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

@@ -1,5 +1,8 @@
+import configparser
 import json
 import math
+import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrmzi.config import (
+    _CONFIG_SCHEMA,
     _FIELD_WALK,
+    _parse_sections,
     CoherentInput,
     ConfigFileError,
     InterferometerConfig,
@@ -21,6 +26,7 @@ from kerrmzi.config import (
     build_config,
     config_digest,
     field_errors,
+    load_config,
     parse_config,
     parse_medium,
     validate,
@@ -332,7 +338,7 @@ class TestConfigFile:
     def test_repeated_key_cites_its_own_section(self, text, message):
         # a key that an earlier section also holds is cited at its line in
         # the named section, not at its first match in the file; a key of
-        # [DEFAULT], which configparser lends every section, at its own line
+        # [DEFAULT], which the reader lends every section, at its own line
         with pytest.raises(ConfigFileError) as exc:
             parse_config(text)
         assert str(exc.value) == f"<string>: {message}"
@@ -358,8 +364,8 @@ class TestConfigFile:
         ids=["bare-percent", "unknown-reference", "known-reference"],
     )
     def test_percent_in_value_is_a_bad_number(self, text, message):
-        # values are read raw, so a '%' never reaches configparser's
-        # interpolation, which raised its own error when the items were read
+        # values are read raw: a '%' is part of a bad number, never the
+        # start of an interpolation
         with pytest.raises(ConfigFileError) as exc:
             parse_config(text)
         assert str(exc.value) == f"<string>: {message}"
@@ -367,6 +373,55 @@ class TestConfigFile:
     def test_syntax_error_cites_line(self):
         with pytest.raises(ConfigFileError, match="line"):
             parse_config("[coherent\nmagnitude = 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # lines split at \n only: a form feed is no line break
+            ("[nbs1]\r\ngain = 1.5\r\n\f\r\nphase = 0\r\n\r\nbogus = 1\r\n",
+             "unknown key 'bogus' in [nbs1] (line 6)"),
+            # nor is a line separator inside a comment
+            ("[nbs1]\n# a note\u2028continued\ngain = 1.5\nbogus = 1\n",
+             "unknown key 'bogus' in [nbs1] (line 4)"),
+            # the continuation line that reads like a key is part of
+            # magnitude's value; eta_b comes from [DEFAULT]
+            ("[nbs1]\nmagnitude=nan\n eta_b=1.0\n[DEFAULT]\neta_b: 0.3\n",
+             "unknown key 'eta_b' in [nbs1] (line 5)"),
+        ],
+        ids=["crlf-form-feed", "line-separator", "continuation-shadows-default"],
+    )
+    def test_error_cites_the_line_the_key_was_read_from(self, text, message):
+        with pytest.raises(ConfigFileError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"<string>: {message}"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("[coherent] magnitude = 10\n", 1), ("[nbs1]\ngain = 2\n[coherent]x # note\n", 3)],
+        ids=["key-on-header-line", "word-before-comment"],
+    )
+    def test_text_after_section_header_refused(self, text, line):
+        # the rest of the line is an error, never dropped
+        with pytest.raises(ConfigFileError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"<string>: text after the section header (line {line})"
+
+    def test_readme_config_with_header_comment(self):
+        # README's Fig. 4 file, whose [medium] header carries a comment
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "[medium]                    # used by the chi3 command only" in text
+        assert parse_config(text) == build_config(alpha=10.0, g1=2.0, g2=4.0, transmissivity=0.25)
+        assert parse_medium(text) == KerrMediumSpec(n0=1.45, intensity=1e12, wavenumber=7.85e6, length=0.01)
+
+    def test_utf8_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + GOOD_CONFIG.lstrip().encode())
+        assert load_config(path) == parse_config(GOOD_CONFIG)
+        # an undecodable byte after the mark is cited at its offset in the file
+        path.write_bytes(b"\xef\xbb\xbf[nbs1]\n\xff")
+        with pytest.raises(ConfigFileError, match=r"not UTF-8 text \(byte 10: "):
+            load_config(path)
 
     def test_out_of_range_value_fails_validation(self):
         with pytest.raises(InvalidConfigError, match=r"transmissivity outside \[0,1\]"):
@@ -387,6 +442,93 @@ class TestConfigFile:
             parse_medium(
                 "[medium]\nn0 = -1\nintensity = 1\nwavenumber = 1\nlength = 1\n"
             )
+
+
+def reference_sections(text: str, source: str = "<string>") -> dict:
+    """The configparser-based reader that the one-pass reader replaced,
+    kept as its reference: the same {section: {key: float}}, or a
+    ConfigFileError (citing no key lines)."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        parser.read_string(text, source=source)
+    except configparser.Error as exc:
+        raise ConfigFileError(f"{source}: {exc}") from exc
+    values: dict = {}
+    for section in parser.sections():
+        if section not in _CONFIG_SCHEMA:
+            raise ConfigFileError(f"{source}: unknown section [{section}]")
+        values[section] = {}
+        for key, raw in parser.items(section):
+            if key not in _CONFIG_SCHEMA[section]:
+                raise ConfigFileError(f"{source}: unknown key '{key}' in [{section}]")
+            try:
+                values[section][key] = float(raw)
+            except ValueError:
+                raise ConfigFileError(f"{source}: [{section}] {key}: not a number (got {raw!r})") from None
+    return values
+
+
+def outcome(reader, text: str) -> str:
+    """The repr of what ``reader`` reads from ``text``, or "refused"."""
+    try:
+        return repr(reader(text, "<string>"))
+    except ConfigFileError:
+        return "refused"
+
+
+# Fragments of INI text: known, unknown and upper-case names, both
+# delimiters and none, values a continuation line completes, inline and
+# full-line comments, indentation, blank lines and both line endings.  Each
+# draw picks an odd fragment 3 % of the time, so that many texts read
+# values and most refusals have one cause.  A header's comment always
+# follows whitespace: no text is left after a header, where the reference
+# drops what the reader refuses.
+_INI_NAMES = tuple(_CONFIG_SCHEMA) + ("DEFAULT", "DEFAULT")
+_INI_INDENTS = (("",), (" ", "\t"))
+_INI_DEEPER = ((" ", "  ", "\t"), ("",))
+_INI_DELIMITERS = ((" = ", "=", ": ", ":", " :"), (" ",))
+_INI_VALUES = (("1.5", "2", "0.25", "1e-3", "nan", ""), ("ten", "2#x", "%(gain)s", "1 2"))
+_INI_COMMENTS = (("", "", " # note"), (" ;note", "\t# x ; y"))
+_INI_BLANKS = (("", "   "), ("# note", "; note", "  # indented note"))
+
+
+def _pick(rnd: random.Random, pools) -> str:
+    common, odd = pools
+    return rnd.choice(odd if rnd.random() < 0.03 else common)
+
+
+def ini_text(rnd: random.Random) -> str:
+    """An INI text drawn from the fragments above: up to four sections
+    ([DEFAULT] may come twice), each with some of its keys, each key
+    followed by blank, comment or continuation lines now and then; one
+    text in ten repeats one of its lines elsewhere.  An empty value is
+    more often continued."""
+    lines = []
+    for name in rnd.sample(_INI_NAMES, rnd.randrange(5)):
+        name = _pick(rnd, ((name,), ("mirror", "NBS1")))
+        lines.append(f"{_pick(rnd, _INI_INDENTS)}[{name}]{_pick(rnd, _INI_COMMENTS)}")
+        schema = _CONFIG_SCHEMA.get(name, ("gain", "phase"))
+        for key in rnd.sample(schema, rnd.randrange(len(schema) + 1)):
+            key, indent = _pick(rnd, ((key,), ("bogus", key.upper()))), _pick(rnd, _INI_INDENTS)
+            delimiter, value = _pick(rnd, _INI_DELIMITERS), _pick(rnd, _INI_VALUES)
+            lines.append(f"{indent}{key}{delimiter}{value}{_pick(rnd, _INI_COMMENTS)}")
+            while rnd.random() < (0.6 if value == "" else 0.2):
+                deeper = f"{indent}{_pick(rnd, _INI_DEEPER)}{_pick(rnd, _INI_VALUES)}"
+                lines.append(rnd.choice((_pick(rnd, _INI_BLANKS), deeper)))
+    if lines and rnd.random() < 0.1:
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(lines))
+    ending = rnd.choice(("\n", "\n", "\r\n"))
+    return ending.join(lines) + rnd.choice(("", ending))
+
+
+class TestReaderAgainstConfigparser:
+    # a drawn seed, not a drawn Random: recording each of the generator's
+    # choices made this test eight times slower
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=1000)
+    def test_accepts_refuses_and_reads_alike(self, seed):
+        text = ini_text(random.Random(seed))
+        assert outcome(_parse_sections, text) == outcome(reference_sections, text), text
 
 
 class TestDigest:

@@ -60,7 +60,7 @@ def ini_files(draw) -> bytes:
         key = draw(st.sampled_from(_CONFIG_SCHEMA[section]))
         if draw(_RARELY):
             # an unknown key, an unknown section, or a key in [DEFAULT],
-            # which configparser lends to every section
+            # which the reader lends to every section
             section, key = draw(st.sampled_from(((section, "bogus"), ("bogus", key), ("DEFAULT", key))))
         sections.setdefault(section, {})[key] = draw(st.sampled_from(VALUES))
     lines = [f"[{s}]" if k is None else f"{k} = {v}"
